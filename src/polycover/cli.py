@@ -23,24 +23,21 @@ from pathlib import Path
 import numpy as np
 
 from .basis import Polynomial, eval_poly_many, poly_from_dict, poly_to_dict
-from .domain import BoxDomain
+from .domain import BoxDomain, tensor_grid
 from .fitting import (
+    CONTAINMENT_TOL,
     ContainmentError,
     FitError,
     GridSpec,
     PointCloud,
     SolverFailedError,
     UnboundedFitError,
-    assemble,
-    build_grid,
-    default_grid_spec,
+    build_problem,
     degree_sweep,
     fit,
 )
 from .lp import export_mps
-from .moments import moment_vector
-from .verification import count_components, run_report
-from .basis import make_basis
+from .verification import count_components, default_resolution, run_report
 
 
 class IngestError(ValueError):
@@ -203,12 +200,8 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     poly, box = _load_poly(args)
     if box.dimension > 3:
         raise IngestError("plot data supports dimensions 1 to 3 only")
-    resolution = args.resolution or (512 if box.dimension <= 2 else 64)
-    axes = [
-        np.linspace(lo, up, resolution) for lo, up in zip(box.lower, box.upper)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    resolution = args.resolution or default_resolution(box.dimension)
+    points = tensor_grid(box.lower, box.upper, resolution)
     values = eval_poly_many(poly, points)
 
     out = _out_dir(args)
@@ -226,16 +219,11 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 
 def cmd_export_mps(args: argparse.Namespace) -> int:
     cloud = PointCloud(ingest_points(args.points))
-    box = _box_for(args, cloud.dimension).inflate(args.inflate)
-    if not box.contains_all(cloud.points):
-        raise IngestError("point cloud is not contained in the box")
-    basis = make_basis(
-        cloud.dimension, args.degree, args.basis,
-        box if args.basis == "chebyshev" else None,
+    problem = build_problem(
+        cloud, _box_for(args, cloud.dimension), args.degree,
+        kind=args.basis, grid=_grid_for(args),
+        inflate=args.inflate, coeff_bound=args.coeff_bound,
     )
-    spec = _grid_for(args) or default_grid_spec(cloud.dimension)
-    grid_points = build_grid(box, spec)
-    problem = assemble(cloud, grid_points, basis, moment_vector(basis, box))
     out = _out_dir(args)
     target = out / "problem.mps"
     export_mps(problem, destination=target)
@@ -257,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.points is not None:
         cloud = PointCloud(ingest_points(args.points))
         worst = float(np.min(eval_poly_many(poly, cloud.points)))
-        if worst < 1.0 - 1e-6:
+        if worst < 1.0 - CONTAINMENT_TOL:
             print(f"containment violated: min p over points is {worst!r}", file=sys.stderr)
             return 4
         print(f"containment holds: min p over points is {worst!r}")

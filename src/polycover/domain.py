@@ -7,6 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def tensor_grid(lower, upper, count: int) -> np.ndarray:
+    """(count**n, n) array of the tensor grid with count evenly spaced points
+    per axis from lower[d] to upper[d], both included, laid out row-major in
+    the axis order."""
+    axes = [np.linspace(lo, up, count) for lo, up in zip(lower, upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
 @dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned box given by per-axis lower and upper bounds.

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
-from .domain import BoxDomain
+from .domain import BoxDomain, tensor_grid
 from .lp import LpOptions, LpProblem, LpSolution, solve
 from .moments import MomentVector, moment_vector
 
@@ -117,12 +117,7 @@ def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
                 f"tensor grid would hold {total} points (limit {MAX_GRID_POINTS}); "
                 "use a quasi-random sample_count grid instead"
             )
-        axes = [
-            np.linspace(box.lower[d], box.upper[d], spec.points_per_axis)
-            for d in range(n)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return tensor_grid(box.lower, box.upper, spec.points_per_axis)
 
     sampler = qmc.Sobol(d=n, scramble=True, seed=spec.seed)
     with warnings.catch_warnings():
@@ -151,10 +146,71 @@ def assemble(
 
 
 @dataclass(frozen=True)
+class _FitSetup:
+    """Checked inputs shared by every degree: the cloud, the inflated box, the
+    grid where p >= 0 is enforced, the basis kind and the coefficient bound."""
+
+    cloud: PointCloud
+    box: BoxDomain
+    grid_points: np.ndarray
+    kind: BasisKind
+    coeff_bound: float | None
+
+    def problem(self, degree: int) -> tuple[PolyBasis, LpProblem]:
+        """The coefficient program of one degree: cloud rows, grid rows, then
+        the rows -bound <= v_i <= bound when a coefficient bound is set."""
+        basis_box = self.box if self.kind == "chebyshev" else None
+        basis = make_basis(self.cloud.dimension, degree, self.kind, basis_box)
+        problem = assemble(self.cloud, self.grid_points, basis, moment_vector(basis, self.box))
+        if self.coeff_bound is None:
+            return basis, problem
+        eye = np.eye(problem.num_cols)
+        return basis, LpProblem(
+            c=problem.c,
+            A=np.vstack([problem.A, eye, -eye]),
+            b=np.concatenate([problem.b, np.full(2 * problem.num_cols, -self.coeff_bound)]),
+            row_kinds=problem.row_kinds + ("bound",) * (2 * problem.num_cols),
+        )
+
+
+def _prepare(
+    cloud: PointCloud,
+    box: BoxDomain,
+    kind: BasisKind,
+    grid: GridSpec | None,
+    inflate: float,
+    coeff_bound: float | None,
+) -> _FitSetup:
+    """Check the inputs, inflate the box and build the grid, once for all degrees."""
+    if cloud.dimension != box.dimension:
+        raise ValueError("cloud and box dimensions differ")
+    if coeff_bound is not None and not (math.isfinite(coeff_bound) and coeff_bound > 0):
+        raise ValueError("coeff_bound must be positive and finite")
+    box_eff = box.inflate(inflate)
+    if not box_eff.contains_all(cloud.points):
+        raise ValueError("point cloud is not contained in the box")
+    spec = grid if grid is not None else default_grid_spec(cloud.dimension)
+    return _FitSetup(cloud, box_eff, build_grid(box_eff, spec), kind, coeff_bound)
+
+
+def build_problem(
+    cloud: PointCloud,
+    box: BoxDomain,
+    degree: int,
+    *,
+    kind: BasisKind = "monomial",
+    grid: GridSpec | None = None,
+    inflate: float = 1.0,
+    coeff_bound: float | None = None,
+) -> LpProblem:
+    """The program that fit solves for the same arguments, left unsolved."""
+    return _prepare(cloud, box, kind, grid, inflate, coeff_bound).problem(degree)[1]
+
+
+@dataclass(frozen=True)
 class FitDiagnostics:
     containment_margin: float
     min_grid_value: float
-    trace_pm: float | None
 
 
 @dataclass(frozen=True)
@@ -176,49 +232,8 @@ class FitResult:
         return self.objective
 
 
-def _bound_rows(num_cols: int, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(num_cols)
-    A = np.vstack([eye, -eye])
-    b = np.full(2 * num_cols, -bound)
-    return A, b
-
-
-def _trace_pm(polynomial: Polynomial, box: BoxDomain) -> float | None:
-    if polynomial.basis.kind != "monomial":
-        return None
-    from .basis import half_degree, poly_to_gram
-    from .moments import moment_matrix
-
-    gram = poly_to_gram(polynomial)
-    half = make_basis(polynomial.dimension, half_degree(polynomial.degree), "monomial")
-    mm = moment_matrix(half, box, warn_threshold=math.inf)
-    return float(np.sum(gram * mm.entries))
-
-
-def _fit_on_grid(
-    cloud: PointCloud,
-    box: BoxDomain,
-    degree: int,
-    kind: BasisKind,
-    grid_points: np.ndarray,
-    coeff_bound: float | None,
-    options: LpOptions | None,
-) -> FitResult:
-    basis = make_basis(cloud.dimension, degree, kind, box if kind == "chebyshev" else None)
-    moments = moment_vector(basis, box)
-    problem = assemble(cloud, grid_points, basis, moments)
-
-    if coeff_bound is not None:
-        if not (math.isfinite(coeff_bound) and coeff_bound > 0):
-            raise ValueError("coeff_bound must be positive and finite")
-        A_extra, b_extra = _bound_rows(problem.num_cols, coeff_bound)
-        problem = LpProblem(
-            c=problem.c,
-            A=np.vstack([problem.A, A_extra]),
-            b=np.concatenate([problem.b, b_extra]),
-            row_kinds=problem.row_kinds + ("bound",) * b_extra.size,
-        )
-
+def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> FitResult:
+    basis, problem = setup.problem(degree)
     solution: LpSolution = solve(problem, options)
     if solution.status == "unbounded":
         raise UnboundedFitError(
@@ -229,20 +244,17 @@ def _fit_on_grid(
         raise SolverFailedError(f"degree-{degree} fit failed: {solution.message}")
 
     polynomial = Polynomial(basis, solution.v)
-    values_cloud = eval_basis_many(basis, cloud.points) @ polynomial.coeffs
-    margin = float(np.min(values_cloud)) - 1.0
+    cloud_count, grid_count = setup.cloud.count, setup.grid_points.shape[0]
+    values = problem.A[: cloud_count + grid_count] @ polynomial.coeffs
+    margin = float(np.min(values[:cloud_count])) - 1.0
     if margin < -CONTAINMENT_TOL:
         raise ContainmentError(
             f"fitted polynomial misses a cloud point by {-margin:.3e}"
         )
-    grid_count = np.asarray(grid_points).shape[0]
-    values_grid = problem.A[cloud.count : cloud.count + grid_count] @ polynomial.coeffs
-    min_grid = float(np.min(values_grid)) if grid_count else math.inf
 
     diagnostics = FitDiagnostics(
         containment_margin=margin,
-        min_grid_value=min_grid,
-        trace_pm=_trace_pm(polynomial, box),
+        min_grid_value=float(np.min(values[cloud_count:], initial=math.inf)),
     )
     return FitResult(
         polynomial=polynomial,
@@ -251,7 +263,7 @@ def _fit_on_grid(
         grid_size=grid_count,
         status=solution.status,
         diagnostics=diagnostics,
-        box=box,
+        box=setup.box,
         lp_iterations=solution.iterations,
         lp_rows=problem.num_rows,
         lp_cols=problem.num_cols,
@@ -288,16 +300,8 @@ def fit(
         ValueError: cloud outside the box, or invalid parameters.
         UnboundedFitError, SolverFailedError, ContainmentError.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if cloud.dimension != box.dimension:
-        raise ValueError("cloud and box dimensions differ")
-    box_eff = box.inflate(inflate)
-    if not box_eff.contains_all(cloud.points):
-        raise ValueError("point cloud is not contained in the box")
-    spec = grid if grid is not None else default_grid_spec(cloud.dimension)
-    grid_points = build_grid(box_eff, spec)
-    return _fit_on_grid(cloud, box_eff, degree, kind, grid_points, coeff_bound, options)
+    setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound)
+    return _fit_degree(setup, degree, options)
 
 
 @dataclass(frozen=True)
@@ -333,41 +337,23 @@ def degree_sweep(
         raise ValueError("degrees must be nonnegative")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly ascending")
-    if cloud.dimension != box.dimension:
-        raise ValueError("cloud and box dimensions differ")
-
-    box_eff = box.inflate(inflate)
-    if not box_eff.contains_all(cloud.points):
-        raise ValueError("point cloud is not contained in the box")
-    spec = grid if grid is not None else default_grid_spec(cloud.dimension)
-    grid_points = build_grid(box_eff, spec)
+    setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound)
 
     entries: list[SweepEntry] = []
     last_w: float | None = None
     for degree in degrees:
         start = time.perf_counter()
+        result, error = None, None
         try:
-            result = _fit_on_grid(
-                cloud, box_eff, degree, kind, grid_points, coeff_bound, options
-            )
+            result = _fit_degree(setup, degree, options)
         except (FitError, ValueError) as exc:
-            entries.append(
-                SweepEntry(
-                    degree=degree, result=None, error=str(exc),
-                    seconds=time.perf_counter() - start,
+            error = str(exc)
+        if result is not None:
+            if last_w is not None and result.objective > last_w + 1e-6 * (1.0 + abs(last_w)):
+                raise SolverFailedError(
+                    f"objective rose from {last_w} to {result.objective} at degree "
+                    f"{degree}; expected a nonincreasing sweep on a shared grid"
                 )
-            )
-            continue
-        if last_w is not None and result.objective > last_w + 1e-6 * (1.0 + abs(last_w)):
-            raise SolverFailedError(
-                f"objective rose from {last_w} to {result.objective} at degree "
-                f"{degree}; expected a nonincreasing sweep on a shared grid"
-            )
-        last_w = result.objective
-        entries.append(
-            SweepEntry(
-                degree=degree, result=result, error=None,
-                seconds=time.perf_counter() - start,
-            )
-        )
+            last_w = result.objective
+        entries.append(SweepEntry(degree, result, error, time.perf_counter() - start))
     return entries

@@ -143,16 +143,6 @@ class _DualSimplex:
         col[j - self.m] = self.sigma[j - self.m]
         return col
 
-    def _reduced_ext(self, cost_real: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Reduced costs with extended-precision accumulation, chunked."""
-        out = np.empty(self.m)
-        y_ext = y.astype(np.longdouble)
-        for start in range(0, self.m, 8192):
-            block = self.rows[start : start + 8192].astype(np.longdouble)
-            f_block = cost_real[start : start + 8192].astype(np.longdouble)
-            out[start : start + 8192] = (f_block - block @ y_ext).astype(float)
-        return out
-
     def _factorize(self):
         B = np.empty((self.k, self.k))
         for pos, j in enumerate(self.basis):
@@ -243,7 +233,7 @@ class _DualSimplex:
                 # confirm optimality with extended-precision reduced costs.
                 if phase == 2 and self.ext_passes < self.MAX_EXT_PASSES:
                     self.ext_passes += 1
-                    reduced = self._reduced_ext(cost_real, y)
+                    reduced = _residuals_ext(self.rows, cost_real, y)
                     reduced[self.in_basis] = math.inf
                     entering = int(np.argmin(reduced))
                 if reduced[entering] >= -price_tol:
@@ -379,20 +369,24 @@ def _repair_vertex(
     return v, lam
 
 
-def _max_violation(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
-    """max(0, max(b - A v)) with extended-precision accumulation.
+def _residuals_ext(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """b - A v accumulated in extended precision, in row chunks, then rounded.
 
     Plain float64 residuals carry noise of order eps * |v|_1, which swamps
-    the feasibility tolerance when coefficients are large; this measures the
-    violation of the vector actually returned to the caller.
+    the tolerances when coefficients are large.
     """
-    worst = -math.inf
+    out = np.empty(A.shape[0])
     v_ext = v.astype(np.longdouble)
     for start in range(0, A.shape[0], 8192):
         block = A[start : start + 8192].astype(np.longdouble)
         b_block = b[start : start + 8192].astype(np.longdouble)
-        worst = max(worst, float(np.max(b_block - block @ v_ext, initial=-math.inf)))
-    return max(0.0, worst)
+        out[start : start + 8192] = (b_block - block @ v_ext).astype(float)
+    return out
+
+
+def _max_violation(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
+    """max(0, max(b - A v)) for the vector actually returned to the caller."""
+    return max(0.0, float(np.max(_residuals_ext(A, b, v), initial=-math.inf)))
 
 
 def _check_ray(A: np.ndarray, c: np.ndarray, ray: np.ndarray, feas_tol: float) -> bool:

@@ -28,7 +28,7 @@ from .basis import (
     make_basis,
     poly_to_gram,
 )
-from .domain import BoxDomain
+from .domain import BoxDomain, tensor_grid
 from .fitting import GridSpec, build_grid, default_grid_spec
 from .moments import MomentVector, moment_matrix, moment_vector
 
@@ -139,12 +139,9 @@ def nonnegativity_scan(
     )
 
 
-def _cell_center_axes(box: BoxDomain, resolution: int) -> list[np.ndarray]:
-    axes = []
-    for lo, up in zip(box.lower, box.upper):
-        h = (up - lo) / resolution
-        axes.append(np.linspace(lo + h / 2.0, up - h / 2.0, resolution))
-    return axes
+def default_resolution(dimension: int) -> int:
+    """Grid points per axis for component counts and plot data."""
+    return 512 if dimension <= 2 else 64
 
 
 def _count_intervals(p: Polynomial, box: BoxDomain) -> int:
@@ -206,14 +203,13 @@ def count_components(
     if n > 3:
         raise ValueError("component counting supports dimensions 1 to 3 only")
     if resolution is None:
-        resolution = 512 if n <= 2 else 64
+        resolution = default_resolution(n)
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     if n == 1:
         return _count_intervals(p, box)
-    axes = _cell_center_axes(box, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    h = box.widths / resolution
+    points = tensor_grid(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution)
     mask = (eval_poly_many(p, points) >= 1.0).reshape((resolution,) * n)
     _, count = scipy.ndimage.label(mask)
     return int(count)
@@ -225,7 +221,6 @@ class TraceReport:
 
     trace_pm: float
     weighted_coeff_sum: float
-    orthonormal_trace: float | None
     relative_gap: float
 
 
@@ -261,22 +256,7 @@ def trace_report(p: Polynomial, box: BoxDomain) -> TraceReport:
             f"trace route {trace!r} and coefficient route {dot!r} disagree "
             f"(relative gap {gap:.3e})"
         )
-
-    orthonormal: float | None = None
-    try:
-        from .moments import orthonormalize
-
-        transform = orthonormalize(mm)
-        orthonormal = float(np.trace(transform.transform_gram(gram)))
-    except ValueError:
-        orthonormal = None
-
-    return TraceReport(
-        trace_pm=trace,
-        weighted_coeff_sum=dot,
-        orthonormal_trace=orthonormal,
-        relative_gap=gap,
-    )
+    return TraceReport(trace_pm=trace, weighted_coeff_sum=dot, relative_gap=gap)
 
 
 @dataclass(frozen=True)

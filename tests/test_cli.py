@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from polycover import eval_poly_many, poly_from_dict
+from polycover import (
+    BoxDomain,
+    GridSpec,
+    PointCloud,
+    build_problem,
+    eval_poly_many,
+    poly_from_dict,
+)
 from polycover.basis import constant_poly, make_basis, poly_to_dict
 from polycover.cli import IngestError, ingest_points, main, parse_box
+from polycover.verification import default_resolution
 
 from oracles import read_mps
 
@@ -196,6 +204,109 @@ def test_export_mps_writes_a_parsable_program(tmp_path):
     assert len(row_names) == 2 + 21
     assert sorted(b.tolist(), reverse=True)[:2] == [1.0, 1.0]
     np.testing.assert_allclose(c, [2.0, 0.0, 2.0 / 3.0])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--coeff-bound", "10"], id="coeff_bound"),
+        pytest.param(["--inflate", "1.5"], id="inflate"),
+        pytest.param(["--basis", "chebyshev"], id="chebyshev"),
+    ],
+)
+def test_export_mps_poses_the_program_that_fit_solves(tmp_path, flags):
+    points = np.array([[0.3, -0.2], [-0.4, 0.5], [0.9, 0.1]])
+    pts = tmp_path / "pts.csv"
+    write_points(pts, points.tolist())
+    out = tmp_path / "out"
+    code = main(
+        ["export-mps", "--points", str(pts), "--degree", "3", "--grid", "7",
+         "--box=-1,1;-1,1", *flags, "--out", str(out)]
+    )
+    assert code == 0
+    c, A, b, row_names, _ = read_mps((out / "problem.mps").read_text())
+
+    kwargs = {"coeff_bound": 10.0} if "--coeff-bound" in flags else {}
+    if "--inflate" in flags:
+        kwargs["inflate"] = 1.5
+    if "--basis" in flags:
+        kwargs["kind"] = "chebyshev"
+    problem = build_problem(
+        PointCloud(points), BoxDomain.symmetric(2), 3,
+        grid=GridSpec(points_per_axis=7), **kwargs,
+    )
+    np.testing.assert_array_equal(c, problem.c)
+    np.testing.assert_array_equal(A, problem.A)
+    np.testing.assert_array_equal(b, problem.b)
+    bound_rows = [name for name in row_names if name.startswith("B")]
+    assert len(bound_rows) == (2 * 10 if "--coeff-bound" in flags else 0)
+    assert len(row_names) == 3 + 49 + len(bound_rows)
+
+
+def test_export_mps_rejects_a_nonpositive_coeff_bound(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    code = main(
+        ["export-mps", "--points", str(pts), "--degree", "2", "--grid", "11",
+         "--coeff-bound", "-1", "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "coeff_bound must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "problem.mps").exists()
+
+
+VERB_ARGS = {
+    "fit": ["--degree", "2", "--mc-samples", "2000", "--resolution", "64"],
+    "sweep": ["--degrees", "2,4", "--resolution", "64"],
+    "export-mps": ["--degree", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", VERB_ARGS)
+@pytest.mark.parametrize(
+    "rows, flags, message",
+    [
+        pytest.param([(1.5,)], [], "point cloud is not contained in the box", id="outside_box"),
+        pytest.param(
+            [(0.9,)], ["--inflate", "0.5"], "point cloud is not contained in the box",
+            id="outside_inflated_box",
+        ),
+        pytest.param([(0.0, 0.0)], ["--box=-1,1"], "box has dimension 1, data has 2",
+                     id="dimension_mismatch"),
+    ],
+)
+def test_every_verb_rejects_bad_clouds(tmp_path, capsys, verb, rows, flags, message):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, rows)
+    out = tmp_path / "out"
+    code = main(
+        [verb, "--points", str(pts), "--grid", "11", *VERB_ARGS[verb], *flags,
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_plotdata_default_resolution_is_the_component_count_default(tmp_path):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), 2.0))))
+    out = tmp_path / "out"
+    assert main(["plotdata", "--coeffs", str(coeffs), "--out", str(out)]) == 0
+    lines = (out / "plotdata.csv").read_text().splitlines()
+    assert len(lines) == 1 + default_resolution(1) == 513
+
+
+@pytest.mark.parametrize("value, code", [(1.0 - 0.5e-6, 0), (1.0 - 2e-6, 4)])
+def test_verify_allows_the_fit_containment_tolerance(tmp_path, value, code):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), value))))
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.1,)])
+    assert main(
+        ["verify", "--coeffs", str(coeffs), "--points", str(pts),
+         "--mc-samples", "2000", "--resolution", "64", "--out", str(tmp_path / "out")]
+    ) == code
 
 
 def test_verify_reruns_checks_from_saved_coefficients(tmp_path):

@@ -11,6 +11,7 @@ from polycover import (
     UnboundedFitError,
     assemble,
     build_grid,
+    build_problem,
     default_grid_spec,
     degree_sweep,
     eval_poly_many,
@@ -154,6 +155,46 @@ def test_cloud_outside_box_is_an_error():
 def test_dimension_mismatch_is_an_error():
     with pytest.raises(ValueError, match="dimensions differ"):
         fit(PointCloud(np.array([[0.0, 0.0]])), BoxDomain.symmetric(1), 2)
+
+
+ENTRY_POINTS = {
+    "fit": lambda cloud, box, **kw: fit(cloud, box, 2, **kw),
+    "degree_sweep": lambda cloud, box, **kw: degree_sweep(cloud, box, [2, 4], **kw),
+    "build_problem": lambda cloud, box, **kw: build_problem(cloud, box, 2, **kw),
+}
+BAD_INPUTS = {
+    "outside_box": ([1.5], {}, "not contained"),
+    "outside_inflated_box": ([0.9], {"inflate": 0.5}, "not contained"),
+    "dimension_mismatch": ([[0.0, 0.0]], {}, "dimensions differ"),
+    "negative_coeff_bound": ([0.0], {"coeff_bound": -1.0}, "coeff_bound"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_every_entry_point_rejects_bad_inputs(entry, case):
+    points, kwargs, message = BAD_INPUTS[case]
+    cloud = PointCloud(np.array(points))
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](
+            cloud, BoxDomain.symmetric(1), grid=GridSpec(points_per_axis=11), **kwargs
+        )
+
+
+def test_build_problem_appends_bound_rows_to_the_assembled_program():
+    cloud = PointCloud(np.array([0.0]))
+    box = BoxDomain.symmetric(1)
+    spec = GridSpec(points_per_axis=3)
+    plain = build_problem(cloud, box, 4, grid=spec)
+    bounded = build_problem(cloud, box, 4, grid=spec, coeff_bound=10.0)
+    basis = make_basis(1, 4, "monomial")
+    assembled = assemble(cloud, build_grid(box, spec), basis, moment_vector(basis, box))
+    np.testing.assert_array_equal(plain.A, assembled.A)
+    np.testing.assert_array_equal(plain.b, assembled.b)
+    np.testing.assert_array_equal(bounded.A[:4], plain.A)
+    np.testing.assert_array_equal(bounded.A[4:], np.vstack([np.eye(5), -np.eye(5)]))
+    np.testing.assert_array_equal(bounded.b[4:], np.full(10, -10.0))
+    assert bounded.row_kinds == plain.row_kinds + ("bound",) * 10
 
 
 def test_negative_degree_is_an_error():

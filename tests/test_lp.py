@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from polycover import LpOptions, LpProblem, export_mps, solve
+from polycover import (
+    BoxDomain,
+    GridSpec,
+    LpOptions,
+    LpProblem,
+    PointCloud,
+    build_problem,
+    export_mps,
+    solve,
+)
 from polycover.lp import _deduplicate_rows
 
 from oracles import read_mps
@@ -149,6 +158,19 @@ def test_degenerate_vertex_with_forced_stall_lift():
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert sol.max_infeasibility <= 1e-9
+
+
+def test_extended_precision_vertex_certifies_the_degree_26_line_lp():
+    # with the cloud rows in this order the simplex ends on a basis whose
+    # double-precision vertex violates a row by 1.3e-8; the same basis
+    # solved in extended precision meets the contract
+    cloud = PointCloud(np.array([0.25, 0.0, -0.5]))
+    spec = GridSpec(points_per_axis=2001)
+    sol = solve(build_problem(cloud, BoxDomain.symmetric(1), 26, grid=spec))
+    assert sol.status == "optimal", sol.message
+    assert sol.max_infeasibility <= 1e-9 * 2.0
+    # the objective the other row orders certify
+    assert sol.objective == pytest.approx(0.49679701232611634, rel=1e-7)
 
 
 def test_options_tighten_the_contract():

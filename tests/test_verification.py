@@ -20,7 +20,7 @@ from polycover import (
     run_report,
     trace_report,
 )
-from polycover.verification import _cell_center_axes
+from polycover.domain import tensor_grid
 
 from oracles import bfs_component_count
 
@@ -116,6 +116,12 @@ def test_count_components_two_intervals():
     assert count_components(p, BoxDomain.symmetric(1)) == 2
 
 
+def _cell_centres(box, resolution):
+    # the points count_components labels in 2-D and 3-D
+    h = box.widths / resolution
+    return tensor_grid(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution)
+
+
 def _one_plus(roots, sign=1.0):
     # 1 + sign * prod (x - root) in the monomial basis
     q = sign * np.polynomial.polynomial.polyfromroots(roots)
@@ -129,7 +135,7 @@ def test_count_components_counts_an_interval_narrower_than_a_cell():
     # centres at -h/2 and h/2, so a cell-centre count sees only [0.5, 1]
     delta = 1e-3
     box = BoxDomain.symmetric(1)
-    centres = _cell_center_axes(box, 512)[0]
+    centres = _cell_centres(box, 512)[:, 0]
     assert not np.any(np.abs(centres) <= delta)
     p = _one_plus([-delta, delta, 0.5])
     for resolution in (64, 512):
@@ -139,7 +145,7 @@ def test_count_components_counts_an_interval_narrower_than_a_cell():
     # the boundary between cells 200 and 201
     box = BoxDomain(lower=(-0.3,), upper=(1.7,))
     middle = -0.3 + 200 * (2.0 / 512)
-    centres = _cell_center_axes(box, 512)[0]
+    centres = _cell_centres(box, 512)[:, 0]
     assert not np.any(np.abs(centres - middle) <= delta)
     q = np.polynomial.polynomial.polyfromroots([middle - delta, middle + delta, 1.2])
     coeffs = np.polynomial.chebyshev.chebinterpolate(
@@ -174,9 +180,7 @@ def test_count_components_agrees_with_bfs_oracle():
     for _ in range(5):
         p = Polynomial(basis, rng.normal(size=len(basis)))
         resolution = 64
-        axes = _cell_center_axes(box, resolution)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        points = _cell_centres(box, resolution)
         mask = (eval_poly_many(p, points) >= 1.0).reshape(resolution, resolution)
         assert count_components(p, box, resolution) == bfs_component_count(mask)
 
