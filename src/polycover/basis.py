@@ -211,16 +211,99 @@ def eval_poly(p: Polynomial, x: np.ndarray) -> float:
     return float(eval_basis(p.basis, x) @ p.coeffs)
 
 
+# Points per block of eval_poly_many.  Blocks this small keep the (P, block)
+# intermediates in cache: 1M 2-D degree-9 points took 0.05 s, against 0.13 s
+# with 262144-point blocks (2-core Xeon, one BLAS thread).
+_BLOCK_POINTS = 4096
+
+
+def _axis_table(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
+    """Values of the 1-D basis functions of degree 0..d along one axis, one
+    row per degree and one column per coordinate in x; shape (d + 1, len(x)).
+    Chebyshev coordinates go through the affine map of BoxDomain.affine_to_unit."""
+    if basis.kind == "chebyshev":
+        assert basis.box is not None
+        lo, up = basis.box.lower[axis], basis.box.upper[axis]
+        t = (2.0 * x - (lo + up)) / (up - lo)
+        return np.ascontiguousarray(_chebyshev_table(t, basis.degree).T)
+    table = np.empty((basis.degree + 1, x.shape[0]))
+    table[0] = 1.0
+    for k in range(1, basis.degree + 1):
+        table[k] = table[k - 1] * x
+    return table
+
+
+def _group_by_prefix(
+    keys: np.ndarray, values: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows of values by all but the last column of their exponent keys.
+
+    Returns the distinct prefixes keys[:, :-1] in lexicographic order, shape
+    (P, m - 1), and an array of shape (P, degree + 1) + values.shape[1:] that
+    holds values[j] at [prefix of row j, keys[j, -1]] and zeros elsewhere.
+    """
+    codes = np.zeros(keys.shape[0], dtype=np.int64)
+    for column in keys[:, :-1].T:
+        # rank of the prefix so far; ranks stay below len(keys), so the codes
+        # cannot overflow, and ranking keeps the lexicographic order
+        codes = np.unique(codes * (degree + 1) + column, return_inverse=True)[1]
+    count = int(codes.max()) + 1
+    prefixes = np.empty((count, keys.shape[1] - 1), dtype=keys.dtype)
+    prefixes[codes] = keys[:, :-1]
+    grouped = np.zeros((count, degree + 1) + values.shape[1:])
+    grouped[codes, keys[:, -1]] = values
+    return prefixes, grouped
+
+
 def eval_poly_many(
     p: Polynomial, points: np.ndarray, chunk_size: int = 262_144
 ) -> np.ndarray:
-    """Values at many points, evaluated in chunks to bound peak memory."""
+    """Values at many points, evaluated in blocks of at most chunk_size points.
+
+    The coefficients are grouped by the exponents of all axes but the last
+    into a (P, d + 1) layout, so a block costs one product of that layout with
+    the last axis's table, one gathered table per other axis multiplied in,
+    and a sum over the P prefixes.  No intermediate exceeds (len(basis), block).
+    """
+    basis = p.basis
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != basis.dimension:
+        raise ValueError(
+            f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
+        )
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    last = basis.dimension - 1
+    prefixes, layout = _group_by_prefix(basis.exponent_array, p.coeffs, basis.degree)
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk_size):
-        block = pts[start : start + chunk_size]
-        out[start : start + chunk_size] = eval_basis_many(p.basis, block) @ p.coeffs
+    step = min(chunk_size, _BLOCK_POINTS)
+    for start in range(0, pts.shape[0], step):
+        block = pts[start : start + step]
+        acc = layout @ _axis_table(basis, last, block[:, last])
+        for axis in range(last):
+            acc *= _axis_table(basis, axis, block[:, axis])[prefixes[:, axis]]
+        out[start : start + step] = acc.sum(axis=0)
     return out
+
+
+def _eval_poly_grid(p: Polynomial, axes: list[np.ndarray]) -> np.ndarray:
+    """Values on the tensor grid of the per-axis coordinates `axes`, in the
+    row-major order of domain.tensor_grid.
+
+    The coefficients are contracted with one axis table at a time, last axis
+    first: each step groups the remaining exponents by their prefix and
+    multiplies the axis table into that layout, so the grid points are never
+    materialized and no dense (d + 1)^n coefficient tensor is built.
+    """
+    basis = p.basis
+    if len(axes) != basis.dimension:
+        raise ValueError(f"points have dimension {len(axes)}, basis has {basis.dimension}")
+    keys, values = basis.exponent_array, p.coeffs[:, None]
+    for axis in reversed(range(basis.dimension)):
+        keys, grouped = _group_by_prefix(keys, values, basis.degree)
+        table = _axis_table(basis, axis, np.asarray(axes[axis], dtype=float))
+        values = np.matmul(table.T, grouped).reshape(keys.shape[0], -1)
+    return values[0]
 
 
 def constant_poly(basis: PolyBasis, value: float) -> Polynomial:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
 from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import basis_size, constant_poly
+from polycover.basis import _eval_poly_grid, basis_size, constant_poly
+from polycover.domain import grid_axes, tensor_grid
 
 from oracles import chebyshev_tensor_value, horner_eval
 
@@ -97,6 +98,46 @@ def test_eval_poly_many_chunks_agree_with_direct_loop():
     sample = slice(0, None, 50_000)
     direct = [p(x) for x in points[sample]]
     np.testing.assert_allclose(values[sample], direct, rtol=1e-14)
+
+
+def _assert_matches_basis_matrix(p, values, points):
+    # the basis-matrix product, to 1e-12 of the largest sum of |c_a phi_a(x)|
+    terms = eval_basis_many(p.basis, points) * p.coeffs
+    scale = 1.0 + np.max(np.abs(terms).sum(axis=1))
+    assert values.shape == (points.shape[0],)
+    np.testing.assert_allclose(values, terms.sum(axis=1), rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_evaluation_kernels_agree_with_the_basis_matrix(dimension, kind):
+    rng = np.random.default_rng(10 * dimension + len(kind))
+    lower = rng.uniform(-2.0, -0.2, dimension)
+    box = BoxDomain(lower=tuple(lower), upper=tuple(lower + rng.uniform(0.5, 3.0, dimension)))
+    per_axis = 9 if dimension < 4 else 5
+    grid = tensor_grid(box.lower, box.upper, per_axis)
+    for degree in range(15):
+        basis = make_basis(dimension, degree, kind, box)
+        p = Polynomial(basis, rng.normal(size=len(basis)))
+        points = box.lower_array + rng.random((300, dimension)) * box.widths
+        # 128-point chunks put two chunk boundaries inside the 300 points
+        _assert_matches_basis_matrix(p, eval_poly_many(p, points, chunk_size=128), points)
+        _assert_matches_basis_matrix(p, eval_poly_many(p, points[:1]), points[:1])
+        axes = grid_axes(box.lower, box.upper, per_axis)
+        _assert_matches_basis_matrix(p, _eval_poly_grid(p, axes), grid)
+        corner = grid_axes(box.lower, box.upper, 1)
+        _assert_matches_basis_matrix(p, _eval_poly_grid(p, corner), grid[:1])
+    if dimension <= 2:
+        # more points than one block of the scattered kernel
+        points = box.lower_array + rng.random((20_000, dimension)) * box.widths
+        _assert_matches_basis_matrix(p, eval_poly_many(p, points), points)
+
+    wrong = dimension + 1
+    message = f"points have dimension {wrong}, basis has {dimension}"
+    with pytest.raises(ValueError, match=message):
+        eval_poly_many(p, np.zeros((5, wrong)))
+    with pytest.raises(ValueError, match=message):
+        eval_poly_many(p, np.zeros(wrong))
 
 
 def test_gram_quadratic_form_consistency():

@@ -8,12 +8,15 @@ from polycover import (
     BoxDomain,
     GridSpec,
     PointCloud,
+    Polynomial,
     build_problem,
+    eval_basis_many,
     eval_poly_many,
     poly_from_dict,
 )
 from polycover.basis import constant_poly, make_basis, poly_to_dict
 from polycover.cli import IngestError, ingest_points, main, parse_box
+from polycover.domain import tensor_grid
 from polycover.verification import default_resolution
 
 from oracles import read_mps
@@ -188,6 +191,28 @@ def test_plotdata_tabulates_a_saved_polynomial(tmp_path):
         x, value, flag = line.split(",")
         assert float(value) == pytest.approx(1.0 - float(x) ** 2, abs=1e-12)
         assert int(flag) == (1 if float(value) >= 1.0 else 0)
+
+    # 2-D, on an off-centre box: coordinates are the tensor-grid rows exactly
+    box = BoxDomain(lower=(-0.7, 0.2), upper=(1.3, 0.9))
+    basis = make_basis(2, 9, "monomial")
+    poly = Polynomial(basis, np.random.default_rng(17).normal(size=len(basis)))
+    coeffs.write_text(json.dumps(poly_to_dict(poly)))
+    code = main(
+        ["plotdata", "--coeffs", str(coeffs), "--box=-0.7,1.3;0.2,0.9",
+         "--resolution", "37", "--out", str(out)]
+    )
+    assert code == 0
+    rows = (out / "plotdata.csv").read_text().splitlines()
+    assert rows[0] == "x0,x1,p,in_set"
+    grid = tensor_grid(box.lower, box.upper, 37)
+    terms = eval_basis_many(basis, grid) * poly.coeffs
+    tolerance = 1e-12 * (1.0 + np.max(np.abs(terms).sum(axis=1)))
+    assert len(rows) == grid.shape[0] + 1
+    for line, point, expected in zip(rows[1:], grid, terms.sum(axis=1)):
+        x0, x1, value, flag = line.split(",")
+        assert [x0, x1] == [repr(float(c)) for c in point]
+        assert abs(float(value) - expected) <= tolerance
+        assert int(flag) == int(float(value) >= 1.0)
 
 
 def test_export_mps_writes_a_parsable_program(tmp_path):

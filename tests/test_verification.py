@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from polycover import (
     BoxDomain,
     GridSpec,
     Polynomial,
+    build_grid,
     chebyshev_check,
     count_components,
     eval_poly_many,
@@ -55,6 +57,15 @@ def test_mc_volume_chunking_does_not_change_the_estimate():
     one_chunk = mc_volume(p, box, samples=30_000, seed=1, chunk_size=30_000)
     assert small_chunks.estimate == one_chunk.estimate
 
+    rng = np.random.default_rng(15)
+    box3 = BoxDomain(lower=(-0.4, -1.0, 0.5), upper=(1.2, 0.3, 2.0))
+    for basis, box in ((make_basis(2, 14), box), (make_basis(3, 6, "chebyshev", box3), box3)):
+        p = Polynomial(basis, rng.normal(size=len(basis)))
+        small_chunks = mc_volume(p, box, samples=30_000, seed=1, chunk_size=1_000)
+        one_chunk = mc_volume(p, box, samples=30_000, seed=1, chunk_size=30_000)
+        assert 0 < small_chunks.estimate < box.volume
+        assert small_chunks.estimate == one_chunk.estimate
+
 
 def test_mc_standard_error_shrinks_with_samples():
     # doubling the sample count should shrink the standard error by about
@@ -72,6 +83,17 @@ def test_mc_standard_error_shrinks_with_samples():
 def test_mc_volume_rejects_tiny_sample_counts():
     with pytest.raises(ValueError, match="samples"):
         mc_volume(halfspace_poly(), BoxDomain.symmetric(2), samples=10)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5])
+def test_nonpositive_chunk_sizes_are_rejected(chunk_size):
+    # a zero chunk would never shrink the remaining sample count, and a
+    # negative one would leave eval_poly_many's output unwritten
+    p = halfspace_poly()
+    with pytest.raises(ValueError, match="chunk_size"):
+        mc_volume(p, BoxDomain.symmetric(2), samples=2_000, chunk_size=chunk_size)
+    with pytest.raises(ValueError, match="chunk_size"):
+        eval_poly_many(p, np.zeros((3, 2)), chunk_size=chunk_size)
 
 
 def test_chebyshev_check_passes_for_nonnegative_polynomial():
@@ -101,6 +123,42 @@ def test_nonnegativity_scan_finds_interior_minimum():
     assert scan.min_value == pytest.approx(0.0, abs=1e-6)
     assert scan.argmin[0] == pytest.approx(0.3, abs=1e-3)
     assert scan.points == 2001
+
+
+@pytest.mark.parametrize("dimension, per_axis", [(2, 301), (3, 41)])
+def test_nonnegativity_scan_argmin_is_a_grid_point(dimension, per_axis):
+    box = BoxDomain(lower=(-0.7, 0.2, -3.0)[:dimension], upper=(1.3, 0.9, -1.5)[:dimension])
+    spec = GridSpec(points_per_axis=per_axis)
+    grid = build_grid(box, spec)
+    target = grid[per_axis**dimension // 3]
+    # sum over the axes of (x_d - target_d)^2: smallest at one grid point
+    basis = make_basis(dimension, 2, "monomial")
+    coeffs = np.zeros(len(basis))
+    for d in range(dimension):
+        unit = tuple(int(e == d) for e in range(dimension))
+        coeffs[basis.index_position[tuple(2 * u for u in unit)]] = 1.0
+        coeffs[basis.index_position[unit]] = -2.0 * target[d]
+    coeffs[0] = float(target @ target)
+    scan = nonnegativity_scan(Polynomial(basis, coeffs), box, spec)
+    assert scan.points == grid.shape[0]
+    assert scan.argmin == tuple(target.tolist())
+    assert scan.min_value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_verification_memory_does_not_grow_with_the_basis():
+    # a random degree-14 2-D polynomial (120 basis elements); a (points,
+    # basis) matrix over either grid would take hundreds of MiB
+    rng = np.random.default_rng(16)
+    p = Polynomial(make_basis(2, 14), rng.normal(size=120))
+    box = BoxDomain.symmetric(2)
+    for run in (lambda: count_components(p, box, 512), lambda: nonnegativity_scan(p, box)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 def test_nonnegativity_scan_default_refines_the_fit_grid():
