@@ -233,26 +233,25 @@ def _axis_table(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def _group_by_prefix(
-    keys: np.ndarray, values: np.ndarray, degree: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows of values by all but the last column of their exponent keys.
+def _prefix_layout(basis: PolyBasis, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the coefficients by the exponents of all axes but the last.
 
-    Returns the distinct prefixes keys[:, :-1] in lexicographic order, shape
-    (P, m - 1), and an array of shape (P, degree + 1) + values.shape[1:] that
-    holds values[j] at [prefix of row j, keys[j, -1]] and zeros elsewhere.
+    Returns the distinct prefixes (alpha_0, ..., alpha_{n-2}) in lexicographic
+    order, shape (P, n - 1), and the (P, d + 1) layout that holds c_alpha at
+    [prefix of alpha, alpha_{n-1}] and zeros elsewhere.
     """
+    keys, base = basis.exponent_array, basis.degree + 1
     codes = np.zeros(keys.shape[0], dtype=np.int64)
     for column in keys[:, :-1].T:
         # rank of the prefix so far; ranks stay below len(keys), so the codes
         # cannot overflow, and ranking keeps the lexicographic order
-        codes = np.unique(codes * (degree + 1) + column, return_inverse=True)[1]
+        codes = np.unique(codes * base + column, return_inverse=True)[1]
     count = int(codes.max()) + 1
     prefixes = np.empty((count, keys.shape[1] - 1), dtype=keys.dtype)
     prefixes[codes] = keys[:, :-1]
-    grouped = np.zeros((count, degree + 1) + values.shape[1:])
-    grouped[codes, keys[:, -1]] = values
-    return prefixes, grouped
+    layout = np.zeros((count, base))
+    layout[codes, keys[:, -1]] = coeffs
+    return prefixes, layout
 
 
 def eval_poly_many(
@@ -274,7 +273,7 @@ def eval_poly_many(
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     last = basis.dimension - 1
-    prefixes, layout = _group_by_prefix(basis.exponent_array, p.coeffs, basis.degree)
+    prefixes, layout = _prefix_layout(basis, p.coeffs)
     out = np.empty(pts.shape[0])
     step = min(chunk_size, _BLOCK_POINTS)
     for start in range(0, pts.shape[0], step):
@@ -284,26 +283,6 @@ def eval_poly_many(
             acc *= _axis_table(basis, axis, block[:, axis])[prefixes[:, axis]]
         out[start : start + step] = acc.sum(axis=0)
     return out
-
-
-def _eval_poly_grid(p: Polynomial, axes: list[np.ndarray]) -> np.ndarray:
-    """Values on the tensor grid of the per-axis coordinates `axes`, in the
-    row-major order of domain.tensor_grid.
-
-    The coefficients are contracted with one axis table at a time, last axis
-    first: each step groups the remaining exponents by their prefix and
-    multiplies the axis table into that layout, so the grid points are never
-    materialized and no dense (d + 1)^n coefficient tensor is built.
-    """
-    basis = p.basis
-    if len(axes) != basis.dimension:
-        raise ValueError(f"points have dimension {len(axes)}, basis has {basis.dimension}")
-    keys, values = basis.exponent_array, p.coeffs[:, None]
-    for axis in reversed(range(basis.dimension)):
-        keys, grouped = _group_by_prefix(keys, values, basis.degree)
-        table = _axis_table(basis, axis, np.asarray(axes[axis], dtype=float))
-        values = np.matmul(table.T, grouped).reshape(keys.shape[0], -1)
-    return values[0]
 
 
 def constant_poly(basis: PolyBasis, value: float) -> Polynomial:

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .basis import Polynomial, _eval_poly_grid, eval_poly_many, poly_from_dict, poly_to_dict
-from .domain import BoxDomain, grid_axes
+from .basis import Polynomial, eval_poly_many, poly_from_dict, poly_to_dict
+from .domain import BoxDomain, tensor_grid
 from .fitting import (
     CONTAINMENT_TOL,
     ContainmentError,
@@ -202,19 +201,19 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     if box.dimension > 3:
         raise IngestError("plot data supports dimensions 1 to 3 only")
     resolution = args.resolution or default_resolution(box.dimension)
-    axes = grid_axes(box.lower, box.upper, resolution)
-    values = _eval_poly_grid(poly, axes)
+    points = tensor_grid(box.lower, box.upper, resolution)
+    values = eval_poly_many(poly, points)
 
     out = _out_dir(args)
     target = out / "plotdata.csv"
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f"x{d}" for d in range(box.dimension)] + ["p", "in_set"])
-        for row, value in zip(itertools.product(*axes), values):
+        for row, value in zip(points, values):
             writer.writerow(
                 [repr(float(c)) for c in row] + [repr(float(value)), int(value >= 1.0)]
             )
-    print(f"wrote {target} ({values.shape[0]} rows)")
+    print(f"wrote {target} ({points.shape[0]} rows)")
     return 0
 
 

@@ -7,16 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def grid_axes(lower, upper, count: int) -> list[np.ndarray]:
-    """Per-axis coordinates of the tensor grid: count evenly spaced points
-    from lower[d] to upper[d], both included, for each axis d."""
-    return [np.linspace(lo, up, count) for lo, up in zip(lower, upper)]
-
-
 def tensor_grid(lower, upper, count: int) -> np.ndarray:
-    """(count**n, n) array of the tensor product of grid_axes(lower, upper,
-    count), laid out row-major in the axis order."""
-    mesh = np.meshgrid(*grid_axes(lower, upper, count), indexing="ij")
+    """(count**n, n) array of the tensor grid with count evenly spaced points
+    per axis from lower[d] to upper[d], both included, laid out row-major in
+    the axis order."""
+    axes = [np.linspace(lo, up, count) for lo, up in zip(lower, upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 

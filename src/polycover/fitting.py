@@ -102,16 +102,6 @@ def default_grid_spec(dimension: int) -> GridSpec:
     return GridSpec(sample_count=100_000)
 
 
-def check_tensor_size(box: BoxDomain, points_per_axis: int) -> None:
-    """Refuse a tensor grid of more than MAX_GRID_POINTS points on the box."""
-    total = points_per_axis**box.dimension
-    if total > MAX_GRID_POINTS:
-        raise ValueError(
-            f"tensor grid would hold {total} points (limit {MAX_GRID_POINTS}); "
-            "use a quasi-random sample_count grid instead"
-        )
-
-
 def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
     """Materialize the grid as an (M, n) array of points inside the box.
 
@@ -119,11 +109,17 @@ def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
     axis order.  Quasi-random grids use a scrambled Sobol sequence, so a
     fixed seed gives identical points on every run.
     """
+    n = box.dimension
     if spec.points_per_axis is not None:
-        check_tensor_size(box, spec.points_per_axis)
+        total = spec.points_per_axis**n
+        if total > MAX_GRID_POINTS:
+            raise ValueError(
+                f"tensor grid would hold {total} points (limit {MAX_GRID_POINTS}); "
+                "use a quasi-random sample_count grid instead"
+            )
         return tensor_grid(box.lower, box.upper, spec.points_per_axis)
 
-    sampler = qmc.Sobol(d=box.dimension, scramble=True, seed=spec.seed)
+    sampler = qmc.Sobol(d=n, scramble=True, seed=spec.seed)
     with warnings.catch_warnings():
         # Sobol balance holds only at powers of two; any count is fine here.
         warnings.simplefilter("ignore", UserWarning)

@@ -22,15 +22,14 @@ from numpy.polynomial import chebyshev
 
 from .basis import (
     Polynomial,
-    _eval_poly_grid,
     eval_basis_many,
     eval_poly_many,
     half_degree,
     make_basis,
     poly_to_gram,
 )
-from .domain import BoxDomain, grid_axes
-from .fitting import GridSpec, build_grid, check_tensor_size, default_grid_spec
+from .domain import BoxDomain, tensor_grid
+from .fitting import GridSpec, build_grid, default_grid_spec
 from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
@@ -132,22 +131,13 @@ def nonnegativity_scan(
             spec = GridSpec(points_per_axis=4 * (base.points_per_axis - 1) + 1)
         else:
             spec = GridSpec(sample_count=4 * base.sample_count, seed=1)
-    if spec.points_per_axis is None:
-        points = build_grid(box, spec)
-        values = eval_poly_many(p, points)
-        pos = int(np.argmin(values))
-        argmin = points[pos]
-    else:
-        check_tensor_size(box, spec.points_per_axis)
-        axes = grid_axes(box.lower, box.upper, spec.points_per_axis)
-        values = _eval_poly_grid(p, axes)
-        pos = int(np.argmin(values))
-        index = np.unravel_index(pos, (spec.points_per_axis,) * box.dimension)
-        argmin = [axis[i] for axis, i in zip(axes, index)]
+    points = build_grid(box, spec)
+    values = eval_poly_many(p, points)
+    pos = int(np.argmin(values))
     return ScanResult(
         min_value=float(values[pos]),
-        argmin=tuple(float(x) for x in argmin),
-        points=values.shape[0],
+        argmin=tuple(float(x) for x in points[pos]),
+        points=points.shape[0],
     )
 
 
@@ -221,8 +211,8 @@ def count_components(
     if n == 1:
         return _count_intervals(p, box)
     h = box.widths / resolution
-    axes = grid_axes(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution)
-    mask = (_eval_poly_grid(p, axes) >= 1.0).reshape((resolution,) * n)
+    points = tensor_grid(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution)
+    mask = (eval_poly_many(p, points) >= 1.0).reshape((resolution,) * n)
     _, count = scipy.ndimage.label(mask)
     return int(count)
 
