@@ -125,8 +125,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
-    data = json.loads(Path(args.coeffs).read_text())
-    poly = poly_from_dict(data)
+    try:
+        poly = poly_from_dict(json.loads(Path(args.coeffs).read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise IngestError(f"cannot load coeffs {args.coeffs}: {exc!r}") from exc
     box = poly.basis.box if poly.basis.box is not None else _box_for(args, poly.dimension)
     return poly, box
 
@@ -252,8 +254,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from a JSON config file; explicit flags win."""
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill unset flags from a JSON config file, through each flag's type and
+    choices as on the command line; explicit flags win."""
     if args.config is None:
         return args
     try:
@@ -262,12 +265,21 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise IngestError(f"cannot load config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise IngestError("config file must hold a JSON object")
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    actions = {action.dest: action for action in commands[args.command]._actions}
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or not hasattr(args, action.dest):
             raise IngestError(f"config key {key!r} is not a recognized option")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if getattr(args, action.dest) is not None or value is None:
+            continue
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError as exc:
+            raise IngestError(f"config key {key!r}: invalid value {value!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise IngestError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+        setattr(args, action.dest, value)
     return args
 
 
@@ -360,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, parser)
         _check_required(args)
         _finalize_defaults(args)
         return args.func(args)

@@ -8,17 +8,19 @@ the dual problem
 
 whose basis matrices stay k x k.  Phase 1 introduces one artificial column
 per equality row; artificials left over at zero level are pinned there during
-phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking.  A
-stall (a long run of non-improving pivots at a degenerate vertex) triggers a
-tiny lift of the basic values along the current basis, which restores strict
-progress; the lift budget is finite and Bland's rule remains the last resort,
-so every run is deterministic.
+phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking.  In
+phase 2 a stall (a long run of non-improving pivots at a degenerate vertex)
+triggers a tiny lift of the basic values along the current basis, which
+restores strict progress.  The lifts draw from a fixed seed and their budget
+is finite, so every run is deterministic; beyond it, and in phase 1, pricing
+stays Dantzig's and a run that never finishes ends at the iteration limit.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility and duality gap.  Unbounded problems return a
 feasible point plus a ray along which the objective decreases forever.
 Inconsistent constraints surface as solver_failure with an explanatory
-message, since callers only distinguish the three listed statuses.
+message, since callers only distinguish the three listed statuses.  Every
+outcome, failures included, reports the pivots made.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class LpOptions:
     max_iters: int = 20_000
     feas_tol: float = 1e-9
     opt_tol: float = 1e-8
-    stall_iters: int = 500
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ class _Outcome:
     kind: str  # "optimal" | "dual_infeasible" | "dual_unbounded"
     y: np.ndarray | None = None
     lam: np.ndarray | None = None
-    basis: list[int] | None = None
 
 
 class _DualSimplex:
@@ -119,6 +119,7 @@ class _DualSimplex:
     MAX_EXT_PASSES = 32
     MAX_LIFTS = 8
     LIFT_SCALE = 1e-7
+    STALL_ITERS = 500  # non-improving phase-2 pivots before a lift
 
     def __init__(self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions):
         self.rows = rows  # (m, k); dual column j is rows[j]
@@ -131,24 +132,23 @@ class _DualSimplex:
         self.basis = list(range(self.m, self.m + self.k))
         self.in_basis = np.zeros(self.m, dtype=bool)
         self.iterations = 0
-        self.bland = False
         self.ext_passes = 0
         self.lifts = 0
         self.lift_rng = np.random.Generator(np.random.Philox(20_240_901))
 
-    def _column(self, j: int) -> np.ndarray:
-        if j < self.m:
-            return self.rows[j]
-        col = np.zeros(self.k)
-        col[j - self.m] = self.sigma[j - self.m]
-        return col
+    def _basis_matrix(self) -> np.ndarray:
+        """Columns rows[j] for basic j < m; sigma_i e_i for artificial m + i."""
+        B = np.zeros((self.k, self.k))
+        for pos, j in enumerate(self.basis):
+            if j < self.m:
+                B[:, pos] = self.rows[j]
+            else:
+                B[j - self.m, pos] = self.sigma[j - self.m]
+        return B
 
     def _factorize(self):
-        B = np.empty((self.k, self.k))
-        for pos, j in enumerate(self.basis):
-            B[:, pos] = self._column(j)
-        lu = scipy.linalg.lu_factor(B, check_finite=False)
-        return lu, B
+        B = self._basis_matrix()
+        return scipy.linalg.lu_factor(B, check_finite=False), B
 
     @staticmethod
     def _solve_refined(lu, B: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
@@ -161,8 +161,7 @@ class _DualSimplex:
         x = scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
         if not np.all(np.isfinite(x)):
             raise _EngineFailure("singular basis matrix")
-        mat = B.T if trans else B
-        mat_ext = mat.astype(np.longdouble)
+        mat_ext = (B.T if trans else B).astype(np.longdouble)
         rhs_ext = rhs.astype(np.longdouble)
         scale = float(np.max(np.abs(rhs), initial=0.0)) + 1.0
         for _ in range(3):
@@ -203,24 +202,22 @@ class _DualSimplex:
                 since_improve = 0
             else:
                 since_improve += 1
-                if since_improve > self.opt.stall_iters:
-                    if phase == 2 and self.lifts < self.MAX_LIFTS:
-                        # Degenerate vertex: lift the basic values off zero so
-                        # the ratio test yields strictly positive steps again.
-                        # Only the true rhs backs the returned certificates,
-                        # so run() recomputes the multipliers from it.
-                        self.lifts += 1
-                        lift = np.zeros(self.k)
-                        for pos, j in enumerate(self.basis):
-                            if j < self.m:
-                                lift[pos] = self.lift_rng.uniform(0.5, 1.0) * (
-                                    self.LIFT_SCALE * (1.0 + abs(float(x_basic[pos])))
-                                )
-                        self.rhs_work = self.rhs_work + B @ lift
-                        best_obj = math.inf
-                        since_improve = 0
-                        continue
-                    self.bland = True
+            if phase == 2 and since_improve > self.STALL_ITERS and self.lifts < self.MAX_LIFTS:
+                # Degenerate vertex: lift the basic values off zero so the
+                # ratio test yields strictly positive steps again.  Only the
+                # true rhs backs the returned certificates, so run()
+                # recomputes the multipliers from it.
+                self.lifts += 1
+                lift = np.zeros(self.k)
+                for pos, j in enumerate(self.basis):
+                    if j < self.m:
+                        lift[pos] = self.lift_rng.uniform(0.5, 1.0) * (
+                            self.LIFT_SCALE * (1.0 + abs(float(x_basic[pos])))
+                        )
+                self.rhs_work = self.rhs_work + B @ lift
+                best_obj = math.inf
+                since_improve = 0
+                continue
 
             if phase == 1 and obj <= phase1_done:
                 return x_basic, y, obj
@@ -238,9 +235,6 @@ class _DualSimplex:
                     entering = int(np.argmin(reduced))
                 if reduced[entering] >= -price_tol:
                     return x_basic, y, obj
-            elif self.bland:
-                eligible = np.flatnonzero(reduced < -price_tol)
-                entering = int(eligible[0])
 
             d = self._solve_refined(lu, B, self.rows[entering], trans=0)
             piv_tol = 1e-10 * max(1.0, float(np.max(np.abs(d))))
@@ -272,7 +266,9 @@ class _DualSimplex:
 
             self.iterations += 1
             if self.iterations >= self.opt.max_iters:
-                raise _EngineFailure(f"iteration limit {self.opt.max_iters} reached")
+                raise _EngineFailure(
+                    f"iteration limit {self.opt.max_iters} reached in phase {phase}"
+                )
 
     def run(self) -> _Outcome:
         x_basic, y1, w1 = self._run_phase(1)
@@ -286,11 +282,23 @@ class _DualSimplex:
             # Certificates must reflect the true rhs, not the lifted one.
             lu, B = self._factorize()
             x_basic = self._solve_refined(lu, B, self.rhs, trans=0)
+        return _Outcome(kind="optimal", y=y2, lam=self._multipliers(x_basic))
+
+    def _multipliers(self, x_basic: np.ndarray) -> np.ndarray:
         lam = np.zeros(self.m)
         for pos, j in enumerate(self.basis):
             if j < self.m:
                 lam[j] = max(float(x_basic[pos]), 0.0)
-        return _Outcome(kind="optimal", y=y2, lam=lam, basis=list(self.basis))
+        return lam
+
+    def vertex_ext(self) -> tuple[np.ndarray, np.ndarray]:
+        """The final basis's primal vertex v and multipliers, solved in
+        extended precision; leftover artificials pin their v_i at zero."""
+        B = self._basis_matrix()
+        b_basic = np.array([-self.f[j] if j < self.m else 0.0 for j in self.basis])
+        v = _gauss_solve_ext(B.T, b_basic).astype(float)
+        x_basic = _gauss_solve_ext(B, self.rhs).astype(float)
+        return v, self._multipliers(x_basic)
 
 
 class _UnboundedDual(Exception):
@@ -347,28 +355,6 @@ def _gauss_solve_ext(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _repair_vertex(
-    A2: np.ndarray, b2: np.ndarray, c: np.ndarray, basis: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute the vertex and duals of a final basis in extended precision."""
-    m, k = A2.shape
-    system = np.zeros((k, k))
-    rhs = np.zeros(k)
-    for pos, j in enumerate(basis):
-        if j < m:
-            system[pos] = A2[j]
-            rhs[pos] = b2[j]
-        else:
-            system[pos, j - m] = 1.0  # leftover artificial pins v_i at zero
-    v = _gauss_solve_ext(system, rhs).astype(float)
-    x_basic = _gauss_solve_ext(system.T, c).astype(float)
-    lam = np.zeros(m)
-    for pos, j in enumerate(basis):
-        if j < m:
-            lam[j] = max(float(x_basic[pos]), 0.0)
-    return v, lam
-
-
 def _residuals_ext(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """b - A v accumulated in extended precision, in row chunks, then rounded.
 
@@ -422,10 +408,10 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
 
     A2, b2, orig_index = _deduplicate_rows(A, b)
 
+    engine = _DualSimplex(A2, c, -b2, opt)
+    engines = [engine]  # every run counts toward the reported iterations
     try:
-        engine = _DualSimplex(A2, c, -b2, opt)
         outcome = engine.run()
-        iterations = engine.iterations
 
         if outcome.kind == "optimal":
             v = -outcome.y
@@ -434,7 +420,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             max_inf = _max_violation(A, b, v)
             gap = abs(objective - float(b2 @ lam))
             if max_inf > opt.feas_tol * b_scale or gap > opt.opt_tol * (1.0 + abs(objective)):
-                v, lam = _repair_vertex(A2, b2, c, outcome.basis)
+                v, lam = engine.vertex_ext()
                 objective = float(c @ v)
                 max_inf = _max_violation(A, b, v)
                 gap = abs(objective - float(b2 @ lam))
@@ -448,7 +434,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             duals[orig_index] = lam
             return LpSolution(
                 status="optimal", v=v, objective=objective,
-                max_infeasibility=max_inf, iterations=iterations, duals=duals,
+                max_infeasibility=max_inf, iterations=engine.iterations, duals=duals,
             )
 
         if outcome.kind == "dual_infeasible":
@@ -458,8 +444,8 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
                 raise _EngineFailure("could not certify an unbounded direction")
             ray = ray / peak
             probe = _DualSimplex(A2, np.zeros(c.size), -b2, opt)
+            engines.append(probe)
             probe_out = probe.run()
-            iterations += probe.iterations
             if probe_out.kind == "dual_unbounded":
                 raise _EngineFailure(
                     "constraints admit no feasible point (inconsistent system)"
@@ -473,8 +459,8 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
                     f"probe produced an infeasible point: residual {max_inf:.3e}"
                 )
             return LpSolution(
-                status="unbounded", v=v, objective=-math.inf,
-                max_infeasibility=max_inf, iterations=iterations, ray=ray,
+                status="unbounded", v=v, objective=-math.inf, ray=ray,
+                max_infeasibility=max_inf, iterations=engine.iterations + probe.iterations,
                 message="objective decreases without bound along the ray",
             )
 
@@ -484,8 +470,8 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
         )
     except _EngineFailure as exc:
         return LpSolution(
-            status="solver_failure", v=None, objective=math.nan,
-            max_infeasibility=math.nan, iterations=0, message=str(exc),
+            status="solver_failure", v=None, objective=math.nan, max_infeasibility=math.nan,
+            iterations=sum(e.iterations for e in engines), message=str(exc),
         )
 
 

@@ -410,6 +410,20 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["func", "command", "help"])
+def test_config_keys_must_name_a_flag(tmp_path, capsys, key):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: "fit"}))
+    code = main(
+        ["export-mps", "--points", str(pts), "--degree", "2", "--config",
+         str(config), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert f"config key {key!r} is not a recognized option" in capsys.readouterr().err
+
+
 def test_config_must_be_a_json_object(tmp_path):
     pts = tmp_path / "pts.csv"
     write_points(pts, [(0.3,)])
@@ -420,6 +434,65 @@ def test_config_must_be_a_json_object(tmp_path):
          "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+def test_config_values_take_the_flag_types(tmp_path):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"degree": "3", "grid": "11", "basis": "chebyshev"}))
+    out = tmp_path / "out"
+    code = main(
+        ["export-mps", "--points", str(pts), "--config", str(config), "--out", str(out)]
+    )
+    assert code == 0
+    _, _, _, _, col_names = read_mps((out / "problem.mps").read_text())
+    assert len(col_names) == 4
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"degree": "nine"}, "config key 'degree': invalid value 'nine'"),
+        ({"degree": 2.5}, "config key 'degree': invalid value 2.5"),
+        ({"resolution": True}, "config key 'resolution': invalid value True"),
+        ({"basis": "legendre"}, "config key 'basis': 'legendre' is not one of"),
+    ],
+)
+def test_invalid_config_values_exit_2(tmp_path, capsys, values, message):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,), (-0.2,)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"degree": 2, **values}))
+    code = main(
+        ["fit", "--points", str(pts), "--config", str(config), "--grid", "21",
+         "--mc-samples", "1000", "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["plotdata", "verify"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, ": FileNotFoundError("),
+        ("{not json", ": JSONDecodeError("),
+        (json.dumps({"kind": "monomial"}), ": KeyError('dimension')"),
+        (json.dumps([1, 2]), ": TypeError("),
+    ],
+)
+def test_unreadable_coeffs_exit_2(tmp_path, capsys, verb, content, message):
+    coeffs = tmp_path / "coeffs.json"
+    if content is not None:
+        coeffs.write_text(content)
+    code = main([verb, "--coeffs", str(coeffs), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load coeffs {coeffs}") and message in err
+    assert err.count("\n") == 1
 
 
 def test_identical_invocations_write_identical_files(tmp_path):

@@ -13,9 +13,24 @@ from polycover import (
     export_mps,
     solve,
 )
-from polycover.lp import _deduplicate_rows
+from polycover.lp import _deduplicate_rows, _DualSimplex
 
+from conftest import cluster_point_array
 from oracles import read_mps
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every _DualSimplex that runs during the test, in order."""
+    engines = []
+    run = _DualSimplex.run
+
+    def recording_run(self):
+        engines.append(self)
+        return run(self)
+
+    monkeypatch.setattr(_DualSimplex, "run", recording_run)
+    return engines
 
 
 def simple_problem():
@@ -99,6 +114,21 @@ def test_inconsistent_rows_fail_with_message():
     assert "feasible" in sol.message
 
 
+def test_failed_probe_counts_both_runs(engine_runs):
+    # v1 >= 1 and -v1 >= 0 clash while v2 is free to descend: the main run
+    # finds the dual infeasible, and the feasibility probe then fails
+    sol = solve(
+        LpProblem(
+            c=np.array([0.0, -1.0]), A=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+            b=np.array([1.0, 0.0]),
+        )
+    )
+    assert sol.status == "solver_failure"
+    assert "inconsistent" in sol.message
+    assert len(engine_runs) == 2
+    assert sol.iterations == sum(engine.iterations for engine in engine_runs) > 0
+
+
 def test_no_rows_zero_cost():
     sol = solve(LpProblem(c=np.zeros(3), A=np.zeros((0, 3)), b=np.zeros(0)))
     assert sol.status == "optimal"
@@ -115,7 +145,8 @@ def test_iteration_limit_reports_failure():
     problem = simple_problem()
     sol = solve(problem, LpOptions(max_iters=1))
     assert sol.status == "solver_failure"
-    assert "iteration limit" in sol.message
+    assert sol.message == "iteration limit 1 reached in phase 1"
+    assert sol.iterations == 1
 
 
 def test_scaling_cost_leaves_argmin_bitwise_identical():
@@ -146,18 +177,48 @@ def test_duplicate_rows_keep_largest_rhs():
     assert sol.duals[0] == 0.0
 
 
-def test_degenerate_vertex_with_forced_stall_lift():
-    # five constraints active at the optimum (0, 0); a one-iteration stall
-    # budget forces the lift path, which must not change the answer
+def test_degenerate_vertex_is_optimal():
+    # five constraints active at the optimum (0, 0)
     c = np.array([1.0, 1.0])
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])
     b = np.zeros(5)
-    plain = solve(LpProblem(c=c, A=A, b=b))
-    lifted = solve(LpProblem(c=c, A=A, b=b), LpOptions(stall_iters=1))
+    sol = solve(LpProblem(c=c, A=A, b=b))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    assert sol.max_infeasibility <= 1e-9
+
+
+def cluster_problem(degree, kind="monomial"):
+    # the conftest cluster cloud on the 51^2 grid, a corner of the 2-D
+    # config small enough for a quick solve
+    return build_problem(
+        PointCloud(cluster_point_array()), BoxDomain.symmetric(2), degree,
+        kind=kind, grid=GridSpec(points_per_axis=51),
+    )
+
+
+def test_degenerate_vertex_with_forced_stall_lift(engine_runs, monkeypatch):
+    # the degree-5 optimum is a degenerate vertex; a 20-pivot stall budget
+    # makes phase 2 lift off it, which must not change the answer
+    problem = cluster_problem(5)
+    plain = solve(problem)
+    assert engine_runs[0].lifts == 0
+    monkeypatch.setattr(_DualSimplex, "STALL_ITERS", 20)
+    lifted = solve(problem)
+    assert engine_runs[1].lifts >= 1
     for sol in (plain, lifted):
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(0.0, abs=1e-9)
-        assert sol.max_infeasibility <= 1e-9
+        assert sol.status == "optimal", sol.message
+        assert sol.objective == pytest.approx(2.5049492389294734, rel=1e-9)
+
+
+def test_chebyshev_degree_14_cluster_lp_certifies():
+    # the Chebyshev degree-14 cluster LP on a 51^2 grid: phase 1 makes no
+    # progress for its first 500 pivots, and Dantzig pricing alone must
+    # leave that degenerate vertex well inside the budget
+    sol = solve(cluster_problem(14, kind="chebyshev"), LpOptions(max_iters=5000))
+    assert sol.status == "optimal", sol.message
+    # HiGHS gives 1.2695068344052323, the monomial basis 1.269506834405209
+    assert sol.objective == pytest.approx(1.2695068344052, abs=1e-7)
 
 
 def test_extended_precision_vertex_certifies_the_degree_26_line_lp():
@@ -171,6 +232,17 @@ def test_extended_precision_vertex_certifies_the_degree_26_line_lp():
     assert sol.max_infeasibility <= 1e-9 * 2.0
     # the objective the other row orders certify
     assert sol.objective == pytest.approx(0.49679701232611634, rel=1e-7)
+
+
+def test_failed_certification_reports_the_work_done():
+    # the degree-25 line LP: the final vertex misses the feasibility
+    # contract even after the extended-precision solve
+    cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
+    spec = GridSpec(points_per_axis=2001)
+    sol = solve(build_problem(cloud, BoxDomain.symmetric(1), 25, grid=spec))
+    assert sol.status == "solver_failure"
+    assert sol.message == "solution violates feasibility: residual 2.827e-09"
+    assert sol.iterations > 0
 
 
 def test_options_tighten_the_contract():
