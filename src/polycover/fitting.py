@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
 from .domain import BoxDomain, tensor_grid
@@ -118,6 +117,8 @@ def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
                 "use a quasi-random sample_count grid instead"
             )
         return tensor_grid(box.lower, box.upper, spec.points_per_axis)
+
+    from scipy.stats import qmc  # imported here: it doubles the package's import time
 
     sampler = qmc.Sobol(d=n, scramble=True, seed=spec.seed)
     with warnings.catch_warnings():

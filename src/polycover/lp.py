@@ -8,19 +8,20 @@ the dual problem
 
 whose basis matrices stay k x k.  Phase 1 introduces one artificial column
 per equality row; artificials left over at zero level are pinned there during
-phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking.  In
-phase 2 a stall (a long run of non-improving pivots at a degenerate vertex)
-triggers a tiny lift of the basic values along the current basis, which
-restores strict progress.  The lifts draw from a fixed seed and their budget
-is finite, so every run is deterministic; beyond it, and in phase 1, pricing
-stays Dantzig's and a run that never finishes ends at the iteration limit.
+phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking, over
+every row in phase 1; phase 2 prices nested sections of the rows, laid out
+coarse to fine (rows with b != 0, then every 64th, 16th and 4th zero-rhs
+row, then all), and moves on when a section prices out.  Pivots use plain LU
+solves; extended-precision refinement runs when a phase is about to finish,
+followed by one more pricing, and before a ratio test declares a ray.  A run
+that never finishes ends at the iteration limit.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility and duality gap.  Unbounded problems return a
 feasible point plus a ray along which the objective decreases forever.
 Inconsistent constraints surface as solver_failure with an explanatory
 message, since callers only distinguish the three listed statuses.  Every
-outcome, failures included, reports the pivots made.
+outcome, failures included, reports the pivots made and its SolveStats.
 """
 
 from __future__ import annotations
@@ -90,6 +91,28 @@ class LpProblem:
         return self.c.size
 
 
+@dataclass
+class SolveStats:
+    """Work counters of one solve, summed over its simplex runs.
+
+    Phase 2 prices the row prefixes that end at section_rows in turn;
+    section_pivots counts its pivots per section.  full_pricings counts
+    pricings over every row, extended-precision passes included.
+    """
+
+    phase1_pivots: int = 0
+    section_rows: tuple[int, ...] = ()
+    section_pivots: list[int] = field(default_factory=list)
+    full_pricings: int = 0
+    refined_solves: int = 0
+    ext_passes: int = 0
+    vertex_ext: bool = False
+
+    @property
+    def phase2_pivots(self) -> int:
+        return sum(self.section_pivots)
+
+
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
@@ -100,6 +123,7 @@ class LpSolution:
     ray: np.ndarray | None = None
     duals: np.ndarray | None = None
     message: str = ""
+    stats: SolveStats = field(default_factory=SolveStats)
 
 
 class _EngineFailure(Exception):
@@ -114,58 +138,51 @@ class _Outcome:
 
 
 class _DualSimplex:
-    """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs."""
+    """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
+    phase 2 prices the row prefixes that end at sections in turn."""
 
     MAX_EXT_PASSES = 32
-    MAX_LIFTS = 8
-    LIFT_SCALE = 1e-7
-    STALL_ITERS = 500  # non-improving phase-2 pivots before a lift
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions):
+    def __init__(
+        self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions,
+        sections: list[int], stats: SolveStats,
+    ):
         self.rows = rows  # (m, k); dual column j is rows[j]
         self.rhs = rhs
-        self.rhs_work = rhs.astype(float).copy()
         self.f = f
         self.opt = options
+        self.sections = sections
+        self.stats = stats
         self.m, self.k = rows.shape
         self.sigma = np.where(rhs >= 0.0, 1.0, -1.0)
-        self.basis = list(range(self.m, self.m + self.k))
+        self.basis = np.arange(self.m, self.m + self.k)
         self.in_basis = np.zeros(self.m, dtype=bool)
         self.iterations = 0
-        self.ext_passes = 0
-        self.lifts = 0
-        self.lift_rng = np.random.Generator(np.random.Philox(20_240_901))
+        self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
 
     def _basis_matrix(self) -> np.ndarray:
         """Columns rows[j] for basic j < m; sigma_i e_i for artificial m + i."""
+        real = self.basis < self.m
+        art = self.basis[~real] - self.m
         B = np.zeros((self.k, self.k))
-        for pos, j in enumerate(self.basis):
-            if j < self.m:
-                B[:, pos] = self.rows[j]
-            else:
-                B[j - self.m, pos] = self.sigma[j - self.m]
+        B[:, real] = self.rows[self.basis[real]].T
+        B[art, np.flatnonzero(~real)] = self.sigma[art]
         return B
 
-    def _factorize(self):
-        B = self._basis_matrix()
-        return scipy.linalg.lu_factor(B, check_finite=False), B
-
-    @staticmethod
-    def _solve_refined(lu, B: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
-        """LU solve plus iterative refinement with extended-precision residuals.
-
-        Power-basis columns make simplex bases Vandermonde-like and badly
-        conditioned at high degree; refinement recovers close to full double
-        accuracy as long as the basis is numerically nonsingular.
-        """
+    def _solve(self, lu, B: np.ndarray, rhs: np.ndarray, trans: int, refine: bool) -> np.ndarray:
+        """LU solve; with refine, plus iterative refinement on extended-precision
+        residuals.  Power-basis columns make simplex bases Vandermonde-like and
+        badly conditioned at high degree; refinement recovers close to full
+        double accuracy as long as the basis is numerically nonsingular."""
         x = scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
         if not np.all(np.isfinite(x)):
             raise _EngineFailure("singular basis matrix")
-        mat_ext = (B.T if trans else B).astype(np.longdouble)
-        rhs_ext = rhs.astype(np.longdouble)
+        if not refine:
+            return x
+        self.stats.refined_solves += 1
         scale = float(np.max(np.abs(rhs), initial=0.0)) + 1.0
         for _ in range(3):
-            residual = (rhs_ext - mat_ext @ x.astype(np.longdouble)).astype(float)
+            residual = _residuals_ext(B.T if trans else B, rhs, x)
             if float(np.max(np.abs(residual), initial=0.0)) <= 1e-15 * scale:
                 break
             delta = scipy.linalg.lu_solve(lu, residual, trans=trans, check_finite=False)
@@ -174,89 +191,92 @@ class _DualSimplex:
             x = x + delta
         return x
 
-    def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Iterate until the phase objective is optimal; returns (x_B, y, obj)."""
-        if phase == 1:
-            cost_real = np.zeros(self.m)
-            cost_art = 1.0
+    def _price(
+        self, cost_real: np.ndarray, y: np.ndarray, end: int, price_tol: float, ext: bool = False
+    ) -> int:
+        """Dantzig pricing over rows[:end]: the entering row, or -1 if none.
+        With ext, the reduced costs are accumulated in extended precision."""
+        if end == self.m:
+            self.stats.full_pricings += 1
+        if ext:
+            self.stats.ext_passes += 1
+            reduced = _residuals_ext(self.rows[:end], cost_real[:end], y)
         else:
-            cost_real = self.f
-            cost_art = 0.0
-        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost_real), initial=0.0)))
-        phase1_done = self.opt.feas_tol * (1.0 + float(np.sum(np.abs(self.rhs))))
+            reduced = cost_real[:end] - self.rows[:end] @ y
+        reduced[self.in_basis[:end]] = math.inf
+        entering = int(np.argmin(reduced))
+        return entering if reduced[entering] < -price_tol else -1
 
-        best_obj = math.inf
-        since_improve = 0
+    def _ratio_test(self, d: np.ndarray, x_basic: np.ndarray, phase: int) -> int:
+        """Position of the leaving basic variable, or -1 if d has no positive entry."""
+        piv_tol = 1e-10 * max(1.0, float(np.max(np.abs(d))))
+        if phase == 2:
+            # An artificial must never leave zero; pivot it out first.
+            art = np.flatnonzero((self.basis >= self.m) & (np.abs(d) > piv_tol))
+            if art.size:
+                return int(art[np.argmin(self.basis[art])])
+        ratios = np.full(self.k, math.inf)
+        positive = d > piv_tol
+        ratios[positive] = np.maximum(x_basic[positive], 0.0) / d[positive]
+        theta = float(ratios.min())
+        if not math.isfinite(theta):
+            return -1
+        tie = np.flatnonzero(ratios <= theta * (1.0 + 1e-9) + 1e-300)
+        return int(tie[np.argmin(self.basis[tie])])
+
+    def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Iterate until the phase objective is optimal; returns (x_B, y, obj),
+        solved with refinement and priced once more before the phase ends."""
+        # costs of the real columns, then of the artificials
+        if phase == 1:
+            cost = np.concatenate([np.zeros(self.m), np.ones(self.k)])
+            sections = [self.m]
+        else:
+            cost = np.concatenate([self.f, np.zeros(self.k)])
+            sections = self.sections
+        cost_real = cost[: self.m]
+        price_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost_real), initial=0.0)))
+        section = 0
+        refine = False
 
         while True:
-            lu, B = self._factorize()
-            x_basic = self._solve_refined(lu, B, self.rhs_work, trans=0)
-            cost_basic = np.array(
-                [cost_real[j] if j < self.m else cost_art for j in self.basis]
-            )
-            y = self._solve_refined(lu, B, cost_basic, trans=1)
-
+            B = self._basis_matrix()
+            lu = scipy.linalg.lu_factor(B, check_finite=False)
+            x_basic = self._solve(lu, B, self.rhs, 0, refine)
+            cost_basic = cost[self.basis]
+            y = self._solve(lu, B, cost_basic, 1, refine)
             obj = float(cost_basic @ x_basic)
-            if obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-                best_obj = obj
-                since_improve = 0
-            else:
-                since_improve += 1
-            if phase == 2 and since_improve > self.STALL_ITERS and self.lifts < self.MAX_LIFTS:
-                # Degenerate vertex: lift the basic values off zero so the
-                # ratio test yields strictly positive steps again.  Only the
-                # true rhs backs the returned certificates, so run()
-                # recomputes the multipliers from it.
-                self.lifts += 1
-                lift = np.zeros(self.k)
-                for pos, j in enumerate(self.basis):
-                    if j < self.m:
-                        lift[pos] = self.lift_rng.uniform(0.5, 1.0) * (
-                            self.LIFT_SCALE * (1.0 + abs(float(x_basic[pos])))
-                        )
-                self.rhs_work = self.rhs_work + B @ lift
-                best_obj = math.inf
-                since_improve = 0
-                continue
 
-            if phase == 1 and obj <= phase1_done:
-                return x_basic, y, obj
-
-            reduced = cost_real - self.rows @ y
-            reduced[self.in_basis] = math.inf
-            entering = int(np.argmin(reduced))
-            if reduced[entering] >= -price_tol:
-                # Plain pricing drowns in rounding noise when |y| is large;
-                # confirm optimality with extended-precision reduced costs.
-                if phase == 2 and self.ext_passes < self.MAX_EXT_PASSES:
-                    self.ext_passes += 1
-                    reduced = _residuals_ext(self.rows, cost_real, y)
-                    reduced[self.in_basis] = math.inf
-                    entering = int(np.argmin(reduced))
-                if reduced[entering] >= -price_tol:
+            entering = -1
+            if phase == 2 or obj > self.phase1_tol:
+                entering = self._price(cost_real, y, sections[section], price_tol)
+                while entering < 0 and section + 1 < len(sections):
+                    section += 1
+                    entering = self._price(cost_real, y, sections[section], price_tol)
+                if (entering < 0 and refine and phase == 2
+                        and self.stats.ext_passes < self.MAX_EXT_PASSES):
+                    # Plain pricing drowns in rounding noise when |y| is
+                    # large; confirm optimality with extended-precision
+                    # reduced costs.
+                    entering = self._price(cost_real, y, self.m, price_tol, ext=True)
+            if entering < 0:
+                if refine:
                     return x_basic, y, obj
+                refine = True
+                continue
+            refine = False
 
-            d = self._solve_refined(lu, B, self.rows[entering], trans=0)
-            piv_tol = 1e-10 * max(1.0, float(np.max(np.abs(d))))
-
-            leave_pos = -1
-            if phase == 2:
-                # An artificial must never leave zero; pivot it out first.
-                for pos, j in enumerate(self.basis):
-                    if j >= self.m and abs(d[pos]) > piv_tol:
-                        if leave_pos < 0 or self.basis[pos] < self.basis[leave_pos]:
-                            leave_pos = pos
+            d = self._solve(lu, B, self.rows[entering], 0, False)
+            leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
-                ratios = np.full(self.k, math.inf)
-                positive = d > piv_tol
-                ratios[positive] = np.maximum(x_basic[positive], 0.0) / d[positive]
-                theta = float(ratios.min())
-                if not math.isfinite(theta):
-                    if phase == 1:
-                        raise _EngineFailure("phase-1 subproblem is unbounded")
-                    raise _UnboundedDual()
-                tie = ratios <= theta * (1.0 + 1e-9) + 1e-300
-                leave_pos = min(np.flatnonzero(tie), key=lambda p: self.basis[p])
+                # Rounding noise must not pass for a ray: only a refined d
+                # may end the phase as unbounded.
+                d = self._solve(lu, B, self.rows[entering], 0, True)
+                leave_pos = self._ratio_test(d, x_basic, phase)
+            if leave_pos < 0:
+                if phase == 1:
+                    raise _EngineFailure("phase-1 subproblem is unbounded")
+                raise _UnboundedDual()
 
             leaving = self.basis[leave_pos]
             if leaving < self.m:
@@ -265,6 +285,10 @@ class _DualSimplex:
             self.in_basis[entering] = True
 
             self.iterations += 1
+            if phase == 1:
+                self.stats.phase1_pivots += 1
+            else:
+                self.stats.section_pivots[section] += 1
             if self.iterations >= self.opt.max_iters:
                 raise _EngineFailure(
                     f"iteration limit {self.opt.max_iters} reached in phase {phase}"
@@ -272,30 +296,26 @@ class _DualSimplex:
 
     def run(self) -> _Outcome:
         x_basic, y1, w1 = self._run_phase(1)
-        if w1 > self.opt.feas_tol * (1.0 + float(np.sum(np.abs(self.rhs)))):
+        if w1 > self.phase1_tol:
             return _Outcome(kind="dual_infeasible", y=y1)
         try:
             x_basic, y2, _ = self._run_phase(2)
         except _UnboundedDual:
             return _Outcome(kind="dual_unbounded")
-        if self.lifts:
-            # Certificates must reflect the true rhs, not the lifted one.
-            lu, B = self._factorize()
-            x_basic = self._solve_refined(lu, B, self.rhs, trans=0)
         return _Outcome(kind="optimal", y=y2, lam=self._multipliers(x_basic))
 
     def _multipliers(self, x_basic: np.ndarray) -> np.ndarray:
         lam = np.zeros(self.m)
-        for pos, j in enumerate(self.basis):
-            if j < self.m:
-                lam[j] = max(float(x_basic[pos]), 0.0)
+        real = self.basis < self.m
+        lam[self.basis[real]] = np.maximum(x_basic[real], 0.0)
         return lam
 
     def vertex_ext(self) -> tuple[np.ndarray, np.ndarray]:
         """The final basis's primal vertex v and multipliers, solved in
         extended precision; leftover artificials pin their v_i at zero."""
+        self.stats.vertex_ext = True
         B = self._basis_matrix()
-        b_basic = np.array([-self.f[j] if j < self.m else 0.0 for j in self.basis])
+        b_basic = np.concatenate([-self.f, np.zeros(self.k)])[self.basis]
         v = _gauss_solve_ext(B.T, b_basic).astype(float)
         x_basic = _gauss_solve_ext(B, self.rhs).astype(float)
         return v, self._multipliers(x_basic)
@@ -305,29 +325,32 @@ class _UnboundedDual(Exception):
     pass
 
 
-def _deduplicate_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse identical rows, keeping the largest right-hand side.
+def _row_layout(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The engine's rows: identical rows collapsed, laid out coarse to fine.
 
-    Returns reduced (A, b) in first-occurrence order plus, for each kept row,
-    the original index whose right-hand side it carries.
+    A collapsed row keeps the largest right-hand side.  Rows with b != 0
+    come first; the zero-rhs rows follow in stages: every 64th, then the rest
+    of every 16th, of every 4th and all others, each stage in original
+    order.  Returns each row's original index and rhs, and the ends of the
+    phase-2 pricing sections: every stage end after at least 4k zero-rhs
+    rows (k columns), and the last row.
     """
-    seen: dict[bytes, int] = {}
-    keep_rows: list[int] = []
-    best_b: list[float] = []
-    best_orig: list[int] = []
+    kept: dict[bytes, int] = {}  # in first-occurrence order
     for j in range(A.shape[0]):
         key = A[j].tobytes()
-        if key in seen:
-            pos = seen[key]
-            if b[j] > best_b[pos]:
-                best_b[pos] = float(b[j])
-                best_orig[pos] = j
-        else:
-            seen[key] = len(keep_rows)
-            keep_rows.append(j)
-            best_b.append(float(b[j]))
-            best_orig.append(j)
-    return A[keep_rows], np.asarray(best_b), np.asarray(best_orig, dtype=int)
+        if key not in kept or b[j] > b[kept[key]]:
+            kept[key] = j
+    orig = np.fromiter(kept.values(), dtype=int, count=len(kept))
+    b2 = b[orig]
+    zero = np.flatnonzero(b2 == 0.0)
+    strides = (64, 16, 4)
+    stage = np.full(zero.size, len(strides))
+    for s in reversed(range(len(strides))):
+        stage[:: strides[s]] = s
+    order = np.concatenate([np.flatnonzero(b2 != 0.0), zero[np.argsort(stage, kind="stable")]])
+    counts = np.cumsum(np.bincount(stage, minlength=len(strides) + 1))[:-1]
+    ends = [b2.size - zero.size + int(n) for n in counts if n >= 4 * A.shape[1]]
+    return orig[order], b2[order], ends + [b2.size]
 
 
 def _gauss_solve_ext(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -406,9 +429,11 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             message="no constraints restrict the descent direction",
         )
 
-    A2, b2, orig_index = _deduplicate_rows(A, b)
+    orig_index, b2, sections = _row_layout(A, b)
+    A2 = A[orig_index]
+    stats = SolveStats(section_rows=tuple(sections), section_pivots=[0] * len(sections))
 
-    engine = _DualSimplex(A2, c, -b2, opt)
+    engine = _DualSimplex(A2, c, -b2, opt, sections, stats)
     engines = [engine]  # every run counts toward the reported iterations
     try:
         outcome = engine.run()
@@ -435,6 +460,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             return LpSolution(
                 status="optimal", v=v, objective=objective,
                 max_infeasibility=max_inf, iterations=engine.iterations, duals=duals,
+                stats=stats,
             )
 
         if outcome.kind == "dual_infeasible":
@@ -443,7 +469,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             if peak == 0.0 or not _check_ray(A, c, ray / peak, opt.feas_tol):
                 raise _EngineFailure("could not certify an unbounded direction")
             ray = ray / peak
-            probe = _DualSimplex(A2, np.zeros(c.size), -b2, opt)
+            probe = _DualSimplex(A2, np.zeros(c.size), -b2, opt, sections, stats)
             engines.append(probe)
             probe_out = probe.run()
             if probe_out.kind == "dual_unbounded":
@@ -461,7 +487,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             return LpSolution(
                 status="unbounded", v=v, objective=-math.inf, ray=ray,
                 max_infeasibility=max_inf, iterations=engine.iterations + probe.iterations,
-                message="objective decreases without bound along the ray",
+                message="objective decreases without bound along the ray", stats=stats,
             )
 
         # dual feasible but unbounded: the original constraints are inconsistent
@@ -471,7 +497,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
     except _EngineFailure as exc:
         return LpSolution(
             status="solver_failure", v=None, objective=math.nan, max_infeasibility=math.nan,
-            iterations=sum(e.iterations for e in engines), message=str(exc),
+            iterations=sum(e.iterations for e in engines), message=str(exc), stats=stats,
         )
 
 

@@ -10,11 +10,8 @@ times the Jacobian (u - l) / 2 per axis.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -180,17 +177,6 @@ class OrthonormalTransform:
         eye = np.eye(self.cholesky.shape[0])
         return scipy.linalg.solve_triangular(self.cholesky, eye, lower=True)
 
-    def transform_gram(self, gram: np.ndarray) -> np.ndarray:
-        """Gram matrix over the orthonormal basis: L^T P L."""
-        L = self.cholesky
-        return L.T @ np.asarray(gram, dtype=float) @ L
-
-    def transformed_moment_matrix(self) -> np.ndarray:
-        """Moment matrix after the change of basis; identity up to roundoff."""
-        C = self.orthonormal_coeffs()
-        M = self.cholesky @ self.cholesky.T
-        return C @ M @ C.T
-
 
 def orthonormalize(moments: MomentMatrix) -> OrthonormalTransform:
     """Factor the moment matrix and return the orthonormalizing transform.
@@ -207,21 +193,6 @@ def orthonormalize(moments: MomentMatrix) -> OrthonormalTransform:
             "a better-conditioned basis kind may help"
         ) from exc
     return OrthonormalTransform(basis=moments.basis, box=moments.box, cholesky=L)
-
-
-def moments_to_csv(moments: MomentVector) -> str:
-    """CSV text with one row per basis element: exponents then the value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    n = moments.basis.dimension
-    writer.writerow([f"alpha_{d}" for d in range(n)] + ["moment"])
-    for alpha, value in zip(moments.basis.indices, moments.values):
-        writer.writerow(list(alpha) + [repr(float(value))])
-    return buf.getvalue()
-
-
-def write_moments_csv(moments: MomentVector, destination: str | Path) -> None:
-    Path(destination).write_text(moments_to_csv(moments))
 
 
 def unit_interval_orthonormal_demo() -> np.ndarray:

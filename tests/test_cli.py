@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polycover
 from polycover import (
     BoxDomain,
     GridSpec,
@@ -511,3 +516,15 @@ def test_identical_invocations_write_identical_files(tmp_path):
         )
     assert outputs[0] == outputs[1]
     assert not math.isnan(json.loads(outputs[0][1])["w"])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # only Sobol grids need scipy.stats, which costs as much to import as
+    # the rest of the package; tensor-grid runs never load it
+    src = str(Path(polycover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, polycover.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from polycover import (
     BoxDomain,
@@ -13,7 +14,7 @@ from polycover import (
     export_mps,
     solve,
 )
-from polycover.lp import _deduplicate_rows, _DualSimplex
+from polycover.lp import _DualSimplex, _row_layout
 
 from conftest import cluster_point_array
 from oracles import read_mps
@@ -166,8 +167,7 @@ def test_scaling_cost_leaves_argmin_bitwise_identical():
 def test_duplicate_rows_keep_largest_rhs():
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([1.0, 3.0, 0.5])
-    A2, b2, orig = _deduplicate_rows(A, b)
-    assert A2.shape == (2, 2)
+    orig, b2, _ = _row_layout(A, b)
     assert b2.tolist() == [3.0, 0.5]
     assert orig.tolist() == [1, 2]
 
@@ -175,6 +175,21 @@ def test_duplicate_rows_keep_largest_rhs():
     assert sol.v[0] == pytest.approx(3.0, abs=1e-9)
     # the duals of collapsed duplicates land on the row that carried the rhs
     assert sol.duals[0] == 0.0
+
+
+def test_row_layout_prices_coarse_sections_first():
+    # rows 0 and 201 carry b != 0; rows 1..200 are zero-rhs, one column
+    A = np.arange(202.0).reshape(-1, 1)
+    b = np.zeros(202)
+    b[[0, 201]] = [1.0, -2.0]
+    orig, b2, sections = _row_layout(A, b)
+    assert sections == [2 + 4, 2 + 13, 2 + 50, 202]
+    assert orig[:2].tolist() == [0, 201]
+    zero_pos = orig[2:] - 1  # position among the zero-rhs rows
+    assert sorted(zero_pos.tolist()) == list(range(200))
+    for end, stride in zip(sections, (64, 16, 4)):
+        assert sorted(zero_pos[: end - 2].tolist()) == list(range(0, 200, stride))
+    np.testing.assert_array_equal(b2, b[orig])
 
 
 def test_degenerate_vertex_is_optimal():
@@ -197,18 +212,10 @@ def cluster_problem(degree, kind="monomial"):
     )
 
 
-def test_degenerate_vertex_with_forced_stall_lift(engine_runs, monkeypatch):
-    # the degree-5 optimum is a degenerate vertex; a 20-pivot stall budget
-    # makes phase 2 lift off it, which must not change the answer
-    problem = cluster_problem(5)
-    plain = solve(problem)
-    assert engine_runs[0].lifts == 0
-    monkeypatch.setattr(_DualSimplex, "STALL_ITERS", 20)
-    lifted = solve(problem)
-    assert engine_runs[1].lifts >= 1
-    for sol in (plain, lifted):
-        assert sol.status == "optimal", sol.message
-        assert sol.objective == pytest.approx(2.5049492389294734, rel=1e-9)
+def test_cluster_degree_5_lp_reaches_its_degenerate_optimum():
+    sol = solve(cluster_problem(5))
+    assert sol.status == "optimal", sol.message
+    assert sol.objective == pytest.approx(2.5049492389294734, rel=1e-9)
 
 
 def test_chebyshev_degree_14_cluster_lp_certifies():
@@ -221,14 +228,63 @@ def test_chebyshev_degree_14_cluster_lp_certifies():
     assert sol.objective == pytest.approx(1.2695068344052, abs=1e-7)
 
 
+def test_cluster_degree_9_lp_agrees_with_highs():
+    problem = cluster_problem(9)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    ref = linprog(
+        problem.c, A_ub=-problem.A, b_ub=-problem.b, bounds=(None, None), method="highs"
+    )
+    assert ref.status == 0
+    # HiGHS gives 1.6319673417691085
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+def test_sobol_chebyshev_3d_lp_certifies_over_several_sections():
+    rng = np.random.Generator(np.random.Philox(11))
+    cloud = np.vstack([
+        rng.normal([-0.4, -0.3, -0.35], 0.15, size=(15, 3)),
+        rng.normal([0.4, 0.45, 0.3], 0.15, size=(15, 3)),
+    ])
+    problem = build_problem(
+        PointCloud(np.clip(cloud, -0.9, 0.9)), BoxDomain.symmetric(3), 6,
+        kind="chebyshev", grid=GridSpec(sample_count=2000, seed=0),
+    )
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    assert sol.max_infeasibility <= 1e-9 * 2.0
+    # HiGHS gives 2.206746628166181
+    assert sol.objective == pytest.approx(2.206746628166181, rel=1e-8)
+    stats = sol.stats
+    assert stats.section_rows[-1] == problem.num_rows
+    assert sum(1 for pivots in stats.section_pivots if pivots) > 1
+    assert stats.phase1_pivots + stats.phase2_pivots == sol.iterations
+
+
+def test_inconsistent_rows_among_pricing_sections_fail_with_message():
+    # p >= 1 and -p >= 0 at the same cloud point, with the second row last
+    # in a program that phase 2 prices in several sections
+    problem = cluster_problem(3)
+    sol = solve(
+        LpProblem(
+            c=problem.c, A=np.vstack([problem.A, -problem.A[:1]]),
+            b=np.append(problem.b, 0.0),
+        )
+    )
+    assert sol.status == "solver_failure"
+    assert sol.message == "constraints admit no feasible point (inconsistent system)"
+    assert len(sol.stats.section_rows) > 1
+
+
 def test_extended_precision_vertex_certifies_the_degree_26_line_lp():
     # with the cloud rows in this order the simplex ends on a basis whose
-    # double-precision vertex violates a row by 1.3e-8; the same basis
-    # solved in extended precision meets the contract
-    cloud = PointCloud(np.array([0.25, 0.0, -0.5]))
+    # double-precision vertex misses the feasibility contract; the same
+    # basis solved in extended precision meets it
+    cloud = PointCloud(np.array([0.0, -0.5, 0.25]))
     spec = GridSpec(points_per_axis=2001)
     sol = solve(build_problem(cloud, BoxDomain.symmetric(1), 26, grid=spec))
     assert sol.status == "optimal", sol.message
+    assert sol.stats.vertex_ext
     assert sol.max_infeasibility <= 1e-9 * 2.0
     # the objective the other row orders certify
     assert sol.objective == pytest.approx(0.49679701232611634, rel=1e-7)

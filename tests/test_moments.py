@@ -9,9 +9,7 @@ from polycover import IllConditionedMomentsWarning, MomentFactorizationError
 from polycover import box_chebyshev_moment, box_monomial_moment
 from polycover.moments import (
     MomentMatrix,
-    moments_to_csv,
     unit_interval_orthonormal_demo,
-    write_moments_csv,
 )
 
 from oracles import quad_chebyshev_moment, quad_monomial_moment
@@ -139,24 +137,9 @@ def test_chebyshev_matrix_stays_quiet_at_same_degree():
 
 def test_orthonormalize_whitens_the_moment_matrix():
     basis = make_basis(2, 2, "monomial")
-    transform = orthonormalize(moment_matrix(basis, ASYM_BOX))
-    np.testing.assert_allclose(
-        transform.transformed_moment_matrix(), np.eye(len(basis)), atol=1e-10
-    )
-
-
-def test_orthonormal_transform_preserves_trace_route():
-    # trace of L^T P L equals trace(P M) because M = L L^T
-    basis = make_basis(1, 2, "monomial")
-    box = BoxDomain.symmetric(1)
-    mm = moment_matrix(basis, box)
-    transform = orthonormalize(mm)
-    rng = np.random.default_rng(2)
-    raw = rng.normal(size=(3, 3))
-    P = (raw + raw.T) / 2
-    assert float(np.trace(transform.transform_gram(P))) == pytest.approx(
-        float(np.sum(P * mm.entries)), rel=1e-12
-    )
+    mm = moment_matrix(basis, ASYM_BOX)
+    C = orthonormalize(mm).orthonormal_coeffs()
+    np.testing.assert_allclose(C @ mm.entries @ C.T, np.eye(len(basis)), atol=1e-10)
 
 
 def test_orthonormalize_rejects_indefinite_entries():
@@ -171,20 +154,3 @@ def test_unit_interval_demo_normalizes_linear_element():
     rows = unit_interval_orthonormal_demo()
     assert rows[1, 0] == pytest.approx(0.0, abs=1e-15)
     assert rows[1, 1] == pytest.approx(math.sqrt(6.0) / 2.0, abs=1e-12)
-
-
-def test_moments_csv_round_trips_values(tmp_path):
-    basis = make_basis(2, 2, "monomial")
-    mv = moment_vector(basis, ASYM_BOX)
-    text = moments_to_csv(mv)
-    lines = text.strip().splitlines()
-    assert lines[0] == "alpha_0,alpha_1,moment"
-    assert len(lines) == len(basis) + 1
-    for line, alpha, value in zip(lines[1:], basis.indices, mv.values):
-        fields = line.split(",")
-        assert tuple(int(f) for f in fields[:2]) == alpha
-        assert float(fields[2]) == value  # repr round trip is exact
-
-    target = tmp_path / "moments.csv"
-    write_moments_csv(mv, target)
-    assert target.read_text() == text
