@@ -153,6 +153,7 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
     n = basis.dimension
     exps = basis.exponent_array
     if basis.kind == "monomial":
+        # ** powers: _axis_table's running products move A by up to 9e-16, and line-LP outcomes
         tables = [
             pts[:, d, None] ** np.arange(int(exps[:, d].max()) + 1)
             for d in range(n)
@@ -162,7 +163,7 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
 
     values = tables[0][:, exps[:, 0]]
     for d in range(1, n):
-        values = values * tables[d][:, exps[:, d]]
+        values *= tables[d][:, exps[:, d]]
     return values[0] if single else values
 
 

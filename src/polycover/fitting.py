@@ -182,7 +182,11 @@ def _prepare(
     inflate: float,
     coeff_bound: float | None,
 ) -> _FitSetup:
-    """Check the inputs, inflate the box and build the grid, once for all degrees."""
+    """Check the inputs, inflate the box and build the grid, once for all degrees.
+
+    Grid nodes equal to a cloud point are left out: their rows would repeat
+    that point's row with the smaller right-hand side 0.
+    """
     if cloud.dimension != box.dimension:
         raise ValueError("cloud and box dimensions differ")
     if coeff_bound is not None and not (math.isfinite(coeff_bound) and coeff_bound > 0):
@@ -191,7 +195,12 @@ def _prepare(
     if not box_eff.contains_all(cloud.points):
         raise ValueError("point cloud is not contained in the box")
     spec = grid if grid is not None else default_grid_spec(cloud.dimension)
-    return _FitSetup(cloud, box_eff, build_grid(box_eff, spec), kind, coeff_bound)
+    grid_points = build_grid(box_eff, spec)
+    point = np.dtype((np.void, grid_points.itemsize * cloud.dimension))  # compares bytes
+    on_cloud = np.isin(
+        grid_points.view(point).ravel(), np.ascontiguousarray(cloud.points).view(point).ravel()
+    )
+    return _FitSetup(cloud, box_eff, grid_points[~on_cloud], kind, coeff_bound)
 
 
 def build_problem(
@@ -216,6 +225,9 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One certified fit.  grid_size counts the grid nodes where p >= 0 was
+    enforced; nodes equal to a cloud point are not among them."""
+
     polynomial: Polynomial
     objective: float
     degree: int

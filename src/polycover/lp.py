@@ -11,10 +11,11 @@ per equality row; artificials left over at zero level are pinned there during
 phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking, over
 every row in phase 1; phase 2 prices nested sections of the rows, laid out
 coarse to fine (rows with b != 0, then every 64th, 16th and 4th zero-rhs
-row, then all), and moves on when a section prices out.  Pivots use plain LU
-solves; extended-precision refinement runs when a phase is about to finish,
-followed by one more pricing, and before a ratio test declares a ray.  A run
-that never finishes ends at the iteration limit.
+row, then all), and moves on when a section prices out.  The rows are solved
+as given: identical rows are not collapsed.  Pivots use plain LU solves;
+extended-precision refinement runs when a phase is about to finish, followed
+by one more plain pricing at the refined multipliers, and before a ratio test
+declares a ray.  A run that never finishes ends at the iteration limit.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility and duality gap.  Unbounded problems return a
@@ -97,7 +98,7 @@ class SolveStats:
 
     Phase 2 prices the row prefixes that end at section_rows in turn;
     section_pivots counts its pivots per section.  full_pricings counts
-    pricings over every row, extended-precision passes included.
+    pricings over every row.
     """
 
     phase1_pivots: int = 0
@@ -105,7 +106,6 @@ class SolveStats:
     section_pivots: list[int] = field(default_factory=list)
     full_pricings: int = 0
     refined_solves: int = 0
-    ext_passes: int = 0
     vertex_ext: bool = False
 
     @property
@@ -140,8 +140,6 @@ class _Outcome:
 class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
     phase 2 prices the row prefixes that end at sections in turn."""
-
-    MAX_EXT_PASSES = 32
 
     def __init__(
         self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions,
@@ -191,18 +189,11 @@ class _DualSimplex:
             x = x + delta
         return x
 
-    def _price(
-        self, cost_real: np.ndarray, y: np.ndarray, end: int, price_tol: float, ext: bool = False
-    ) -> int:
-        """Dantzig pricing over rows[:end]: the entering row, or -1 if none.
-        With ext, the reduced costs are accumulated in extended precision."""
+    def _price(self, cost_real: np.ndarray, y: np.ndarray, end: int, price_tol: float) -> int:
+        """Dantzig pricing over rows[:end]: the entering row, or -1 if none."""
         if end == self.m:
             self.stats.full_pricings += 1
-        if ext:
-            self.stats.ext_passes += 1
-            reduced = _residuals_ext(self.rows[:end], cost_real[:end], y)
-        else:
-            reduced = cost_real[:end] - self.rows[:end] @ y
+        reduced = cost_real[:end] - self.rows[:end] @ y
         reduced[self.in_basis[:end]] = math.inf
         entering = int(np.argmin(reduced))
         return entering if reduced[entering] < -price_tol else -1
@@ -253,12 +244,6 @@ class _DualSimplex:
                 while entering < 0 and section + 1 < len(sections):
                     section += 1
                     entering = self._price(cost_real, y, sections[section], price_tol)
-                if (entering < 0 and refine and phase == 2
-                        and self.stats.ext_passes < self.MAX_EXT_PASSES):
-                    # Plain pricing drowns in rounding noise when |y| is
-                    # large; confirm optimality with extended-precision
-                    # reduced costs.
-                    entering = self._price(cost_real, y, self.m, price_tol, ext=True)
             if entering < 0:
                 if refine:
                     return x_basic, y, obj
@@ -325,32 +310,24 @@ class _UnboundedDual(Exception):
     pass
 
 
-def _row_layout(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The engine's rows: identical rows collapsed, laid out coarse to fine.
+def _row_layout(b: np.ndarray, k: int) -> tuple[np.ndarray, list[int]]:
+    """The engine's row order, coarse to fine, and its pricing sections.
 
-    A collapsed row keeps the largest right-hand side.  Rows with b != 0
-    come first; the zero-rhs rows follow in stages: every 64th, then the rest
-    of every 16th, of every 4th and all others, each stage in original
-    order.  Returns each row's original index and rhs, and the ends of the
+    Rows with b != 0 come first; the zero-rhs rows follow in stages: every
+    64th, then the rest of every 16th, of every 4th and all others, each
+    stage in original order.  Returns the permutation and the ends of the
     phase-2 pricing sections: every stage end after at least 4k zero-rhs
     rows (k columns), and the last row.
     """
-    kept: dict[bytes, int] = {}  # in first-occurrence order
-    for j in range(A.shape[0]):
-        key = A[j].tobytes()
-        if key not in kept or b[j] > b[kept[key]]:
-            kept[key] = j
-    orig = np.fromiter(kept.values(), dtype=int, count=len(kept))
-    b2 = b[orig]
-    zero = np.flatnonzero(b2 == 0.0)
+    zero = np.flatnonzero(b == 0.0)
     strides = (64, 16, 4)
     stage = np.full(zero.size, len(strides))
     for s in reversed(range(len(strides))):
         stage[:: strides[s]] = s
-    order = np.concatenate([np.flatnonzero(b2 != 0.0), zero[np.argsort(stage, kind="stable")]])
+    order = np.concatenate([np.flatnonzero(b != 0.0), zero[np.argsort(stage, kind="stable")]])
     counts = np.cumsum(np.bincount(stage, minlength=len(strides) + 1))[:-1]
-    ends = [b2.size - zero.size + int(n) for n in counts if n >= 4 * A.shape[1]]
-    return orig[order], b2[order], ends + [b2.size]
+    ends = [b.size - zero.size + int(n) for n in counts if n >= 4 * k]
+    return order, ends + [b.size]
 
 
 def _gauss_solve_ext(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -429,8 +406,8 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             message="no constraints restrict the descent direction",
         )
 
-    orig_index, b2, sections = _row_layout(A, b)
-    A2 = A[orig_index]
+    order, sections = _row_layout(b, c.size)
+    A2, b2 = A[order], b[order]
     stats = SolveStats(section_rows=tuple(sections), section_pivots=[0] * len(sections))
 
     engine = _DualSimplex(A2, c, -b2, opt, sections, stats)
@@ -456,7 +433,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             if gap > opt.opt_tol * (1.0 + abs(objective)):
                 raise _EngineFailure(f"duality gap {gap:.3e} exceeds tolerance")
             duals = np.zeros(problem.num_rows)
-            duals[orig_index] = lam
+            duals[order] = lam
             return LpSolution(
                 status="optimal", v=v, objective=objective,
                 max_infeasibility=max_inf, iterations=engine.iterations, duals=duals,

@@ -72,22 +72,34 @@ class MomentVector:
         return len(self.values)
 
 
-def moment_vector(basis: PolyBasis, box: BoxDomain) -> MomentVector:
-    """Integral of every basis element over the box.
+def _axis_moment_tables(basis: PolyBasis, box: BoxDomain, degree: int) -> list[np.ndarray]:
+    """Per axis, the integrals of the 1-D basis elements of degree 0..degree.
 
     For a chebyshev basis, the box must equal the basis box: the basis
     elements are defined through that box's affine map and their closed-form
-    integrals below assume the same domain.
+    integrals assume the same domain.
     """
     if box.dimension != basis.dimension:
         raise ValueError("box dimension does not match basis")
     if basis.kind == "chebyshev":
         if basis.box != box:
             raise ValueError("chebyshev moments require the basis box itself")
-        moment = box_chebyshev_moment
+        moment = _axis_chebyshev_moment
     else:
-        moment = box_monomial_moment
-    values = np.array([moment(box, alpha) for alpha in basis.indices])
+        moment = _axis_monomial_moment
+    return [
+        np.array([moment(lo, up, j) for j in range(degree + 1)])
+        for lo, up in zip(box.lower, box.upper)
+    ]
+
+
+def moment_vector(basis: PolyBasis, box: BoxDomain) -> MomentVector:
+    """Integral of every basis element over the box: per basis element, the
+    product over the axes of the 1-D integrals."""
+    exps = basis.exponent_array
+    values = np.ones(len(basis))
+    for d, table in enumerate(_axis_moment_tables(basis, box, basis.degree)):
+        values *= table[exps[:, d]]
     return MomentVector(basis=basis, box=box, values=values)
 
 
@@ -115,38 +127,15 @@ def moment_matrix(basis: PolyBasis, box: BoxDomain, warn_threshold: float = COND
     ill conditioned quickly as the degree grows; the chebyshev kind stays
     well conditioned much longer.
     """
-    if box.dimension != basis.dimension:
-        raise ValueError("box dimension does not match basis")
     exps = basis.exponent_array
-    n = basis.dimension
-    size = len(basis)
-
-    if basis.kind == "chebyshev":
-        if basis.box != box:
-            raise ValueError("chebyshev moments require the basis box itself")
-        max_deg = 2 * int(exps.max()) if size else 0
-        axis_tables = []
-        for d in range(n):
-            table = np.array(
-                [_axis_chebyshev_moment(box.lower[d], box.upper[d], k) for k in range(max_deg + 1)]
-            )
-            a = exps[:, d][:, None]
-            b = exps[:, d][None, :]
-            axis_tables.append(0.5 * (table[a + b] + table[np.abs(a - b)]))
-    else:
-        max_deg = 2 * int(exps.max()) if size else 0
-        axis_tables = []
-        for d in range(n):
-            table = np.array(
-                [_axis_monomial_moment(box.lower[d], box.upper[d], k) for k in range(max_deg + 1)]
-            )
-            a = exps[:, d][:, None]
-            b = exps[:, d][None, :]
-            axis_tables.append(table[a + b])
-
-    entries = axis_tables[0].copy()
-    for d in range(1, n):
-        entries *= axis_tables[d]
+    entries = np.ones((len(basis), len(basis)))
+    for d, table in enumerate(_axis_moment_tables(basis, box, 2 * basis.degree)):
+        a = exps[:, d][:, None]
+        b = exps[:, d][None, :]
+        axis = table[a + b]
+        if basis.kind == "chebyshev":
+            axis = 0.5 * (axis + table[np.abs(a - b)])
+        entries *= axis
 
     cond = float(np.linalg.cond(entries))
     if cond > warn_threshold:

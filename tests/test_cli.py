@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -528,3 +529,17 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_benchmark_names_resolve_in_the_package(monkeypatch):
+    # bench/tracing.py wraps each TRACED name through getattr on its module,
+    # so deleting or renaming one of these functions breaks the traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.TRACED.items():
+        package_module = importlib.import_module(f"polycover.{module}")
+        for name in names:
+            assert callable(getattr(package_module, name, None)), f"polycover.{module}.{name}"

@@ -18,6 +18,7 @@ from polycover import (
     fit,
     make_basis,
     moment_vector,
+    solve,
 )
 from polycover.fitting import MAX_GRID_POINTS
 
@@ -182,19 +183,39 @@ def test_every_entry_point_rejects_bad_inputs(entry, case):
 
 
 def test_build_problem_appends_bound_rows_to_the_assembled_program():
+    # the grid is -1, 0, 1; the node 0.0 is the cloud point, so it is left out
     cloud = PointCloud(np.array([0.0]))
     box = BoxDomain.symmetric(1)
     spec = GridSpec(points_per_axis=3)
     plain = build_problem(cloud, box, 4, grid=spec)
     bounded = build_problem(cloud, box, 4, grid=spec, coeff_bound=10.0)
     basis = make_basis(1, 4, "monomial")
-    assembled = assemble(cloud, build_grid(box, spec), basis, moment_vector(basis, box))
+    assembled = assemble(cloud, np.array([[-1.0], [1.0]]), basis, moment_vector(basis, box))
     np.testing.assert_array_equal(plain.A, assembled.A)
     np.testing.assert_array_equal(plain.b, assembled.b)
-    np.testing.assert_array_equal(bounded.A[:4], plain.A)
-    np.testing.assert_array_equal(bounded.A[4:], np.vstack([np.eye(5), -np.eye(5)]))
-    np.testing.assert_array_equal(bounded.b[4:], np.full(10, -10.0))
+    np.testing.assert_array_equal(bounded.A[:3], plain.A)
+    np.testing.assert_array_equal(bounded.A[3:], np.vstack([np.eye(5), -np.eye(5)]))
+    np.testing.assert_array_equal(bounded.b[3:], np.full(10, -10.0))
     assert bounded.row_kinds == plain.row_kinds + ("bound",) * 10
+
+
+def test_grid_nodes_on_cloud_points_are_left_out():
+    # the paper's three points all sit on nodes of the 2001-node line grid
+    cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
+    box = BoxDomain.symmetric(1)
+    grid = build_grid(box, default_grid_spec(1))
+    problem = build_problem(cloud, box, 7)
+    assert problem.num_rows == grid.shape[0]  # 3 cloud rows, 3 grid rows fewer
+    assert problem.row_kinds.count("grid") == grid.shape[0] - 3
+    grid_rows = {row.tobytes() for row in problem.A[3:]}
+    assert not grid_rows & {row.tobytes() for row in problem.A[:3]}
+
+    result = fit(cloud, box, 7)
+    assert result.grid_size == grid.shape[0] - 3
+    basis = make_basis(1, 7, "monomial")
+    full = solve(assemble(cloud, grid, basis, moment_vector(basis, box)))
+    assert full.status == "optimal"
+    assert result.objective == pytest.approx(full.objective, rel=1e-9)
 
 
 def test_negative_degree_is_an_error():

@@ -167,14 +167,26 @@ def test_scaling_cost_leaves_argmin_bitwise_identical():
 def test_duplicate_rows_keep_largest_rhs():
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([1.0, 3.0, 0.5])
-    orig, b2, _ = _row_layout(A, b)
-    assert b2.tolist() == [3.0, 0.5]
-    assert orig.tolist() == [1, 2]
-
     sol = solve(LpProblem(c=np.array([1.0, 1.0]), A=A, b=b))
+    assert sol.status == "optimal"
     assert sol.v[0] == pytest.approx(3.0, abs=1e-9)
-    # the duals of collapsed duplicates land on the row that carried the rhs
+    # the dominated duplicate carries no dual
     assert sol.duals[0] == 0.0
+
+
+def test_many_identical_rows_certify_on_a_largest_rhs_row():
+    # 40,501 copies of the row (1): the grid-sized LP of the 2-D config,
+    # with a tie for the largest rhs among the cloud-like rows
+    b = np.zeros(40_501)
+    b[:100] = np.linspace(0.0, 1.0, 100)
+    b[[7, 23]] = 1.0
+    sol = solve(LpProblem(c=np.array([1.0]), A=np.ones((b.size, 1)), b=b))
+    assert sol.status == "optimal"
+    assert sol.v[0] == pytest.approx(1.0, abs=1e-12)
+    nonzero = np.flatnonzero(sol.duals)
+    assert nonzero.size >= 1
+    assert np.all(b[nonzero] == 1.0)
+    assert float(sol.duals.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_row_layout_prices_coarse_sections_first():
@@ -182,14 +194,15 @@ def test_row_layout_prices_coarse_sections_first():
     A = np.arange(202.0).reshape(-1, 1)
     b = np.zeros(202)
     b[[0, 201]] = [1.0, -2.0]
-    orig, b2, sections = _row_layout(A, b)
+    order, sections = _row_layout(b, A.shape[1])
     assert sections == [2 + 4, 2 + 13, 2 + 50, 202]
-    assert orig[:2].tolist() == [0, 201]
-    zero_pos = orig[2:] - 1  # position among the zero-rhs rows
+    assert order[:2].tolist() == [0, 201]
+    zero_pos = order[2:] - 1  # position among the zero-rhs rows
     assert sorted(zero_pos.tolist()) == list(range(200))
     for end, stride in zip(sections, (64, 16, 4)):
         assert sorted(zero_pos[: end - 2].tolist()) == list(range(0, 200, stride))
-    np.testing.assert_array_equal(b2, b[orig])
+    # with k = 13 columns no stage holds 4k zero-rhs rows: one section
+    assert _row_layout(b, 13)[1] == [202]
 
 
 def test_degenerate_vertex_is_optimal():
