@@ -8,14 +8,17 @@ the dual problem
 
 whose basis matrices stay k x k.  Phase 1 introduces one artificial column
 per equality row; artificials left over at zero level are pinned there during
-phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking, over
-every row in phase 1; phase 2 prices nested sections of the rows, laid out
-coarse to fine (rows with b != 0, then every 64th, 16th and 4th zero-rhs
-row, then all), and moves on when a section prices out.  The rows are solved
-as given: identical rows are not collapsed.  Pivots use plain LU solves;
-extended-precision refinement runs when a phase is about to finish, followed
-by one more plain pricing at the refined multipliers, and before a ratio test
-declares a ray.  A run that never finishes ends at the iteration limit.
+phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking.
+Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
+every 64th zero-rhs row and the rows basic after phase 1); when it prices
+out, one pricing over every row adds the 4k most violated rows (k columns).
+A new primal row is a new dual column, so the basis stays feasible, and a
+row that never enters gets dual 0.  Rows are solved as given, in the
+caller's order.  The basis matrix is updated one column per pivot and
+factored afresh (LAPACK getrf).  Extended-precision refinement runs before a
+ratio test declares a ray and when a phase is about to finish; a phase ends
+only when a pricing over every row at the refined multipliers finds no
+entering row.  A run that never finishes ends at the iteration limit.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility and duality gap.  Unbounded problems return a
@@ -27,7 +30,9 @@ outcome, failures included, reports the pivots made and its SolveStats.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -36,6 +41,8 @@ import numpy as np
 import scipy.linalg
 
 LpStatus = Literal["optimal", "unbounded", "solver_failure"]
+
+_log = logging.getLogger("polycover")
 
 _ROW_PREFIXES = {"K": "K", "grid": "G", "bound": "B"}
 
@@ -96,21 +103,21 @@ class LpProblem:
 class SolveStats:
     """Work counters of one solve, summed over its simplex runs.
 
-    Phase 2 prices the row prefixes that end at section_rows in turn;
-    section_pivots counts its pivots per section.  full_pricings counts
-    pricings over every row.
+    work_rows lists the size of phase 2's working set when it starts and
+    after each growth.  full_pricings counts pricings over every row: one
+    per phase-1 pivot and one per attempt to grow the working set.
+    pricing_s is the time spent pricing, factorizations the LU
+    factorizations of the basis matrix.
     """
 
     phase1_pivots: int = 0
-    section_rows: tuple[int, ...] = ()
-    section_pivots: list[int] = field(default_factory=list)
+    phase2_pivots: int = 0
+    work_rows: list[int] = field(default_factory=list)
     full_pricings: int = 0
+    pricing_s: float = 0.0
+    factorizations: int = 0
     refined_solves: int = 0
     vertex_ext: bool = False
-
-    @property
-    def phase2_pivots(self) -> int:
-        return sum(self.section_pivots)
 
 
 @dataclass(frozen=True)
@@ -139,17 +146,19 @@ class _Outcome:
 
 class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
-    phase 2 prices the row prefixes that end at sections in turn."""
+    phase 2 prices a working set of rows, sorted by index, and grows it."""
+
+    START_STRIDE = 64  # every 64th zero-cost row starts in the working set
+    GROWTH = 4  # one growth adds at most GROWTH * k rows
 
     def __init__(
         self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions,
-        sections: list[int], stats: SolveStats,
+        stats: SolveStats,
     ):
         self.rows = rows  # (m, k); dual column j is rows[j]
         self.rhs = rhs
         self.f = f
         self.opt = options
-        self.sections = sections
         self.stats = stats
         self.m, self.k = rows.shape
         self.sigma = np.where(rhs >= 0.0, 1.0, -1.0)
@@ -157,6 +166,7 @@ class _DualSimplex:
         self.in_basis = np.zeros(self.m, dtype=bool)
         self.iterations = 0
         self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
+        self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (rows,))
 
     def _basis_matrix(self) -> np.ndarray:
         """Columns rows[j] for basic j < m; sigma_i e_i for artificial m + i."""
@@ -167,12 +177,14 @@ class _DualSimplex:
         B[art, np.flatnonzero(~real)] = self.sigma[art]
         return B
 
-    def _solve(self, lu, B: np.ndarray, rhs: np.ndarray, trans: int, refine: bool) -> np.ndarray:
-        """LU solve; with refine, plus iterative refinement on extended-precision
-        residuals.  Power-basis columns make simplex bases Vandermonde-like and
-        badly conditioned at high degree; refinement recovers close to full
-        double accuracy as long as the basis is numerically nonsingular."""
-        x = scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
+    def _solve(self, rhs: np.ndarray, trans: int, refine: bool) -> np.ndarray:
+        """Solve with the LU factors of B; with refine, plus iterative
+        refinement on extended-precision residuals.  Power-basis columns make
+        simplex bases Vandermonde-like and badly conditioned at high degree;
+        refinement recovers close to full double accuracy as long as the
+        basis is numerically nonsingular."""
+        lu, piv = self.lu
+        x = self.getrs(lu, piv, rhs, trans=trans)[0]
         if not np.all(np.isfinite(x)):
             raise _EngineFailure("singular basis matrix")
         if not refine:
@@ -180,23 +192,54 @@ class _DualSimplex:
         self.stats.refined_solves += 1
         scale = float(np.max(np.abs(rhs), initial=0.0)) + 1.0
         for _ in range(3):
-            residual = _residuals_ext(B.T if trans else B, rhs, x)
+            residual = _residuals_ext(self.B.T if trans else self.B, rhs, x)
             if float(np.max(np.abs(residual), initial=0.0)) <= 1e-15 * scale:
                 break
-            delta = scipy.linalg.lu_solve(lu, residual, trans=trans, check_finite=False)
+            delta = self.getrs(lu, piv, residual, trans=trans)[0]
             if not np.all(np.isfinite(delta)):
                 break
             x = x + delta
         return x
 
-    def _price(self, cost_real: np.ndarray, y: np.ndarray, end: int, price_tol: float) -> int:
-        """Dantzig pricing over rows[:end]: the entering row, or -1 if none."""
-        if end == self.m:
+    def _set_work(self, work: np.ndarray, cost_real: np.ndarray) -> None:
+        """Price the rows `work`, sorted by index, from now on."""
+        self.work = work
+        self.in_work = np.zeros(self.m, dtype=bool)
+        self.in_work[work] = True
+        whole = work.size == self.m
+        self.work_rows = self.rows if whole else self.rows[work]
+        self.work_cost = cost_real if whole else cost_real[work]
+
+    def _price(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
+        """Dantzig pricing over the working set, grown when it prices out:
+        the entering row, or -1 if no row prices in."""
+        start = time.perf_counter()
+        if self.work.size == self.m:
             self.stats.full_pricings += 1
-        reduced = cost_real[:end] - self.rows[:end] @ y
-        reduced[self.in_basis[:end]] = math.inf
-        entering = int(np.argmin(reduced))
-        return entering if reduced[entering] < -price_tol else -1
+        reduced = self.work_cost - self.work_rows @ y
+        reduced[self.in_basis[self.work]] = math.inf
+        pos = int(np.argmin(reduced))
+        entering = int(self.work[pos]) if reduced[pos] < -price_tol else -1
+        if entering < 0 and self.work.size < self.m:
+            entering = self._grow(cost_real, y, price_tol)
+        self.stats.pricing_s += time.perf_counter() - start
+        return entering
+
+    def _grow(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
+        """Price every row; add the GROWTH * k most violated rows outside the
+        working set to it and return the entering row among them, or -1."""
+        self.stats.full_pricings += 1
+        reduced = cost_real - self.rows @ y
+        reduced[self.in_work] = math.inf
+        new = np.flatnonzero(reduced < -price_tol)
+        if new.size == 0:
+            return -1
+        cap = self.GROWTH * self.k
+        if new.size > cap:
+            new = np.sort(new[np.argpartition(reduced[new], cap - 1)[:cap]])
+        self._set_work(np.union1d(self.work, new), cost_real)
+        self.stats.work_rows.append(self.work.size)
+        return int(new[np.argmin(reduced[new])])
 
     def _ratio_test(self, d: np.ndarray, x_basic: np.ndarray, phase: int) -> int:
         """Position of the leaving basic variable, or -1 if d has no positive entry."""
@@ -217,46 +260,56 @@ class _DualSimplex:
 
     def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Iterate until the phase objective is optimal; returns (x_B, y, obj),
-        solved with refinement and priced once more before the phase ends."""
+        solved with refinement and priced once more over every row before
+        the phase ends."""
         # costs of the real columns, then of the artificials
         if phase == 1:
             cost = np.concatenate([np.zeros(self.m), np.ones(self.k)])
-            sections = [self.m]
+            work = np.arange(self.m)
         else:
             cost = np.concatenate([self.f, np.zeros(self.k)])
-            sections = self.sections
+            zero = np.flatnonzero(self.f == 0.0)
+            start = np.union1d(np.flatnonzero(self.f != 0.0), zero[:: self.START_STRIDE])
+            work = np.union1d(start, self.basis[self.basis < self.m])
+            self.stats.work_rows.append(work.size)
         cost_real = cost[: self.m]
+        self._set_work(work, cost_real)
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost_real), initial=0.0)))
-        section = 0
+        self.B = self._basis_matrix()
+        self.lu = None
         refine = False
+        pivots, pricings = self.iterations, self.stats.full_pricings
 
         while True:
-            B = self._basis_matrix()
-            lu = scipy.linalg.lu_factor(B, check_finite=False)
-            x_basic = self._solve(lu, B, self.rhs, 0, refine)
+            if self.lu is None:
+                self.lu = self.getrf(self.B)[:2]
+                self.stats.factorizations += 1
+            x_basic = self._solve(self.rhs, 0, refine)
             cost_basic = cost[self.basis]
-            y = self._solve(lu, B, cost_basic, 1, refine)
+            y = self._solve(cost_basic, 1, refine)
             obj = float(cost_basic @ x_basic)
 
             entering = -1
             if phase == 2 or obj > self.phase1_tol:
-                entering = self._price(cost_real, y, sections[section], price_tol)
-                while entering < 0 and section + 1 < len(sections):
-                    section += 1
-                    entering = self._price(cost_real, y, sections[section], price_tol)
+                entering = self._price(cost_real, y, price_tol)
             if entering < 0:
                 if refine:
+                    _log.debug(
+                        "phase %d ended: %d pivots, %d working rows, %d full pricings",
+                        phase, self.iterations - pivots, self.work.size,
+                        self.stats.full_pricings - pricings,
+                    )
                     return x_basic, y, obj
                 refine = True
                 continue
             refine = False
 
-            d = self._solve(lu, B, self.rows[entering], 0, False)
+            d = self._solve(self.rows[entering], 0, False)
             leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
                 # Rounding noise must not pass for a ray: only a refined d
                 # may end the phase as unbounded.
-                d = self._solve(lu, B, self.rows[entering], 0, True)
+                d = self._solve(self.rows[entering], 0, True)
                 leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
                 if phase == 1:
@@ -268,12 +321,14 @@ class _DualSimplex:
                 self.in_basis[leaving] = False
             self.basis[leave_pos] = entering
             self.in_basis[entering] = True
+            self.B[:, leave_pos] = self.rows[entering]
+            self.lu = None
 
             self.iterations += 1
             if phase == 1:
                 self.stats.phase1_pivots += 1
             else:
-                self.stats.section_pivots[section] += 1
+                self.stats.phase2_pivots += 1
             if self.iterations >= self.opt.max_iters:
                 raise _EngineFailure(
                     f"iteration limit {self.opt.max_iters} reached in phase {phase}"
@@ -308,26 +363,6 @@ class _DualSimplex:
 
 class _UnboundedDual(Exception):
     pass
-
-
-def _row_layout(b: np.ndarray, k: int) -> tuple[np.ndarray, list[int]]:
-    """The engine's row order, coarse to fine, and its pricing sections.
-
-    Rows with b != 0 come first; the zero-rhs rows follow in stages: every
-    64th, then the rest of every 16th, of every 4th and all others, each
-    stage in original order.  Returns the permutation and the ends of the
-    phase-2 pricing sections: every stage end after at least 4k zero-rhs
-    rows (k columns), and the last row.
-    """
-    zero = np.flatnonzero(b == 0.0)
-    strides = (64, 16, 4)
-    stage = np.full(zero.size, len(strides))
-    for s in reversed(range(len(strides))):
-        stage[:: strides[s]] = s
-    order = np.concatenate([np.flatnonzero(b != 0.0), zero[np.argsort(stage, kind="stable")]])
-    counts = np.cumsum(np.bincount(stage, minlength=len(strides) + 1))[:-1]
-    ends = [b.size - zero.size + int(n) for n in counts if n >= 4 * k]
-    return order, ends + [b.size]
 
 
 def _gauss_solve_ext(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -406,11 +441,8 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             message="no constraints restrict the descent direction",
         )
 
-    order, sections = _row_layout(b, c.size)
-    A2, b2 = A[order], b[order]
-    stats = SolveStats(section_rows=tuple(sections), section_pivots=[0] * len(sections))
-
-    engine = _DualSimplex(A2, c, -b2, opt, sections, stats)
+    stats = SolveStats()
+    engine = _DualSimplex(A, c, -b, opt, stats)
     engines = [engine]  # every run counts toward the reported iterations
     try:
         outcome = engine.run()
@@ -420,23 +452,21 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             lam = outcome.lam
             objective = float(c @ v)
             max_inf = _max_violation(A, b, v)
-            gap = abs(objective - float(b2 @ lam))
+            gap = abs(objective - float(b @ lam))
             if max_inf > opt.feas_tol * b_scale or gap > opt.opt_tol * (1.0 + abs(objective)):
                 v, lam = engine.vertex_ext()
                 objective = float(c @ v)
                 max_inf = _max_violation(A, b, v)
-                gap = abs(objective - float(b2 @ lam))
+                gap = abs(objective - float(b @ lam))
             if max_inf > opt.feas_tol * b_scale:
                 raise _EngineFailure(
                     f"solution violates feasibility: residual {max_inf:.3e}"
                 )
             if gap > opt.opt_tol * (1.0 + abs(objective)):
                 raise _EngineFailure(f"duality gap {gap:.3e} exceeds tolerance")
-            duals = np.zeros(problem.num_rows)
-            duals[order] = lam
             return LpSolution(
                 status="optimal", v=v, objective=objective,
-                max_infeasibility=max_inf, iterations=engine.iterations, duals=duals,
+                max_infeasibility=max_inf, iterations=engine.iterations, duals=lam,
                 stats=stats,
             )
 
@@ -446,7 +476,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             if peak == 0.0 or not _check_ray(A, c, ray / peak, opt.feas_tol):
                 raise _EngineFailure("could not certify an unbounded direction")
             ray = ray / peak
-            probe = _DualSimplex(A2, np.zeros(c.size), -b2, opt, sections, stats)
+            probe = _DualSimplex(A, np.zeros(c.size), -b, opt, stats)
             engines.append(probe)
             probe_out = probe.run()
             if probe_out.kind == "dual_unbounded":

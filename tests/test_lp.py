@@ -1,4 +1,9 @@
+import importlib.util
+import itertools
+import logging
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from polycover import (
     export_mps,
     solve,
 )
-from polycover.lp import _DualSimplex, _row_layout
+from polycover.lp import SolveStats, _DualSimplex, _EngineFailure
 
 from conftest import cluster_point_array
 from oracles import read_mps
@@ -189,20 +194,29 @@ def test_many_identical_rows_certify_on_a_largest_rhs_row():
     assert float(sol.duals.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_row_layout_prices_coarse_sections_first():
-    # rows 0 and 201 carry b != 0; rows 1..200 are zero-rhs, one column
-    A = np.arange(202.0).reshape(-1, 1)
+def test_phase_2_starts_from_a_coarse_working_set(engine_runs, monkeypatch):
+    # rows 0 and 201 carry b != 0; rows 1..200 are zero-rhs, so phase 2
+    # starts from those two, every 64th zero-rhs row and phase 1's basis
+    A = np.column_stack([np.ones(202), np.linspace(-1.0, 1.0, 202)])
     b = np.zeros(202)
-    b[[0, 201]] = [1.0, -2.0]
-    order, sections = _row_layout(b, A.shape[1])
-    assert sections == [2 + 4, 2 + 13, 2 + 50, 202]
-    assert order[:2].tolist() == [0, 201]
-    zero_pos = order[2:] - 1  # position among the zero-rhs rows
-    assert sorted(zero_pos.tolist()) == list(range(200))
-    for end, stride in zip(sections, (64, 16, 4)):
-        assert sorted(zero_pos[: end - 2].tolist()) == list(range(0, 200, stride))
-    # with k = 13 columns no stage holds 4k zero-rhs rows: one section
-    assert _row_layout(b, 13)[1] == [202]
+    b[[0, 201]] = [1.0, 0.5]
+    seen = []
+    set_work = _DualSimplex._set_work
+
+    def recording_set_work(self, work, cost_real):
+        seen.append(work.copy())
+        set_work(self, work, cost_real)
+
+    monkeypatch.setattr(_DualSimplex, "_set_work", recording_set_work)
+    sol = solve(LpProblem(c=np.array([1.0, 0.0]), A=A, b=b))
+    assert sol.status == "optimal", sol.message
+    (engine,) = engine_runs
+    assert seen[0].tolist() == list(range(202))  # phase 1 prices every row
+    start = seen[1]
+    assert np.all(np.diff(start) > 0)
+    assert set(start.tolist()) >= {0, 201, 1, 65, 129, 193}
+    assert len(start) <= 6 + engine.k
+    assert sol.stats.work_rows[0] == len(start)
 
 
 def test_degenerate_vertex_is_optimal():
@@ -253,7 +267,7 @@ def test_cluster_degree_9_lp_agrees_with_highs():
     assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
 
 
-def test_sobol_chebyshev_3d_lp_certifies_over_several_sections():
+def test_sobol_chebyshev_3d_lp_certifies_as_its_working_set_grows():
     rng = np.random.Generator(np.random.Philox(11))
     cloud = np.vstack([
         rng.normal([-0.4, -0.3, -0.35], 0.15, size=(15, 3)),
@@ -269,49 +283,131 @@ def test_sobol_chebyshev_3d_lp_certifies_over_several_sections():
     # HiGHS gives 2.206746628166181
     assert sol.objective == pytest.approx(2.206746628166181, rel=1e-8)
     stats = sol.stats
-    assert stats.section_rows[-1] == problem.num_rows
-    assert sum(1 for pivots in stats.section_pivots if pivots) > 1
+    assert len(stats.work_rows) >= 3  # the start set, then two growths or more
+    assert stats.work_rows == sorted(stats.work_rows)
+    assert stats.work_rows[-1] < problem.num_rows
     assert stats.phase1_pivots + stats.phase2_pivots == sol.iterations
+    assert stats.factorizations >= sol.iterations
+    assert stats.pricing_s > 0.0
 
 
-def test_inconsistent_rows_among_pricing_sections_fail_with_message():
+def test_inconsistent_rows_outside_the_working_set_fail_with_message(engine_runs):
     # p >= 1 and -p >= 0 at the same cloud point, with the second row last
-    # in a program that phase 2 prices in several sections
+    # among the zero-rhs rows, where phase 2 starts without it
     problem = cluster_problem(3)
-    sol = solve(
-        LpProblem(
-            c=problem.c, A=np.vstack([problem.A, -problem.A[:1]]),
-            b=np.append(problem.b, 0.0),
-        )
-    )
+    b = np.append(problem.b, 0.0)
+    zero = np.flatnonzero(b == 0.0)
+    assert zero[-1] == problem.num_rows
+    assert (zero.size - 1) % _DualSimplex.START_STRIDE != 0
+    sol = solve(LpProblem(c=problem.c, A=np.vstack([problem.A, -problem.A[:1]]), b=b))
     assert sol.status == "solver_failure"
     assert sol.message == "constraints admit no feasible point (inconsistent system)"
-    assert len(sol.stats.section_rows) > 1
+    (engine,) = engine_runs
+    assert engine.in_work[problem.num_rows]  # the clashing row came in by growth
+    assert len(sol.stats.work_rows) > 1
 
 
-def test_extended_precision_vertex_certifies_the_degree_26_line_lp():
-    # with the cloud rows in this order the simplex ends on a basis whose
-    # double-precision vertex misses the feasibility contract; the same
-    # basis solved in extended precision meets it
-    cloud = PointCloud(np.array([0.0, -0.5, 0.25]))
+def line_problem(order, degree):
+    # the paper's three points in the given order, on the 2001-node grid
+    cloud = PointCloud(np.array(order))
     spec = GridSpec(points_per_axis=2001)
-    sol = solve(build_problem(cloud, BoxDomain.symmetric(1), 26, grid=spec))
+    return build_problem(cloud, BoxDomain.symmetric(1), degree, grid=spec)
+
+
+def test_extended_precision_vertex_certifies_the_degree_25_line_lp():
+    # the simplex ends on a basis whose double-precision vertex misses the
+    # feasibility contract; the same basis solved in extended precision
+    # meets it
+    sol = solve(line_problem((-0.5, 0.0, 0.25), 25))
     assert sol.status == "optimal", sol.message
     assert sol.stats.vertex_ext
     assert sol.max_infeasibility <= 1e-9 * 2.0
-    # the objective the other row orders certify
-    assert sol.objective == pytest.approx(0.49679701232611634, rel=1e-7)
+    # the Chebyshev basis certifies 0.548256537276575
+    assert sol.objective == pytest.approx(0.548256537276575, rel=1e-7)
 
 
 def test_failed_certification_reports_the_work_done():
-    # the degree-25 line LP: the final vertex misses the feasibility
+    # the degree-32 line LP: the final vertex misses the feasibility
     # contract even after the extended-precision solve
-    cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
-    spec = GridSpec(points_per_axis=2001)
-    sol = solve(build_problem(cloud, BoxDomain.symmetric(1), 25, grid=spec))
+    sol = solve(line_problem((-0.5, 0.0, 0.25), 32))
     assert sol.status == "solver_failure"
-    assert sol.message == "solution violates feasibility: residual 2.827e-09"
+    assert sol.stats.vertex_ext
+    assert sol.message == "solution violates feasibility: residual 1.991e-07"
     assert sol.iterations > 0
+    assert sol.stats.phase1_pivots + sol.stats.phase2_pivots == sol.iterations
+
+
+def _line_pinned():
+    # the objectives the line-sweep benchmark pins at every seed
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.LINE_PINNED, workloads.PINNED_RTOL
+
+
+@pytest.mark.parametrize("degree", [17, 26])
+@pytest.mark.parametrize("order", list(itertools.permutations((-0.5, 0.0, 0.25))))
+def test_line_lp_certifies_at_every_cloud_order(order, degree):
+    # the line-sweep benchmark permutes the three points by seed
+    pinned, rtol = _line_pinned()
+    sol = solve(line_problem(order, degree))
+    assert sol.status == "optimal", sol.message
+    assert sol.objective == pytest.approx(pinned[degree], rel=rtol)
+
+
+def test_basis_matrix_kept_in_place_matches_a_rebuilt_one(engine_runs):
+    sol = solve(cluster_problem(9))
+    assert sol.status == "optimal", sol.message
+    (engine,) = engine_runs
+    np.testing.assert_array_equal(engine.B, engine._basis_matrix())
+    assert sol.stats.factorizations == sol.iterations + 2  # one per phase start
+
+
+def test_duals_come_back_in_input_order(engine_runs):
+    problem = cluster_problem(5)
+    order = np.random.default_rng(5).permutation(problem.num_rows)
+    shuffled = LpProblem(c=problem.c, A=problem.A[order], b=problem.b[order])
+    for prob in (problem, shuffled):
+        sol = solve(prob)
+        assert sol.status == "optimal", sol.message
+        assert sol.objective == pytest.approx(2.5049492389294734, rel=1e-9)
+        # rows that never entered the working set carry no dual at all
+        assert np.all(sol.duals[~engine_runs[-1].in_work] == 0.0)
+        assert np.count_nonzero(~engine_runs[-1].in_work) > prob.num_rows // 2
+        # stationarity and complementary slackness hold row by row
+        np.testing.assert_allclose(prob.A.T @ sol.duals, prob.c, atol=1e-8)
+        slack = prob.A @ sol.v - prob.b
+        assert float(np.max(sol.duals * np.abs(slack))) <= 1e-9
+
+
+def test_singular_basis_fails_with_message():
+    # two parallel rows as the basis: getrf leaves an exact zero pivot
+    rows = np.array([[1.0, 2.0], [2.0, 4.0]])
+    engine = _DualSimplex(rows, np.ones(2), np.zeros(2), LpOptions(), SolveStats())
+    engine.basis = np.array([0, 1])
+    engine.B = engine._basis_matrix()
+    engine.lu = engine.getrf(engine.B)[:2]
+    with pytest.raises(_EngineFailure, match="^singular basis matrix$"):
+        engine._solve(np.ones(2), 0, False)
+
+
+def test_phase_ends_are_logged_at_debug_level(caplog):
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        sol = solve(cluster_problem(3))
+    assert sol.status == "optimal", sol.message
+    lines = [r.getMessage() for r in caplog.records if r.name == "polycover"]
+    assert len(lines) == 2
+    assert lines[0].startswith(f"phase 1 ended: {sol.stats.phase1_pivots} pivots, ")
+    assert lines[1].startswith(f"phase 2 ended: {sol.stats.phase2_pivots} pivots, "
+                               f"{sol.stats.work_rows[-1]} working rows, ")
+    caplog.clear()
+    solve(cluster_problem(3))  # silent by default
+    assert not [r for r in caplog.records if r.name == "polycover"]
 
 
 def test_options_tighten_the_contract():
