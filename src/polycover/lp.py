@@ -6,8 +6,11 @@ the dual problem
 
     min (-b).lam   subject to   A^T lam = c,   lam >= 0,
 
-whose basis matrices stay k x k.  Phase 1 introduces one artificial column
-per equality row; artificials left over at zero level are pinned there during
+whose basis matrices stay k x k.  A crash first solves A^T lam = c, lam >= 0
+as nonnegative least squares (Lawson-Hanson) on a growing set of rows; if
+that yields a feasible basis of k rows, phase 1 starts there and ends
+without a pivot.  Otherwise phase 1 introduces one artificial column per
+equality row; artificials left over at zero level are pinned there during
 phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking.
 Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
 every 64th zero-rhs row and the rows basic after phase 1); when it prices
@@ -52,6 +55,14 @@ class LpOptions:
     max_iters: int = 20_000
     feas_tol: float = 1e-9
     opt_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        for name in ("feas_tol", "opt_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,13 @@ class LpProblem:
 class SolveStats:
     """Work counters of one solve, summed over its simplex runs.
 
-    work_rows lists the size of phase 2's working set when it starts and
-    after each growth.  full_pricings counts pricings over every row: one
-    per phase-1 pivot and one per attempt to grow the working set.
+    crash_rows and work_rows list the size of the crash's candidate set and
+    of phase 2's working set when each starts and after each growth
+    (crash_rows is empty when no crash was tried); crash_basis says whether
+    phase 1 started from the crash basis.  full_pricings counts passes over
+    every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
-    factorizations of the basis matrix.
+    factorizations of a basis matrix.
     """
 
     phase1_pivots: int = 0
@@ -118,6 +131,8 @@ class SolveStats:
     factorizations: int = 0
     refined_solves: int = 0
     vertex_ext: bool = False
+    crash_rows: list[int] = field(default_factory=list)
+    crash_basis: bool = False
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,7 @@ class _Outcome:
 
 class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
+    phase 1 starts from an NNLS crash basis when _crash finds one, and
     phase 2 prices a working set of rows, sorted by index, and grows it."""
 
     START_STRIDE = 64  # every 64th zero-cost row starts in the working set
@@ -167,6 +183,9 @@ class _DualSimplex:
         self.iterations = 0
         self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
         self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (rows,))
+        self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (rows,))
+        zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of phase 2
+        self.start = np.union1d(np.flatnonzero(f != 0.0), zero[:: self.START_STRIDE])
 
     def _basis_matrix(self) -> np.ndarray:
         """Columns rows[j] for basic j < m; sigma_i e_i for artificial m + i."""
@@ -221,13 +240,14 @@ class _DualSimplex:
         pos = int(np.argmin(reduced))
         entering = int(self.work[pos]) if reduced[pos] < -price_tol else -1
         if entering < 0 and self.work.size < self.m:
-            entering = self._grow(cost_real, y, price_tol)
+            entering = self._grow(cost_real, y, price_tol, self.stats.work_rows)
         self.stats.pricing_s += time.perf_counter() - start
         return entering
 
-    def _grow(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
+    def _grow(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float, sizes: list) -> int:
         """Price every row; add the GROWTH * k most violated rows outside the
-        working set to it and return the entering row among them, or -1."""
+        working set to it, append its size to sizes and return the entering
+        row among the new rows, or -1."""
         self.stats.full_pricings += 1
         reduced = cost_real - self.rows @ y
         reduced[self.in_work] = math.inf
@@ -238,7 +258,7 @@ class _DualSimplex:
         if new.size > cap:
             new = np.sort(new[np.argpartition(reduced[new], cap - 1)[:cap]])
         self._set_work(np.union1d(self.work, new), cost_real)
-        self.stats.work_rows.append(self.work.size)
+        sizes.append(self.work.size)
         return int(new[np.argmin(reduced[new])])
 
     def _ratio_test(self, d: np.ndarray, x_basic: np.ndarray, phase: int) -> int:
@@ -258,6 +278,78 @@ class _DualSimplex:
         tie = np.flatnonzero(ratios <= theta * (1.0 + 1e-9) + 1e-300)
         return int(tie[np.argmin(self.basis[tie])])
 
+    def _crash(self) -> None:
+        """Start phase 1 from a basis of real rows when NNLS finds one.
+
+        Lawson-Hanson NNLS for sum lam_j rows_j = rhs, lam >= 0 on a working
+        set of the start rows, with QR factors of the passive rows updated a
+        column at a time.  Where it stops at a residual r != 0, _grow adds
+        the rows with the largest gradient rows @ r > 0.  The basis is taken
+        if it has k rows and B x = rhs gives x >= -phase1_tol.
+        """
+        if self.start.size < self.GROWTH * self.k or not np.any(self.rhs):
+            return  # too few start rows, or rhs = 0, which the artificials solve
+        zero = np.zeros(self.m)
+        self._set_work(self.start, zero)
+        self.stats.crash_rows.append(self.start.size)
+        passive: list[int] = []  # the rows in the column order of Q R
+        Q, R = np.eye(self.k), np.zeros((self.k, 0))
+        x = np.zeros(0)
+        tol = 1e-13 * float(np.linalg.norm(self.rhs) * np.max(np.abs(self.work_rows)))
+        reason, growths = "step limit", 0
+        for _ in range(20 * self.k):
+            p, r = len(passive), self.rhs
+            if p:
+                qtc = Q.T @ self.rhs
+                z = self.trtrs(R[:p, :p], qtc[:p])[0]
+                if z.min() <= 0.0:
+                    if x[-1] == 0.0 and z[-1] <= 0.0:
+                        reason = "a row with positive gradient did not enter"
+                        break
+                    # step toward z until passive rows reach zero; drop them
+                    neg = np.flatnonzero(z <= 0.0)
+                    ratios = x[neg] / (x[neg] - z[neg])
+                    x += ratios.min() * (z - x)
+                    x[neg[ratios <= ratios.min()]] = 0.0
+                    for j in np.flatnonzero(x <= 0.0)[::-1]:
+                        Q, R = scipy.linalg.qr_delete(Q, R, j, 1, "col", check_finite=False)
+                        self.in_basis[passive.pop(j)] = False
+                    x = x[x > 0.0]
+                    continue
+                x = z
+                if p == self.k:
+                    reason = ""
+                    break
+                r = Q[:, p:] @ qtc[p:]
+            grad = self.work_rows @ r
+            grad[self.in_basis[self.work]] = -math.inf
+            pos = int(np.argmax(grad))
+            if grad[pos] > tol:
+                row = int(self.work[pos])
+                Q, R = scipy.linalg.qr_insert(Q, R, self.rows[row], p, "col", check_finite=False)
+                passive.append(row)
+                self.in_basis[row] = True
+                x = np.append(x, 0.0)
+            elif self._grow(zero, r, tol, self.stats.crash_rows) >= 0:
+                growths += 1
+            else:
+                reason = f"residual {float(np.linalg.norm(r)):.3e} on {p} rows"
+                break
+        if not reason:
+            basis = np.sort(np.array(passive))
+            lu, piv, _ = self.getrf(self.rows[basis].T)
+            self.stats.factorizations += 1
+            x = self.getrs(lu, piv, self.rhs)[0]
+            if not np.all(x >= -self.phase1_tol):
+                reason = f"basis solve gives x_min {float(np.min(x)):.3e}"
+        verdict = f"declined ({reason})" if reason else "taken"
+        _log.debug("crash %s: %d rows, %d growths", verdict, self.work.size, growths)
+        if reason:
+            self.in_basis[:] = False
+            return
+        self.stats.crash_basis = True
+        self.basis = basis
+
     def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Iterate until the phase objective is optimal; returns (x_B, y, obj),
         solved with refinement and priced once more over every row before
@@ -268,9 +360,7 @@ class _DualSimplex:
             work = np.arange(self.m)
         else:
             cost = np.concatenate([self.f, np.zeros(self.k)])
-            zero = np.flatnonzero(self.f == 0.0)
-            start = np.union1d(np.flatnonzero(self.f != 0.0), zero[:: self.START_STRIDE])
-            work = np.union1d(start, self.basis[self.basis < self.m])
+            work = np.union1d(self.start, self.basis[self.basis < self.m])
             self.stats.work_rows.append(work.size)
         cost_real = cost[: self.m]
         self._set_work(work, cost_real)
@@ -335,6 +425,7 @@ class _DualSimplex:
                 )
 
     def run(self) -> _Outcome:
+        self._crash()
         x_basic, y1, w1 = self._run_phase(1)
         if w1 > self.phase1_tol:
             return _Outcome(kind="dual_infeasible", y=y1)

@@ -155,15 +155,22 @@ def test_iteration_limit_reports_failure():
     assert sol.iterations == 1
 
 
-def test_scaling_cost_leaves_argmin_bitwise_identical():
-    rng = np.random.default_rng(31)
+def _random_lps(seed, shape):
+    # feasible, bounded LPs: c is a nonnegative combination of the rows
+    rng = np.random.default_rng(seed)
     for _ in range(8):
-        A = rng.normal(size=(10, 4))
-        lam = np.abs(rng.normal(size=10))
-        c = A.T @ lam
-        b = A @ rng.normal(size=4) - np.abs(rng.normal(size=10))
-        base = solve(LpProblem(c=c, A=A, b=b))
-        scaled = solve(LpProblem(c=2.0 * c, A=A, b=b))  # power of two: exact
+        A = rng.normal(size=shape)
+        lam = np.abs(rng.normal(size=shape[0]))
+        b = A @ rng.normal(size=shape[1]) - np.abs(rng.normal(size=shape[0]))
+        yield LpProblem(c=A.T @ lam, A=A, b=b)
+
+
+def test_scaling_cost_leaves_argmin_bitwise_identical():
+    # the crash is skipped on the 10-row LPs and taken on the 40-row ones
+    for problem in [*_random_lps(31, (10, 4)), *_random_lps(32, (40, 4))]:
+        base = solve(problem)
+        # power of two: exact
+        scaled = solve(LpProblem(c=2.0 * problem.c, A=problem.A, b=problem.b))
         assert base.status == scaled.status == "optimal"
         np.testing.assert_array_equal(base.v, scaled.v)
         assert scaled.objective == pytest.approx(2.0 * base.objective, rel=1e-12)
@@ -307,11 +314,11 @@ def test_inconsistent_rows_outside_the_working_set_fail_with_message(engine_runs
     assert len(sol.stats.work_rows) > 1
 
 
-def line_problem(order, degree):
+def line_problem(order, degree, kind="monomial"):
     # the paper's three points in the given order, on the 2001-node grid
     cloud = PointCloud(np.array(order))
     spec = GridSpec(points_per_axis=2001)
-    return build_problem(cloud, BoxDomain.symmetric(1), degree, grid=spec)
+    return build_problem(cloud, BoxDomain.symmetric(1), degree, kind=kind, grid=spec)
 
 
 def test_extended_precision_vertex_certifies_the_degree_25_line_lp():
@@ -337,8 +344,8 @@ def test_failed_certification_reports_the_work_done():
     assert sol.stats.phase1_pivots + sol.stats.phase2_pivots == sol.iterations
 
 
-def _line_pinned():
-    # the objectives the line-sweep benchmark pins at every seed
+def _bench_workloads():
+    # the benchmark's workload definitions: clouds and pinned objectives
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -347,6 +354,12 @@ def _line_pinned():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def _line_pinned():
+    # the objectives the line-sweep benchmark pins at every seed
+    workloads = _bench_workloads()
     return workloads.LINE_PINNED, workloads.PINNED_RTOL
 
 
@@ -401,13 +414,26 @@ def test_phase_ends_are_logged_at_debug_level(caplog):
         sol = solve(cluster_problem(3))
     assert sol.status == "optimal", sol.message
     lines = [r.getMessage() for r in caplog.records if r.name == "polycover"]
-    assert len(lines) == 2
-    assert lines[0].startswith(f"phase 1 ended: {sol.stats.phase1_pivots} pivots, ")
-    assert lines[1].startswith(f"phase 2 ended: {sol.stats.phase2_pivots} pivots, "
+    assert len(lines) == 3
+    assert lines[0] == f"crash taken: {sol.stats.crash_rows[-1]} rows, 0 growths"
+    assert lines[1].startswith(f"phase 1 ended: {sol.stats.phase1_pivots} pivots, ")
+    assert lines[2].startswith(f"phase 2 ended: {sol.stats.phase2_pivots} pivots, "
                                f"{sol.stats.work_rows[-1]} working rows, ")
     caplog.clear()
     solve(cluster_problem(3))  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_iters": 0}, {"feas_tol": -1e-9}, {"feas_tol": math.nan},
+            {"opt_tol": math.nan}, {"opt_tol": math.inf}],
+)
+def test_options_reject_invalid_values(bad):
+    # each of these used to reach the solver: max_iters=0 made a pivot,
+    # a negative feas_tol failed a bounded LP, and a nan tolerance
+    # silently skipped both certificate checks
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+        LpOptions(**bad)
 
 
 def test_options_tighten_the_contract():
@@ -463,3 +489,134 @@ def test_solution_is_reproducible_bitwise():
     np.testing.assert_array_equal(first.v, second.v)
     assert first.objective == second.objective
     assert first.iterations == second.iterations
+
+
+def test_crash_basis_starts_phase_1_on_the_cluster_lp():
+    # 141 start rows against GROWTH * k = 84: the crash grows its candidate
+    # set until NNLS reaches zero residual on k rows
+    problem = cluster_problem(5)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    stats = sol.stats
+    assert stats.crash_basis
+    assert stats.phase1_pivots == 0
+    assert len(stats.crash_rows) > 1 and stats.crash_rows == sorted(stats.crash_rows)
+    ref = linprog(
+        problem.c, A_ub=-problem.A, b_ub=-problem.b, bounds=(None, None), method="highs"
+    )
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+def test_crash_grows_and_starts_phase_1_on_the_sobol_3d_lp():
+    # the cheb3d-fit workload's LP: 20,040 rows, 84 columns, 353 start rows
+    workloads = _bench_workloads()
+    problem = build_problem(
+        PointCloud(workloads.cheb3d_cloud()), BoxDomain.symmetric(3), 6,
+        kind="chebyshev", grid=GridSpec(sample_count=20_000, seed=0),
+    )
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    assert sol.stats.crash_basis
+    assert sol.stats.phase1_pivots == 0
+    assert len(sol.stats.crash_rows) > 1
+    assert sol.stats.crash_rows[-1] < problem.num_rows
+    pinned = workloads.CHEB3D_PINNED[6]
+    assert sol.objective == pytest.approx(pinned, rel=workloads.PINNED_RTOL)
+
+
+def test_crash_declines_below_growth_times_k_start_rows():
+    # the small LPs of this file have fewer than GROWTH * k start rows, so
+    # phase 1 starts from the artificials and each outcome stays as it was
+    problems = [
+        simple_problem(),
+        LpProblem(c=np.array([-1.0]), A=np.array([[1.0]]), b=np.array([0.0])),
+        LpProblem(c=np.array([1.0]), A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0])),
+    ]
+    for problem in problems:
+        sol = solve(problem)
+        assert sol.stats.crash_rows == []
+        assert not sol.stats.crash_basis
+    assert solve(simple_problem()).stats.phase1_pivots > 0
+
+
+def test_crash_declines_when_the_objective_leaves_the_cone_of_the_rows(caplog):
+    # min -integral(p): unbounded, so -c is no nonnegative combination of
+    # rows and NNLS stops at a nonzero residual that no row reduces
+    problem = cluster_problem(3)
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        sol = solve(LpProblem(c=-problem.c, A=problem.A, b=problem.b))
+    assert sol.status == "unbounded"
+    assert float(-problem.c @ sol.ray) < 0.0
+    assert float(np.min(problem.A @ sol.ray)) >= -1e-9 * (1.0 + np.max(np.abs(problem.A)))
+    assert not sol.stats.crash_basis
+    lines = [r.getMessage() for r in caplog.records if r.name == "polycover"]
+    assert lines[0].startswith("crash declined (residual ")
+    # the feasibility probe solves with rhs = 0 and skips the crash
+    assert len(sol.stats.crash_rows) == 1
+
+
+def test_crash_leaves_status_and_objective_unchanged(monkeypatch):
+    problems = [cluster_problem(5), cluster_problem(9)]
+    problems += [line_problem((-0.5, 0.0, 0.25), degree) for degree in (2, 7)]
+    problems += [*_random_lps(31, (10, 4)), *_random_lps(32, (40, 4))]
+    with_crash = [solve(problem) for problem in problems]
+    assert sum(sol.stats.crash_basis for sol in with_crash) >= 10
+    monkeypatch.setattr(_DualSimplex, "_crash", lambda self: None)
+    opt_tol = LpOptions().opt_tol
+    for problem, crashed in zip(problems, with_crash):
+        plain = solve(problem)
+        assert plain.stats.crash_rows == []
+        assert crashed.status == plain.status
+        assert abs(crashed.objective - plain.objective) <= opt_tol * (1.0 + abs(plain.objective))
+
+
+def test_crash_nnls_matches_scipy_nnls(caplog):
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        k = int(rng.integers(2, 9))
+        m = int(rng.integers(4 * k, 12 * k))
+        rows = rng.normal(size=(m, k))
+        if trial % 2:
+            # nonnegative rows and a target with a negative entry: no
+            # nonnegative combination reaches it
+            rows, c = np.abs(rows), rng.normal(size=k)
+            c[0] = -0.1 - abs(c[0])
+        else:
+            lam = np.zeros(m)
+            lam[rng.choice(m, k, replace=False)] = rng.uniform(0.5, 2.0, k)
+            c = rows.T @ lam
+        # every cost is nonzero, so every row is a start row
+        engine = _DualSimplex(rows, c, np.ones(m), LpOptions(), SolveStats())
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polycover"):
+            engine._crash()
+        ref, rnorm = nnls(rows.T, c)
+        if trial % 2:
+            assert not engine.stats.crash_basis
+            (line,) = [r.getMessage() for r in caplog.records if r.name == "polycover"]
+            assert line.startswith(
+                f"crash declined (residual {rnorm:.3e} on {np.count_nonzero(ref)} rows)"
+            )
+        else:
+            assert engine.stats.crash_basis
+            x = np.zeros(m)
+            x[engine.basis] = np.linalg.solve(rows[engine.basis].T, c)
+            np.testing.assert_allclose(x, ref, atol=1e-12)
+
+
+def test_line_census_certifies_every_order_basis_and_degree():
+    # the W1 census: the paper's three points at all 6 orders, both bases,
+    # degrees 0-26 on the 2001-node grid, 324 LPs
+    orders = list(itertools.permutations((-0.5, 0.0, 0.25)))
+    for kind in ("monomial", "chebyshev"):
+        for degree in range(27):
+            objectives = []
+            for order in orders:
+                sol = solve(line_problem(order, degree, kind))
+                assert sol.status == "optimal", (kind, degree, order, sol.message)
+                objectives.append(sol.objective)
+            # orders[0] is the canonical order
+            np.testing.assert_allclose(objectives, objectives[0], rtol=1e-7, atol=0.0)
