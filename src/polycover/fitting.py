@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
 from .domain import BoxDomain, tensor_grid
-from .lp import LpOptions, LpProblem, LpSolution, solve
+from .lp import LpOptions, LpProblem, LpSolution, SolveStats, solve
 from .moments import MomentVector, moment_vector
 
 MAX_GRID_POINTS = 10_000_000
@@ -226,7 +226,8 @@ class FitDiagnostics:
 @dataclass(frozen=True)
 class FitResult:
     """One certified fit.  grid_size counts the grid nodes where p >= 0 was
-    enforced; nodes equal to a cloud point are not among them."""
+    enforced; nodes equal to a cloud point are not among them.  lp_stats
+    holds the solve's work counters; no output file carries them."""
 
     polynomial: Polynomial
     objective: float
@@ -238,6 +239,7 @@ class FitResult:
     lp_iterations: int
     lp_rows: int
     lp_cols: int
+    lp_stats: SolveStats = field(compare=False)
 
     @property
     def w(self) -> float:
@@ -280,6 +282,7 @@ def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> Fit
         lp_iterations=solution.iterations,
         lp_rows=problem.num_rows,
         lp_cols=problem.num_cols,
+        lp_stats=solution.stats,
     )
 
 

@@ -11,7 +11,9 @@ as nonnegative least squares (Lawson-Hanson) on a growing set of rows; if
 that yields a feasible basis of k rows, phase 1 starts there and ends
 without a pivot.  Otherwise phase 1 introduces one artificial column per
 equality row; artificials left over at zero level are pinned there during
-phase 2.  Pricing uses Dantzig's rule with smallest-index tie breaking.
+phase 2.  Pricing uses Devex reference weights (Harris 1973) with
+smallest-index tie breaking; the weights are 1 when a phase starts and when
+a row joins the working set, and all return to 1 when one passes 1e6.
 Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
 every 64th zero-rhs row and the rows basic after phase 1); when it prices
 out, one pricing over every row adds the 4k most violated rows (k columns).
@@ -120,7 +122,8 @@ class SolveStats:
     phase 1 started from the crash basis.  full_pricings counts passes over
     every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
-    factorizations of a basis matrix.
+    factorizations of a basis matrix, devex_resets the times the Devex
+    weights returned to 1 after one passed DEVEX_CAP.
     """
 
     phase1_pivots: int = 0
@@ -130,6 +133,7 @@ class SolveStats:
     pricing_s: float = 0.0
     factorizations: int = 0
     refined_solves: int = 0
+    devex_resets: int = 0
     vertex_ext: bool = False
     crash_rows: list[int] = field(default_factory=list)
     crash_basis: bool = False
@@ -162,10 +166,12 @@ class _Outcome:
 class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
     phase 1 starts from an NNLS crash basis when _crash finds one, and
-    phase 2 prices a working set of rows, sorted by index, and grows it."""
+    phase 2 prices a working set of rows, sorted by index, and grows it.
+    Both phases price by Devex weights kept aligned with the working set."""
 
     START_STRIDE = 64  # every 64th zero-cost row starts in the working set
     GROWTH = 4  # one growth adds at most GROWTH * k rows
+    DEVEX_CAP = 1e6  # a weight above it returns every weight to 1
 
     def __init__(
         self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions,
@@ -184,6 +190,9 @@ class _DualSimplex:
         self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
         self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (rows,))
         self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (rows,))
+        self.unit = np.eye(self.k)  # e_p for the pivot rows of the Devex update
+        self.y_rho = np.zeros((self.k, 2))  # [y, rho], rho = B^-T e_p of the last pivot
+        self.pending = None  # (alpha_q, w_q, leaving row) of the last pivot
         zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of phase 2
         self.start = np.union1d(np.flatnonzero(f != 0.0), zero[:: self.START_STRIDE])
 
@@ -204,7 +213,7 @@ class _DualSimplex:
         basis is numerically nonsingular."""
         lu, piv = self.lu
         x = self.getrs(lu, piv, rhs, trans=trans)[0]
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise _EngineFailure("singular basis matrix")
         if not refine:
             return x
@@ -228,21 +237,49 @@ class _DualSimplex:
         whole = work.size == self.m
         self.work_rows = self.rows if whole else self.rows[work]
         self.work_cost = cost_real if whole else cost_real[work]
+        self.weights = np.ones(work.size)
 
     def _price(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
-        """Dantzig pricing over the working set, grown when it prices out:
-        the entering row, or -1 if no row prices in."""
+        """Devex pricing over the working set, grown when it prices out: the
+        row of least r |r| / w among those with reduced cost r < -price_tol,
+        or -1.  The same pass over the set gives the last pivot's pivot row."""
         start = time.perf_counter()
-        if self.work.size == self.m:
+        whole = self.work.size == self.m
+        if whole:
             self.stats.full_pricings += 1
-        reduced = self.work_cost - self.work_rows @ y
-        reduced[self.in_basis[self.work]] = math.inf
-        pos = int(np.argmin(reduced))
-        entering = int(self.work[pos]) if reduced[pos] < -price_tol else -1
-        if entering < 0 and self.work.size < self.m:
+        self.y_rho[:, 0] = y
+        product = np.empty((self.work.size, 2))
+        for i in range(0, self.work.size, 4096):  # BLAS is slow on tall (n, 2) products
+            np.matmul(self.work_rows[i : i + 4096], self.y_rho, out=product[i : i + 4096])
+        reduced = self.work_cost - product[:, 0]
+        if self.pending is not None:
+            self._update_weights(product[:, 1])
+        reduced[self.in_basis if whole else self.in_basis[self.work]] = math.inf
+        candidates = (reduced < -price_tol).nonzero()[0]
+        entering = -1
+        if candidates.size:
+            r = reduced[candidates]
+            score = r * np.abs(r) / self.weights[candidates]
+            entering = int(self.work[candidates[score.argmin()]])
+        elif not whole:
             entering = self._grow(cost_real, y, price_tol, self.stats.work_rows)
         self.stats.pricing_s += time.perf_counter() - start
         return entering
+
+    def _update_weights(self, alpha: np.ndarray) -> None:
+        """Devex update from alpha, the pivot row of the last pivot."""
+        alpha_q, w_q, leaving = self.pending
+        self.pending = None
+        ratio = alpha / alpha_q
+        ratio *= ratio
+        ratio *= w_q
+        np.maximum(self.weights, ratio, out=self.weights)
+        if leaving < self.m:
+            w_leaving = min(max(w_q / alpha_q**2, 1.0), self.DEVEX_CAP)
+            self.weights[self.work.searchsorted(leaving)] = w_leaving
+        if self.weights.max() > self.DEVEX_CAP:
+            self.weights[:] = 1.0
+            self.stats.devex_resets += 1
 
     def _grow(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float, sizes: list) -> int:
         """Price every row; add the GROWTH * k most violated rows outside the
@@ -257,26 +294,26 @@ class _DualSimplex:
         cap = self.GROWTH * self.k
         if new.size > cap:
             new = np.sort(new[np.argpartition(reduced[new], cap - 1)[:cap]])
+        old, weights = self.work, self.weights
         self._set_work(np.union1d(self.work, new), cost_real)
+        self.weights[self.work.searchsorted(old)] = weights
         sizes.append(self.work.size)
         return int(new[np.argmin(reduced[new])])
 
     def _ratio_test(self, d: np.ndarray, x_basic: np.ndarray, phase: int) -> int:
         """Position of the leaving basic variable, or -1 if d has no positive entry."""
-        piv_tol = 1e-10 * max(1.0, float(np.max(np.abs(d))))
-        if phase == 2:
+        piv_tol = 1e-10 * max(1.0, float(np.abs(d).max()))
+        if phase == 2 and self.basis.max() >= self.m:
             # An artificial must never leave zero; pivot it out first.
             art = np.flatnonzero((self.basis >= self.m) & (np.abs(d) > piv_tol))
             if art.size:
-                return int(art[np.argmin(self.basis[art])])
-        ratios = np.full(self.k, math.inf)
-        positive = d > piv_tol
-        ratios[positive] = np.maximum(x_basic[positive], 0.0) / d[positive]
-        theta = float(ratios.min())
-        if not math.isfinite(theta):
+                return int(art[self.basis[art].argmin()])
+        positive = (d > piv_tol).nonzero()[0]
+        if positive.size == 0:
             return -1
-        tie = np.flatnonzero(ratios <= theta * (1.0 + 1e-9) + 1e-300)
-        return int(tie[np.argmin(self.basis[tie])])
+        ratios = np.maximum(x_basic[positive], 0.0) / d[positive]
+        tie = positive[ratios <= float(ratios.min()) * (1.0 + 1e-9) + 1e-300]
+        return int(tie[self.basis[tie].argmin()])
 
     def _crash(self) -> None:
         """Start phase 1 from a basis of real rows when NNLS finds one.
@@ -364,11 +401,13 @@ class _DualSimplex:
             self.stats.work_rows.append(work.size)
         cost_real = cost[: self.m]
         self._set_work(work, cost_real)
+        self.pending = None
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost_real), initial=0.0)))
         self.B = self._basis_matrix()
         self.lu = None
         refine = False
         pivots, pricings = self.iterations, self.stats.full_pricings
+        resets = self.stats.devex_resets
 
         while True:
             if self.lu is None:
@@ -385,9 +424,10 @@ class _DualSimplex:
             if entering < 0:
                 if refine:
                     _log.debug(
-                        "phase %d ended: %d pivots, %d working rows, %d full pricings",
-                        phase, self.iterations - pivots, self.work.size,
-                        self.stats.full_pricings - pricings,
+                        "phase %d ended: %d pivots, %d working rows, %d full pricings, "
+                        "%d devex resets", phase, self.iterations - pivots,
+                        self.work.size, self.stats.full_pricings - pricings,
+                        self.stats.devex_resets - resets,
                     )
                     return x_basic, y, obj
                 refine = True
@@ -407,6 +447,9 @@ class _DualSimplex:
                 raise _UnboundedDual()
 
             leaving = self.basis[leave_pos]
+            self.y_rho[:, 1] = self.getrs(*self.lu, self.unit[leave_pos], trans=1)[0]
+            w_q = self.weights[self.work.searchsorted(entering)]
+            self.pending = (d[leave_pos], w_q, leaving)
             if leaving < self.m:
                 self.in_basis[leaving] = False
             self.basis[leave_pos] = entering

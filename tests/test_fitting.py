@@ -36,6 +36,15 @@ def test_single_point_degree_two_has_known_optimum():
     np.testing.assert_allclose(result.polynomial.coeffs, [1.0, 0.0, -1.0], atol=1e-8)
 
 
+def test_fit_result_carries_its_solve_stats():
+    cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
+    for entry in degree_sweep(cloud, BoxDomain.symmetric(1), [2, 7],
+                              grid=GridSpec(points_per_axis=501)):
+        stats = entry.result.lp_stats
+        assert stats.phase1_pivots + stats.phase2_pivots == entry.result.lp_iterations > 0
+        assert stats.factorizations > 0
+
+
 def test_constant_degree_zero_covers_box():
     result = fit(
         PointCloud(np.array([0.3])),

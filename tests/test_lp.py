@@ -253,11 +253,12 @@ def test_cluster_degree_5_lp_reaches_its_degenerate_optimum():
 
 
 def test_chebyshev_degree_14_cluster_lp_certifies():
-    # the Chebyshev degree-14 cluster LP on a 51^2 grid: phase 1 makes no
-    # progress for its first 500 pivots, and Dantzig pricing alone must
-    # leave that degenerate vertex well inside the budget
+    # the Chebyshev degree-14 cluster LP on a 51^2 grid: phase 1 starts on
+    # a long degenerate stretch that pricing must leave well inside the
+    # budget, and the Devex weights pass their cap and return to 1
     sol = solve(cluster_problem(14, kind="chebyshev"), LpOptions(max_iters=5000))
     assert sol.status == "optimal", sol.message
+    assert sol.stats.devex_resets > 0
     # HiGHS gives 1.2695068344052323, the monomial basis 1.269506834405209
     assert sol.objective == pytest.approx(1.2695068344052, abs=1e-7)
 
@@ -321,25 +322,25 @@ def line_problem(order, degree, kind="monomial"):
     return build_problem(cloud, BoxDomain.symmetric(1), degree, kind=kind, grid=spec)
 
 
-def test_extended_precision_vertex_certifies_the_degree_25_line_lp():
+def test_extended_precision_vertex_certifies_the_degree_26_line_lp():
     # the simplex ends on a basis whose double-precision vertex misses the
     # feasibility contract; the same basis solved in extended precision
     # meets it
-    sol = solve(line_problem((-0.5, 0.0, 0.25), 25))
+    sol = solve(line_problem((0.0, -0.5, 0.25), 26))
     assert sol.status == "optimal", sol.message
     assert sol.stats.vertex_ext
     assert sol.max_infeasibility <= 1e-9 * 2.0
-    # the Chebyshev basis certifies 0.548256537276575
-    assert sol.objective == pytest.approx(0.548256537276575, rel=1e-7)
+    # the Chebyshev basis certifies 0.4967970107747697
+    assert sol.objective == pytest.approx(0.4967970107747697, rel=1e-7)
 
 
 def test_failed_certification_reports_the_work_done():
-    # the degree-32 line LP: the final vertex misses the feasibility
+    # the degree-31 line LP: the final vertex misses the feasibility
     # contract even after the extended-precision solve
-    sol = solve(line_problem((-0.5, 0.0, 0.25), 32))
+    sol = solve(line_problem((-0.5, 0.0, 0.25), 31))
     assert sol.status == "solver_failure"
     assert sol.stats.vertex_ext
-    assert sol.message == "solution violates feasibility: residual 1.991e-07"
+    assert sol.message == "solution violates feasibility: residual 9.232e-08"
     assert sol.iterations > 0
     assert sol.stats.phase1_pivots + sol.stats.phase2_pivots == sol.iterations
 
@@ -371,6 +372,21 @@ def test_line_lp_certifies_at_every_cloud_order(order, degree):
     sol = solve(line_problem(order, degree))
     assert sol.status == "optimal", sol.message
     assert sol.objective == pytest.approx(pinned[degree], rel=rtol)
+
+
+def test_devex_pricing_cuts_the_phase_2_pivots_of_the_cluster_lp(engine_runs):
+    # Dantzig's rule makes 115 + 549 pivots on this LP and Devex 141 + 497
+    problem = cluster_problem(9)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    assert sol.objective == pytest.approx(1.6319673417691085, rel=1e-8)
+    assert (sol.stats.phase1_pivots, sol.stats.phase2_pivots) == (141, 497)
+    assert sol.stats.devex_resets > 0
+    # the weights follow the working set through its growths
+    (engine,) = engine_runs
+    assert len(sol.stats.work_rows) > 1
+    assert engine.weights.shape == engine.work.shape
+    assert np.all((engine.weights >= 1.0) & (engine.weights <= _DualSimplex.DEVEX_CAP))
 
 
 def test_basis_matrix_kept_in_place_matches_a_rebuilt_one(engine_runs):
@@ -419,6 +435,8 @@ def test_phase_ends_are_logged_at_debug_level(caplog):
     assert lines[1].startswith(f"phase 1 ended: {sol.stats.phase1_pivots} pivots, ")
     assert lines[2].startswith(f"phase 2 ended: {sol.stats.phase2_pivots} pivots, "
                                f"{sol.stats.work_rows[-1]} working rows, ")
+    resets = [int(line.split(", ")[-1].removesuffix(" devex resets")) for line in lines[1:]]
+    assert sum(resets) == sol.stats.devex_resets
     caplog.clear()
     solve(cluster_problem(3))  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
