@@ -13,6 +13,7 @@ slightly negative between them; the verification module measures this.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 import warnings
@@ -24,6 +25,8 @@ from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
 from .domain import BoxDomain, tensor_grid
 from .lp import LpOptions, LpProblem, LpSolution, SolveStats, solve
 from .moments import MomentVector, moment_vector
+
+_log = logging.getLogger("polycover")
 
 MAX_GRID_POINTS = 10_000_000
 CONTAINMENT_TOL = 1e-6
@@ -138,11 +141,10 @@ def assemble(
     subject to p >= 1 on the cloud and p >= 0 on the grid."""
     if moments.basis is not basis and moments.basis != basis:
         raise ValueError("moment vector was computed for a different basis")
-    rows_cloud = eval_basis_many(basis, cloud.points)
-    rows_grid = eval_basis_many(basis, np.asarray(grid_points, dtype=float))
-    A = np.vstack([rows_cloud, rows_grid])
-    b = np.concatenate([np.ones(cloud.count), np.zeros(rows_grid.shape[0])])
-    kinds = ("K",) * cloud.count + ("grid",) * rows_grid.shape[0]
+    A = eval_basis_many(basis, np.vstack([cloud.points, grid_points]))
+    grid_count = A.shape[0] - cloud.count
+    b = np.concatenate([np.ones(cloud.count), np.zeros(grid_count)])
+    kinds = ("K",) * cloud.count + ("grid",) * grid_count
     return LpProblem(c=moments.values.copy(), A=A, b=b, row_kinds=kinds)
 
 
@@ -248,8 +250,23 @@ class FitResult:
 
 
 def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> FitResult:
+    """Assemble, solve and check one degree; writes one DEBUG line to the
+    polycover logger with the row count and the seconds of each stage."""
+    start = time.perf_counter()
     basis, problem = setup.problem(degree)
+    assembled = time.perf_counter()
     solution: LpSolution = solve(problem, options)
+    solved = time.perf_counter()
+    if solution.status == "optimal":
+        polynomial = Polynomial(basis, solution.v)
+        cloud_count, grid_count = setup.cloud.count, setup.grid_points.shape[0]
+        values = problem.A[: cloud_count + grid_count] @ polynomial.coeffs
+        margin = float(np.min(values[:cloud_count])) - 1.0
+    _log.debug(
+        "fit degree %d (%s): %d rows, assembly %.3f s, solve %.3f s, checks %.3f s",
+        degree, solution.status, problem.num_rows, assembled - start,
+        solved - assembled, time.perf_counter() - solved,
+    )
     if solution.status == "unbounded":
         raise UnboundedFitError(
             f"degree-{degree} fit is unbounded: the grid leaves room to push the "
@@ -257,11 +274,6 @@ def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> Fit
         )
     if solution.status != "optimal":
         raise SolverFailedError(f"degree-{degree} fit failed: {solution.message}")
-
-    polynomial = Polynomial(basis, solution.v)
-    cloud_count, grid_count = setup.cloud.count, setup.grid_points.shape[0]
-    values = problem.A[: cloud_count + grid_count] @ polynomial.coeffs
-    margin = float(np.min(values[:cloud_count])) - 1.0
     if margin < -CONTAINMENT_TOL:
         raise ContainmentError(
             f"fitted polynomial misses a cloud point by {-margin:.3e}"

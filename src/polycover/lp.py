@@ -540,12 +540,34 @@ def _residuals_ext(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _max_violation(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
-    """max(0, max(b - A v)) for the vector actually returned to the caller."""
-    return max(0.0, float(np.max(_residuals_ext(A, b, v), initial=-math.inf)))
+    """max(0, max(b - A v)) for the vector actually returned to the caller,
+    equal to the maximum of _residuals_ext over every row.
+
+    A float64 pass screens the rows: r = b - A v is within
+    e = 2 gamma_{k+2} (|b| + |A| |v|) of the exact residual, with
+    gamma_n = n u / (1 - n u) (Higham's bound for a dot product of length n;
+    the factor 2 covers the rounding of e itself and of the extended pass).
+    A row with r + e below the largest r - e cannot hold the maximum, so
+    only the other rows, and every row with a non-finite r or e, are
+    recomputed in extended precision.
+    """
+    n, u = v.size + 2, np.finfo(float).eps / 2
+    gamma = 2.0 * n * u / (1.0 - n * u)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow makes candidates
+        r = b - A @ v
+        e = np.abs(b)
+        for start in range(0, A.shape[0], 4096):  # |A| one block at a time
+            e[start : start + 4096] += np.abs(A[start : start + 4096]) @ np.abs(v)
+        e = gamma * e + n * np.finfo(float).smallest_subnormal  # underflow in the products
+        finite = np.isfinite(r) & np.isfinite(e)
+        floor = float(np.max((r - e)[finite], initial=-math.inf))
+        rows = np.flatnonzero(~finite | (r + e >= floor))
+    worst = _residuals_ext(A[rows], b[rows], v)
+    return max(0.0, float(np.max(worst, initial=-math.inf)))
 
 
 def _check_ray(A: np.ndarray, c: np.ndarray, ray: np.ndarray, feas_tol: float) -> bool:
-    scale = 1.0 + float(np.max(np.abs(A), initial=0.0))
+    scale = 1.0 + max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
     recession = float(np.min(A @ ray, initial=0.0))
     descent = float(c @ ray)
     return recession >= -feas_tol * scale and descent < 0.0

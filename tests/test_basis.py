@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
 from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import basis_size, constant_poly
+from polycover.basis import _chebyshev_table, basis_size, constant_poly
 from polycover.domain import tensor_grid
 
 from oracles import chebyshev_tensor_value, horner_eval
@@ -74,6 +74,64 @@ def test_eval_basis_single_point_matches_many():
     basis = make_basis(2, 3, "monomial")
     x = np.array([0.3, -0.7])
     np.testing.assert_array_equal(eval_basis(basis, x), eval_basis_many(basis, x[None, :])[0])
+
+
+def _eval_basis_per_point(basis, points):
+    # the evaluation before distinct-coordinate tables: every point's own
+    # ** powers or Chebyshev recurrence, then the product over the axes
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if basis.kind == "chebyshev":
+        pts = basis.box.affine_to_unit(pts)
+    exps = basis.exponent_array
+    tables = [
+        pts[:, d, None] ** np.arange(basis.degree + 1) if basis.kind == "monomial"
+        else _chebyshev_table(pts[:, d], basis.degree)
+        for d in range(basis.dimension)
+    ]
+    values = tables[0][:, exps[:, 0]]
+    for d in range(1, basis.dimension):
+        values *= tables[d][:, exps[:, d]]
+    return values
+
+
+@st.composite
+def _points_with_repeats(draw):
+    # coordinates drawn from a few values, -0.0 and 0.0 among them, so that
+    # points share coordinates along every axis; 5000 points span two blocks
+    dimension = draw(st.integers(1, 3))
+    values = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0),
+        min_size=1, max_size=6,
+    )))
+    count = draw(st.sampled_from([0, 1, 2, 7, 5000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return values[rng.integers(0, values.size, size=(count, dimension))]
+
+
+@given(
+    points=_points_with_repeats(),
+    kind=st.sampled_from(["monomial", "chebyshev"]),
+    degree=st.integers(0, 9),
+)
+@settings(deadline=None, max_examples=80)
+def test_eval_basis_many_is_bitwise_the_per_point_evaluation(points, kind, degree):
+    dimension = points.shape[1]
+    box = BoxDomain(lower=(-1.0,) * dimension, upper=(1.5,) * dimension)
+    basis = make_basis(dimension, degree, kind, box)
+    got, want = eval_basis_many(basis, points), _eval_basis_per_point(basis, points)
+    assert got.shape == want.shape == (points.shape[0], len(basis))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if points.shape[0]:  # the single-point path
+        one = eval_basis_many(basis, points[-1])
+        assert np.array_equal(one.view(np.int64), want[-1].view(np.int64))
+
+
+def test_eval_basis_many_keeps_the_sign_of_zero():
+    basis = make_basis(2, 3, "monomial")
+    values = eval_basis_many(basis, np.array([[0.0, 2.0], [-0.0, 2.0]]))
+    linear = basis.index_position[(1, 0)], basis.index_position[(1, 2)]
+    assert all(math.copysign(1.0, values[0, j]) == 1.0 for j in linear)
+    assert all(math.copysign(1.0, values[1, j]) == -1.0 for j in linear)
 
 
 @given(

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from polycover import (
     solve,
 )
 from polycover.fitting import MAX_GRID_POINTS
+
+from conftest import cluster_point_array
 
 
 def test_single_point_degree_two_has_known_optimum():
@@ -282,6 +287,44 @@ def test_assemble_shapes_and_kinds():
     assert problem.b[:2].tolist() == [1.0, 1.0]
     assert set(problem.row_kinds[:2]) == {"K"}
     assert set(problem.row_kinds[2:]) == {"grid"}
+
+
+def test_build_problem_allocates_little_beyond_A():
+    # the W2 LP: the conftest cluster on the 201^2 grid at degree 14
+    args = (PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 14)
+    spec = GridSpec(points_per_axis=201)
+    build_problem(*args, grid=spec)  # caches warm
+    tracemalloc.start()
+    try:
+        problem = build_problem(*args, grid=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per-point tables, two row blocks and their vstack peaked at 2.26 A.nbytes
+    assert peak <= 1.25 * problem.A.nbytes
+
+
+def test_every_fit_writes_one_debug_line(caplog):
+    line = re.compile(
+        r"fit degree (\d+) \((\w+)\): (\d+) rows, assembly \d+\.\d{3} s, "
+        r"solve \d+\.\d{3} s, checks \d+\.\d{3} s"
+    )
+    cloud, box = PointCloud(np.array([-0.5, 0.0, 0.25])), BoxDomain.symmetric(1)
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        entries = degree_sweep(cloud, box, [2, 7], grid=GridSpec(points_per_axis=51))
+        with pytest.raises(UnboundedFitError):  # the failed fit writes its line too
+            fit(PointCloud(np.array([0.0])), box, 4, grid=GridSpec(points_per_axis=3))
+    fits = [line.fullmatch(r.getMessage()) for r in caplog.records
+            if r.getMessage().startswith("fit ")]
+    assert all(fits)
+    assert [(int(m[1]), m[2], int(m[3])) for m in fits] == [
+        (2, "optimal", entries[0].result.lp_rows),
+        (7, "optimal", entries[1].result.lp_rows),
+        (4, "unbounded", 3),
+    ]
+    caplog.clear()
+    fit(cloud, box, 2, grid=GridSpec(points_per_axis=51))  # silent by default
+    assert not [r for r in caplog.records if r.name == "polycover"]
 
 
 def test_sweep_requires_ascending_degrees():

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from polycover import (
     export_mps,
     solve,
 )
-from polycover.lp import SolveStats, _DualSimplex, _EngineFailure
+from polycover.lp import (
+    SolveStats, _DualSimplex, _EngineFailure, _max_violation, _residuals_ext,
+)
 
 from conftest import cluster_point_array
 from oracles import read_mps
@@ -343,6 +346,90 @@ def test_failed_certification_reports_the_work_done():
     assert sol.message == "solution violates feasibility: residual 9.232e-08"
     assert sol.iterations > 0
     assert sol.stats.phase1_pivots + sol.stats.phase2_pivots == sol.iterations
+
+
+@pytest.fixture(scope="module")
+def w2_degree_14():
+    # the W2 LP (the conftest cluster, 201^2 grid, monomial degree 14) and
+    # the solver's v
+    problem = build_problem(
+        PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 14,
+        grid=GridSpec(points_per_axis=201),
+    )
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    return problem, sol.v
+
+
+def _assert_screened_violation_is_exact(A, b, v):
+    # the certificate before screening: every row in extended precision
+    want = max(0.0, float(np.max(_residuals_ext(A, b, v), initial=-math.inf)))
+    got = _max_violation(A, b, v)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
+
+
+def _perturbed(v, seed):
+    rng = np.random.default_rng(seed)
+    for scale in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+        yield v * (1.0 + scale * rng.standard_normal(v.size))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations((-0.5, 0.0, 0.25))))
+def test_screened_violation_is_exact_on_the_degree_26_line_lp(order):
+    problem = line_problem(order, 26)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    for v in (sol.v, *_perturbed(sol.v, 5)):
+        _assert_screened_violation_is_exact(problem.A, problem.b, v)
+
+
+def test_screened_violation_is_exact_on_the_cluster_lp(w2_degree_14):
+    problem, v = w2_degree_14
+    for v in (v, *_perturbed(v, 6)):
+        _assert_screened_violation_is_exact(problem.A, problem.b, v)
+
+
+def test_screened_violation_is_exact_on_random_lps():
+    rng = np.random.default_rng(8)
+    for problem in [*_random_lps(33, (300, 6)), *_random_lps(34, (50, 12))]:
+        A, b = problem.A, problem.b
+        sol = solve(problem)
+        assert sol.status == "optimal", sol.message
+        v = rng.normal(size=A.shape[1]) * 10.0 ** rng.integers(-3, 4)
+        # near ties: every residual within a few ulps of zero
+        _assert_screened_violation_is_exact(A, A @ v + 1e-15 * rng.normal(size=b.size), v)
+        for v in (sol.v, v):
+            _assert_screened_violation_is_exact(A, b, v)
+
+
+def test_screened_violation_checks_every_row_when_the_screen_overflows(monkeypatch):
+    # |A| |v| overflows float64 in every row, so no row can be ruled out;
+    # in extended precision the products cancel and the residual is b
+    checked = []
+
+    def recording_residuals(A, b, v):
+        checked.append(A.shape[0])
+        return _residuals_ext(A, b, v)
+
+    A = np.array([[1e200, -1e200], [-2e200, 2e200], [3e200, -3e200]])
+    b = np.array([0.25, 0.5, -3.0])
+    v = np.array([1e200, 1e200])
+    _assert_screened_violation_is_exact(A, b, v)
+    monkeypatch.setattr("polycover.lp._residuals_ext", recording_residuals)
+    _max_violation(A, b, v)
+    assert sum(checked) == A.shape[0]
+
+
+def test_screened_violation_allocates_a_small_part_of_A(w2_degree_14):
+    problem, v = w2_degree_14
+    tracemalloc.start()
+    try:
+        _max_violation(problem.A, problem.b, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-rows extended-precision pass allocated 0.82 A.nbytes
+    assert peak <= 0.25 * problem.A.nbytes
 
 
 def _bench_workloads():
