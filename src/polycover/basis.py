@@ -135,7 +135,9 @@ def _chebyshev_table(t: np.ndarray, max_degree: int) -> np.ndarray:
     return out
 
 
-def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
+def eval_basis_many(
+    basis: PolyBasis, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate every basis element at every point.
 
     Each axis's 1-D values (powers by ``**``, or the Chebyshev recurrence)
@@ -150,6 +152,8 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
     Args:
         basis: the basis to evaluate.
         points: array of shape (N, n) or (n,) for a single point.
+        out: optional C-contiguous float array of shape (N, len(basis)) to
+            fill instead of a new one.
 
     Returns:
         Array of shape (N, len(basis)) with one column per basis element.
@@ -176,7 +180,9 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
         tables.append(t[:, None] ** np.arange(top + 1) if basis.kind == "monomial"
                       else _chebyshev_table(t, top))
         rows.append(inverse)
-    values = np.empty((pts.shape[0], len(basis)))
+    values = np.empty((pts.shape[0], len(basis))) if out is None else out
+    if values.shape != (pts.shape[0], len(basis)):
+        raise ValueError(f"out has shape {out.shape}, expected {(pts.shape[0], len(basis))}")
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
         out = values[block]

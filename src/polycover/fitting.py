@@ -139,12 +139,30 @@ def assemble(
 ) -> LpProblem:
     """Build the coefficient program: minimize the integral of p over the box
     subject to p >= 1 on the cloud and p >= 0 on the grid."""
+    return _assemble(cloud, grid_points, basis, moments, None)
+
+
+def _assemble(
+    cloud: PointCloud,
+    grid_points: np.ndarray,
+    basis: PolyBasis,
+    moments: MomentVector,
+    coeff_bound: float | None,
+) -> LpProblem:
+    """assemble, followed by the rows -bound <= v_i <= bound when coeff_bound
+    is set; A is allocated once with room for them."""
     if moments.basis is not basis and moments.basis != basis:
         raise ValueError("moment vector was computed for a different basis")
-    A = eval_basis_many(basis, np.vstack([cloud.points, grid_points]))
-    grid_count = A.shape[0] - cloud.count
-    b = np.concatenate([np.ones(cloud.count), np.zeros(grid_count)])
-    kinds = ("K",) * cloud.count + ("grid",) * grid_count
+    k, rows, grid_count = len(basis), cloud.count + len(grid_points), len(grid_points)
+    bound_rows = 0 if coeff_bound is None else 2 * k
+    A = np.empty((rows + bound_rows, k))
+    eval_basis_many(basis, np.vstack([cloud.points, grid_points]), out=A[:rows])
+    b = np.concatenate([np.ones(cloud.count), np.zeros(grid_count + bound_rows)])
+    if bound_rows:
+        eye = np.eye(k)
+        A[rows : rows + k], A[rows + k :] = eye, -eye
+        b[rows:] = -coeff_bound
+    kinds = ("K",) * cloud.count + ("grid",) * grid_count + ("bound",) * bound_rows
     return LpProblem(c=moments.values.copy(), A=A, b=b, row_kinds=kinds)
 
 
@@ -164,16 +182,10 @@ class _FitSetup:
         the rows -bound <= v_i <= bound when a coefficient bound is set."""
         basis_box = self.box if self.kind == "chebyshev" else None
         basis = make_basis(self.cloud.dimension, degree, self.kind, basis_box)
-        problem = assemble(self.cloud, self.grid_points, basis, moment_vector(basis, self.box))
+        moments = moment_vector(basis, self.box)
         if self.coeff_bound is None:
-            return basis, problem
-        eye = np.eye(problem.num_cols)
-        return basis, LpProblem(
-            c=problem.c,
-            A=np.vstack([problem.A, eye, -eye]),
-            b=np.concatenate([problem.b, np.full(2 * problem.num_cols, -self.coeff_bound)]),
-            row_kinds=problem.row_kinds + ("bound",) * (2 * problem.num_cols),
-        )
+            return basis, assemble(self.cloud, self.grid_points, basis, moments)
+        return basis, _assemble(self.cloud, self.grid_points, basis, moments, self.coeff_bound)
 
 
 def _prepare(

@@ -19,11 +19,16 @@ every 64th zero-rhs row and the rows basic after phase 1); when it prices
 out, one pricing over every row adds the 4k most violated rows (k columns).
 A new primal row is a new dual column, so the basis stays feasible, and a
 row that never enters gets dual 0.  Rows are solved as given, in the
-caller's order.  The basis matrix is updated one column per pivot and
-factored afresh (LAPACK getrf).  Extended-precision refinement runs before a
-ratio test declares a ray and when a phase is about to finish; a phase ends
-only when a pricing over every row at the refined multipliers finds no
-entering row.  A run that never finishes ends at the iteration limit.
+caller's order.  The basis matrix is updated one column per pivot.  Solves
+use the LU factors (LAPACK getrf) of the basis B0 at the last
+refactorization and a dense eta product M with B^-1 = M B0^-1, updated by
+one rank-1 term per pivot; B is refactored and M reset at each phase start,
+every REFACTOR_EVERY pivots, before a phase ends and before a ratio test
+declares a ray, and at every pivot of phase 1 or when k < UPDATE_MIN_K.
+Extended-precision refinement runs before a ratio test declares a ray and
+when a phase is about to finish; a phase ends only when a pricing over every
+row at the refined multipliers finds no entering row.  A run that never
+finishes ends at the iteration limit.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility and duality gap.  Unbounded problems return a
@@ -122,8 +127,9 @@ class SolveStats:
     phase 1 started from the crash basis.  full_pricings counts passes over
     every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
-    factorizations of a basis matrix, devex_resets the times the Devex
-    weights returned to 1 after one passed DEVEX_CAP.
+    factorizations of a basis matrix, factor_updates the pivots folded into
+    the eta product instead, devex_resets the times the Devex weights
+    returned to 1 after one passed DEVEX_CAP.
     """
 
     phase1_pivots: int = 0
@@ -132,6 +138,7 @@ class SolveStats:
     full_pricings: int = 0
     pricing_s: float = 0.0
     factorizations: int = 0
+    factor_updates: int = 0
     refined_solves: int = 0
     devex_resets: int = 0
     vertex_ext: bool = False
@@ -172,6 +179,8 @@ class _DualSimplex:
     START_STRIDE = 64  # every 64th zero-cost row starts in the working set
     GROWTH = 4  # one growth adds at most GROWTH * k rows
     DEVEX_CAP = 1e6  # a weight above it returns every weight to 1
+    REFACTOR_EVERY = 64  # a fresh getrf at least every 64 pivots
+    UPDATE_MIN_K = 48  # below it every pivot refactors: getrf is as cheap as an update
 
     def __init__(
         self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions,
@@ -190,7 +199,11 @@ class _DualSimplex:
         self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
         self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (rows,))
         self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (rows,))
+        self.ger = scipy.linalg.get_blas_funcs("ger", (rows,))
         self.unit = np.eye(self.k)  # e_p for the pivot rows of the Devex update
+        # M with B^-1 = M B0^-1, B0 factored in lu; Fortran order lets ger update it in place
+        self.eta = np.empty((self.k, self.k), order="F")
+        self.etas = 0  # eta updates folded into M since the last getrf; 0 means M = I
         self.y_rho = np.zeros((self.k, 2))  # [y, rho], rho = B^-T e_p of the last pivot
         self.pending = None  # (alpha_q, w_q, leaving row) of the last pivot
         zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of phase 2
@@ -205,14 +218,45 @@ class _DualSimplex:
         B[art, np.flatnonzero(~real)] = self.sigma[art]
         return B
 
+    def _factor(self) -> None:
+        """Fresh LU factors of B (LAPACK getrf); M returns to the identity."""
+        self.lu = self.getrf(self.B)[:2]
+        self.etas = 0
+        self.stats.factorizations += 1
+
+    def _update(self, d: np.ndarray, p: int, phase: int) -> None:
+        """Account for a pivot whose entering column a has d = B^-1 a and
+        replaced position p: B_new^-1 = (I - (d - e_p) e_p^T / d_p) B^-1.
+        Refactors instead every REFACTOR_EVERY pivots, at small k and in
+        phase 1, which prices every row per pivot: there a getrf costs
+        little beside pricing, and eta updates changed its degenerate paths
+        from the artificials, on the 3-D Chebyshev degree-8 LP (k = 165)
+        from 1901 to 3660 pivots."""
+        if phase == 1 or self.k < self.UPDATE_MIN_K or self.etas + 1 >= self.REFACTOR_EVERY:
+            self._factor()
+            return
+        if self.etas == 0:
+            self.eta[:] = self.unit
+        self.ger(-1.0, (d - self.unit[p]) / d[p], self.eta[p].copy(), a=self.eta, overwrite_a=True)
+        self.etas += 1
+        self.stats.factor_updates += 1
+
+    def _apply(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        """B^-1 rhs (B^-T rhs with trans) as M B0^-1 rhs (B0^-T M^T rhs)."""
+        lu, piv = self.lu
+        if not self.etas:
+            return self.getrs(lu, piv, rhs, trans=trans)[0]
+        if trans:
+            return self.getrs(lu, piv, rhs @ self.eta, trans=1)[0]
+        return self.eta @ self.getrs(lu, piv, rhs)[0]
+
     def _solve(self, rhs: np.ndarray, trans: int, refine: bool) -> np.ndarray:
-        """Solve with the LU factors of B; with refine, plus iterative
+        """Solve with the factors of B; with refine, plus iterative
         refinement on extended-precision residuals.  Power-basis columns make
         simplex bases Vandermonde-like and badly conditioned at high degree;
         refinement recovers close to full double accuracy as long as the
         basis is numerically nonsingular."""
-        lu, piv = self.lu
-        x = self.getrs(lu, piv, rhs, trans=trans)[0]
+        x = self._apply(rhs, trans)
         if not np.isfinite(x).all():
             raise _EngineFailure("singular basis matrix")
         if not refine:
@@ -223,7 +267,7 @@ class _DualSimplex:
             residual = _residuals_ext(self.B.T if trans else self.B, rhs, x)
             if float(np.max(np.abs(residual), initial=0.0)) <= 1e-15 * scale:
                 break
-            delta = self.getrs(lu, piv, residual, trans=trans)[0]
+            delta = self._apply(residual, trans)
             if not np.all(np.isfinite(delta)):
                 break
             x = x + delta
@@ -404,15 +448,13 @@ class _DualSimplex:
         self.pending = None
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost_real), initial=0.0)))
         self.B = self._basis_matrix()
-        self.lu = None
-        refine = False
         pivots, pricings = self.iterations, self.stats.full_pricings
         resets = self.stats.devex_resets
+        factors, updates = self.stats.factorizations, self.stats.factor_updates
+        self._factor()
+        refine = False
 
         while True:
-            if self.lu is None:
-                self.lu = self.getrf(self.B)[:2]
-                self.stats.factorizations += 1
             x_basic = self._solve(self.rhs, 0, refine)
             cost_basic = cost[self.basis]
             y = self._solve(cost_basic, 1, refine)
@@ -425,11 +467,17 @@ class _DualSimplex:
                 if refine:
                     _log.debug(
                         "phase %d ended: %d pivots, %d working rows, %d full pricings, "
-                        "%d devex resets", phase, self.iterations - pivots,
-                        self.work.size, self.stats.full_pricings - pricings,
+                        "%d factorizations, %d factor updates, %d devex resets", phase,
+                        self.iterations - pivots, self.work.size,
+                        self.stats.full_pricings - pricings,
+                        self.stats.factorizations - factors,
+                        self.stats.factor_updates - updates,
                         self.stats.devex_resets - resets,
                     )
                     return x_basic, y, obj
+                # the phase-end solves and pricing use fresh factors
+                if self.etas:
+                    self._factor()
                 refine = True
                 continue
             refine = False
@@ -437,8 +485,10 @@ class _DualSimplex:
             d = self._solve(self.rows[entering], 0, False)
             leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
-                # Rounding noise must not pass for a ray: only a refined d
-                # may end the phase as unbounded.
+                # Rounding noise must not pass for a ray: only a refined d,
+                # from fresh factors, may end the phase as unbounded.
+                if self.etas:
+                    self._factor()
                 d = self._solve(self.rows[entering], 0, True)
                 leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
@@ -447,7 +497,7 @@ class _DualSimplex:
                 raise _UnboundedDual()
 
             leaving = self.basis[leave_pos]
-            self.y_rho[:, 1] = self.getrs(*self.lu, self.unit[leave_pos], trans=1)[0]
+            self.y_rho[:, 1] = self._apply(self.unit[leave_pos], 1)
             w_q = self.weights[self.work.searchsorted(entering)]
             self.pending = (d[leave_pos], w_q, leaving)
             if leaving < self.m:
@@ -455,7 +505,7 @@ class _DualSimplex:
             self.basis[leave_pos] = entering
             self.in_basis[entering] = True
             self.B[:, leave_pos] = self.rows[entering]
-            self.lu = None
+            self._update(d, leave_pos, phase)
 
             self.iterations += 1
             if phase == 1:
@@ -549,7 +599,7 @@ def _max_violation(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
     the factor 2 covers the rounding of e itself and of the extended pass).
     A row with r + e below the largest r - e cannot hold the maximum, so
     only the other rows, and every row with a non-finite r or e, are
-    recomputed in extended precision.
+    recomputed in extended precision.  A non-finite residual gives inf.
     """
     n, u = v.size + 2, np.finfo(float).eps / 2
     gamma = 2.0 * n * u / (1.0 - n * u)
@@ -562,8 +612,15 @@ def _max_violation(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
         finite = np.isfinite(r) & np.isfinite(e)
         floor = float(np.max((r - e)[finite], initial=-math.inf))
         rows = np.flatnonzero(~finite | (r + e >= floor))
-    worst = _residuals_ext(A[rows], b[rows], v)
+        worst = _residuals_ext(A[rows], b[rows], v)
+    if not np.isfinite(worst).all():
+        return math.inf
     return max(0.0, float(np.max(worst, initial=-math.inf)))
+
+
+def _check_finite(v: np.ndarray, lam: np.ndarray) -> None:
+    if not (np.isfinite(v).all() and np.isfinite(lam).all()):
+        raise _EngineFailure("non-finite vertex")
 
 
 def _check_ray(A: np.ndarray, c: np.ndarray, ray: np.ndarray, feas_tol: float) -> bool:
@@ -606,11 +663,13 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
         if outcome.kind == "optimal":
             v = -outcome.y
             lam = outcome.lam
+            _check_finite(v, lam)
             objective = float(c @ v)
             max_inf = _max_violation(A, b, v)
             gap = abs(objective - float(b @ lam))
             if max_inf > opt.feas_tol * b_scale or gap > opt.opt_tol * (1.0 + abs(objective)):
                 v, lam = engine.vertex_ext()
+                _check_finite(v, lam)
                 objective = float(c @ v)
                 max_inf = _max_violation(A, b, v)
                 gap = abs(objective - float(b @ lam))

@@ -304,6 +304,26 @@ def test_build_problem_allocates_little_beyond_A():
     assert peak <= 1.25 * problem.A.nbytes
 
 
+def test_bound_rows_are_written_into_A_not_stacked_under_it():
+    # the W2 LP with a coefficient bound: 2k bound rows below the 40,501
+    args = (PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 14)
+    spec = GridSpec(points_per_axis=201)
+    plain = build_problem(*args, grid=spec)
+    tracemalloc.start()
+    try:
+        bounded = build_problem(*args, grid=spec, coeff_bound=50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # np.vstack of the bound rows under A peaked at 2.17 A.nbytes
+    assert peak <= 1.25 * bounded.A.nbytes
+    m, k = plain.A.shape
+    eye = np.eye(k)
+    assert bounded.A.tobytes() == np.vstack([plain.A, eye, -eye]).tobytes()  # signed zeros too
+    assert bounded.b.tobytes() == np.concatenate([plain.b, np.full(2 * k, -50.0)]).tobytes()
+    assert bounded.c.tobytes() == plain.c.tobytes()
+
+
 def test_every_fit_writes_one_debug_line(caplog):
     line = re.compile(
         r"fit degree (\d+) \((\w+)\): (\d+) rows, assembly \d+\.\d{3} s, "

@@ -21,7 +21,7 @@ from polycover import (
     solve,
 )
 from polycover.lp import (
-    SolveStats, _DualSimplex, _EngineFailure, _max_violation, _residuals_ext,
+    SolveStats, _DualSimplex, _EngineFailure, _max_violation, _Outcome, _residuals_ext,
 )
 
 from conftest import cluster_point_array
@@ -278,16 +278,21 @@ def test_cluster_degree_9_lp_agrees_with_highs():
     assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
 
 
-def test_sobol_chebyshev_3d_lp_certifies_as_its_working_set_grows():
+def sobol_3d_problem():
+    # two 3-D clusters, Chebyshev degree 6 (k = 84) on 2000 Sobol points
     rng = np.random.Generator(np.random.Philox(11))
     cloud = np.vstack([
         rng.normal([-0.4, -0.3, -0.35], 0.15, size=(15, 3)),
         rng.normal([0.4, 0.45, 0.3], 0.15, size=(15, 3)),
     ])
-    problem = build_problem(
+    return build_problem(
         PointCloud(np.clip(cloud, -0.9, 0.9)), BoxDomain.symmetric(3), 6,
         kind="chebyshev", grid=GridSpec(sample_count=2000, seed=0),
     )
+
+
+def test_sobol_chebyshev_3d_lp_certifies_as_its_working_set_grows():
+    problem = sobol_3d_problem()
     sol = solve(problem)
     assert sol.status == "optimal", sol.message
     assert sol.max_infeasibility <= 1e-9 * 2.0
@@ -298,7 +303,9 @@ def test_sobol_chebyshev_3d_lp_certifies_as_its_working_set_grows():
     assert stats.work_rows == sorted(stats.work_rows)
     assert stats.work_rows[-1] < problem.num_rows
     assert stats.phase1_pivots + stats.phase2_pivots == sol.iterations
-    assert stats.factorizations >= sol.iterations
+    # a getrf at every phase-1 pivot; in phase 2, one every REFACTOR_EVERY
+    # pivots and an eta update at the others
+    assert (stats.factorizations, stats.factor_updates) == (593, 638)
     assert stats.pricing_s > 0.0
 
 
@@ -348,14 +355,18 @@ def test_failed_certification_reports_the_work_done():
     assert sol.stats.phase1_pivots + sol.stats.phase2_pivots == sol.iterations
 
 
-@pytest.fixture(scope="module")
-def w2_degree_14():
-    # the W2 LP (the conftest cluster, 201^2 grid, monomial degree 14) and
-    # the solver's v
-    problem = build_problem(
-        PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 14,
+def w2_problem(degree):
+    # the W2 LP: the conftest cluster on the 201^2 grid, monomial basis
+    return build_problem(
+        PointCloud(cluster_point_array()), BoxDomain.symmetric(2), degree,
         grid=GridSpec(points_per_axis=201),
     )
+
+
+@pytest.fixture(scope="module")
+def w2_degree_14():
+    # the W2 LP at degree 14 and the solver's v
+    problem = w2_problem(14)
     sol = solve(problem)
     assert sol.status == "optimal", sol.message
     return problem, sol.v
@@ -481,7 +492,11 @@ def test_basis_matrix_kept_in_place_matches_a_rebuilt_one(engine_runs):
     assert sol.status == "optimal", sol.message
     (engine,) = engine_runs
     np.testing.assert_array_equal(engine.B, engine._basis_matrix())
-    assert sol.stats.factorizations == sol.iterations + 2  # one per phase start
+    assert engine.etas == 0  # the phase ended on fresh factors of B
+    # a getrf at each of the 141 phase-1 pivots and at each phase start;
+    # in phase 2, 490 eta updates and 7 getrf every REFACTOR_EVERY pivots,
+    # and one before the phase ends
+    assert (sol.stats.factorizations, sol.stats.factor_updates) == (151, 490)
 
 
 def test_duals_come_back_in_input_order(engine_runs):
@@ -507,7 +522,7 @@ def test_singular_basis_fails_with_message():
     engine = _DualSimplex(rows, np.ones(2), np.zeros(2), LpOptions(), SolveStats())
     engine.basis = np.array([0, 1])
     engine.B = engine._basis_matrix()
-    engine.lu = engine.getrf(engine.B)[:2]
+    engine._factor()
     with pytest.raises(_EngineFailure, match="^singular basis matrix$"):
         engine._solve(np.ones(2), 0, False)
 
@@ -527,6 +542,98 @@ def test_phase_ends_are_logged_at_debug_level(caplog):
     caplog.clear()
     solve(cluster_problem(3))  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
+
+
+def test_phase_ends_log_their_factorizations_and_eta_updates(caplog):
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        sol = solve(cluster_problem(9))
+    assert sol.status == "optimal", sol.message
+    assert sol.stats.crash_rows == []  # every getrf belongs to a phase
+    phases = []
+    for record in caplog.records:
+        head, _, counts = record.getMessage().partition(" ended: ")
+        if head.startswith("phase "):
+            phases.append({name: int(n) for n, name in (f.split(" ", 1) for f in counts.split(", "))})
+    assert len(phases) == 2
+    assert sum(p["factorizations"] for p in phases) == sol.stats.factorizations
+    assert sum(p["factor updates"] for p in phases) == sol.stats.factor_updates > 0
+    first, second = phases
+    # phase 1 refactors at every pivot; phase 2 makes a getrf or an eta
+    # update per pivot, and a getrf to start
+    assert (first["factorizations"], first["factor updates"]) == (first["pivots"] + 1, 0)
+    assert second["factorizations"] + second["factor updates"] >= second["pivots"] + 1
+
+
+@pytest.fixture(scope="module")
+def w2_degree_9():
+    # k = 55; the crash basis, then 563 phase-2 pivots
+    return w2_problem(9)
+
+
+@pytest.mark.parametrize(
+    "problem", [lambda: w2_problem(9), lambda: cluster_problem(9), sobol_3d_problem],
+    ids=["w2-degree-9", "cluster-51-degree-9", "sobol-3d"],
+)
+def test_eta_updates_leave_the_solution_bitwise_unchanged(problem, monkeypatch):
+    # the last two start phase 1 from the artificials (the crash is skipped);
+    # eta updates in phase 1 took them to 183 + 374 and 361 + 480 pivots
+    lp = problem()
+    updated = solve(lp)
+    monkeypatch.setattr(_DualSimplex, "REFACTOR_EVERY", 1)  # a getrf at every pivot
+    reference = solve(lp)
+    assert updated.status == reference.status == "optimal"
+    assert updated.stats.factor_updates > 0 and reference.stats.factor_updates == 0
+    assert (updated.stats.phase1_pivots, updated.stats.phase2_pivots) == (
+        reference.stats.phase1_pivots, reference.stats.phase2_pivots)
+    assert updated.v.tobytes() == reference.v.tobytes()
+    assert updated.duals.tobytes() == reference.duals.tobytes()
+
+
+def test_primal_residual_stays_small_between_refactorizations(w2_degree_9, monkeypatch):
+    # normwise backward error of every unrefined x_B = B^-1 rhs, in units of
+    # eps; without the periodic getrf it grows past 100
+    errors = []
+    solve_basis = _DualSimplex._solve
+
+    def recording_solve(self, rhs, trans, refine):
+        x = solve_basis(self, rhs, trans, refine)
+        if rhs is self.rhs and not refine:
+            residual = np.abs(_residuals_ext(self.B, rhs, x))
+            scale = np.abs(self.B) @ np.abs(x) + np.abs(rhs)
+            errors.append((float(residual.max() / scale.max()) / np.finfo(float).eps, self.etas))
+        return x
+
+    monkeypatch.setattr(_DualSimplex, "_solve", recording_solve)
+    sol = solve(w2_degree_9)
+    assert sol.status == "optimal", sol.message
+    assert len(errors) > sol.iterations
+    assert max(etas for _, etas in errors) == _DualSimplex.REFACTOR_EVERY - 1
+    assert max(error for error, _ in errors) <= 16.0
+
+
+def test_small_bases_refactor_at_every_pivot():
+    # k = 36 < UPDATE_MIN_K, and 141 start rows < GROWTH * k skip the crash
+    problem = cluster_problem(7)
+    assert problem.num_cols < _DualSimplex.UPDATE_MIN_K
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    assert sol.stats.crash_rows == [] and sol.stats.factor_updates == 0
+    assert sol.stats.factorizations == sol.iterations + 2  # one per pivot and per phase start
+
+
+@pytest.mark.parametrize("v", [(math.nan, 5.0), (math.inf, -math.inf)])
+def test_non_finite_vertex_has_infinite_violation(v):
+    assert _max_violation(np.eye(2), np.array([1.0, 2.0]), np.array(v)) == math.inf
+
+
+def test_non_finite_engine_vertex_fails_with_message(monkeypatch):
+    def nan_run(self):
+        return _Outcome(kind="optimal", y=np.array([math.nan, -2.0]), lam=np.array([1.0, 0.0, 1.0]))
+
+    monkeypatch.setattr(_DualSimplex, "run", nan_run)
+    sol = solve(simple_problem())
+    assert sol.status == "solver_failure"
+    assert sol.message == "non-finite vertex"
 
 
 @pytest.mark.parametrize(
@@ -725,3 +832,22 @@ def test_line_census_certifies_every_order_basis_and_degree():
                 objectives.append(sol.objective)
             # orders[0] is the canonical order
             np.testing.assert_allclose(objectives, objectives[0], rtol=1e-7, atol=0.0)
+
+
+def test_monomial_tail_fails_no_new_degree_and_order():
+    # degrees 27-30 at the 6 cloud orders: 8 of these 24 LPs fail their
+    # feasibility check; no other pair may join them
+    known = {
+        (28, (-0.5, 0.0, 0.25)), (28, (-0.5, 0.25, 0.0)), (28, (0.0, -0.5, 0.25)),
+        (28, (0.0, 0.25, -0.5)), (29, (0.0, -0.5, 0.25)), (29, (0.0, 0.25, -0.5)),
+        (30, (-0.5, 0.0, 0.25)), (30, (-0.5, 0.25, 0.0)),
+    }
+    failing = set()
+    for degree in range(27, 31):
+        for order in itertools.permutations((-0.5, 0.0, 0.25)):
+            sol = solve(line_problem(order, degree))
+            assert sol.status in ("optimal", "solver_failure")
+            if sol.status == "solver_failure":
+                assert sol.message
+                failing.add((degree, order))
+    assert failing <= known
