@@ -7,13 +7,14 @@ the dual problem
     min (-b).lam   subject to   A^T lam = c,   lam >= 0,
 
 whose basis matrices stay k x k.  A crash first solves A^T lam = c, lam >= 0
-as nonnegative least squares (Lawson-Hanson) on a growing set of rows; if
-that yields a feasible basis of k rows, phase 1 starts there and ends
-without a pivot.  Otherwise phase 1 introduces one artificial column per
-equality row; artificials left over at zero level are pinned there during
-phase 2.  Pricing uses Devex reference weights (Harris 1973) with
-smallest-index tie breaking; the weights are 1 when a phase starts and when
-a row joins the working set, and all return to 1 when one passes 1e6.
+as nonnegative least squares (Lawson-Hanson) on rows that it grows from
+phase 2's start rows, however few; if that yields a feasible basis of k
+rows, phase 1 starts there and ends without a pivot.  Otherwise phase 1
+introduces one artificial column per equality row; artificials left over at
+zero level are pinned there during phase 2.  Pricing uses Devex reference
+weights (Harris 1973) with smallest-index tie breaking; the weights are 1
+when a phase starts and when a row joins the working set, and all return to
+1 when one passes 1e6.
 Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
 every 64th zero-rhs row and the rows basic after phase 1); when it prices
 out, one pricing over every row adds the 4k most violated rows (k columns).
@@ -23,11 +24,10 @@ caller's order.  The basis matrix is updated one column per pivot.  Solves
 use the LU factors (LAPACK getrf) of the basis B0 at the last
 refactorization and a dense eta product M with B^-1 = M B0^-1, updated by
 one rank-1 term per pivot; B is refactored and M reset at each phase start,
-every REFACTOR_EVERY pivots, before a phase ends and before a ratio test
-declares a ray, and at every pivot of phase 1 or when k < UPDATE_MIN_K.
-Extended-precision refinement runs before a ratio test declares a ray and
-when a phase is about to finish; a phase ends only when a pricing over every
-row at the refined multipliers finds no entering row.  A run that never
+every REFACTOR_EVERY pivots and before a phase ends, and at every pivot of
+phase 1 or when k < UPDATE_MIN_K.  Extended-precision refinement runs when
+a phase is about to finish; a phase ends only when a pricing over every row
+at the refined multipliers finds no entering row.  A run that never
 finishes ends at the iteration limit.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
@@ -123,7 +123,8 @@ class SolveStats:
 
     crash_rows and work_rows list the size of the crash's candidate set and
     of phase 2's working set when each starts and after each growth
-    (crash_rows is empty when no crash was tried); crash_basis says whether
+    (crash_rows is empty only when c = 0, as in the feasibility probe,
+    where no crash is tried); crash_basis says whether
     phase 1 started from the crash basis.  full_pricings counts passes over
     every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
@@ -365,11 +366,12 @@ class _DualSimplex:
         Lawson-Hanson NNLS for sum lam_j rows_j = rhs, lam >= 0 on a working
         set of the start rows, with QR factors of the passive rows updated a
         column at a time.  Where it stops at a residual r != 0, _grow adds
-        the rows with the largest gradient rows @ r > 0.  The basis is taken
-        if it has k rows and B x = rhs gives x >= -phase1_tol.
+        the rows with the largest gradient rows @ r > 0, so the start set
+        needs no minimum size.  The basis is taken if it has k rows and
+        B x = rhs gives x >= -phase1_tol.
         """
-        if self.start.size < self.GROWTH * self.k or not np.any(self.rhs):
-            return  # too few start rows, or rhs = 0, which the artificials solve
+        if not np.any(self.rhs):
+            return  # rhs = 0, which the artificials solve
         zero = np.zeros(self.m)
         self._set_work(self.start, zero)
         self.stats.crash_rows.append(self.start.size)
@@ -484,13 +486,6 @@ class _DualSimplex:
 
             d = self._solve(self.rows[entering], 0, False)
             leave_pos = self._ratio_test(d, x_basic, phase)
-            if leave_pos < 0:
-                # Rounding noise must not pass for a ray: only a refined d,
-                # from fresh factors, may end the phase as unbounded.
-                if self.etas:
-                    self._factor()
-                d = self._solve(self.rows[entering], 0, True)
-                leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
                 if phase == 1:
                     raise _EngineFailure("phase-1 subproblem is unbounded")

@@ -42,6 +42,12 @@ def engine_runs(monkeypatch):
     return engines
 
 
+@pytest.fixture
+def no_crash(monkeypatch):
+    """Phase 1 starts from the artificials, as when the crash declines."""
+    monkeypatch.setattr(_DualSimplex, "_crash", lambda self: None)
+
+
 def simple_problem():
     # min x + y subject to x >= 1, y >= 2, x + y >= 4; optimum 4 on a face,
     # vertices (1, 3) and (2, 2) both optimal.
@@ -169,7 +175,7 @@ def _random_lps(seed, shape):
 
 
 def test_scaling_cost_leaves_argmin_bitwise_identical():
-    # the crash is skipped on the 10-row LPs and taken on the 40-row ones
+    # phase 1 starts from the crash basis on every one of these LPs
     for problem in [*_random_lps(31, (10, 4)), *_random_lps(32, (40, 4))]:
         base = solve(problem)
         # power of two: exact
@@ -204,7 +210,7 @@ def test_many_identical_rows_certify_on_a_largest_rhs_row():
     assert float(sol.duals.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_phase_2_starts_from_a_coarse_working_set(engine_runs, monkeypatch):
+def test_phase_2_starts_from_a_coarse_working_set(engine_runs, no_crash, monkeypatch):
     # rows 0 and 201 carry b != 0; rows 1..200 are zero-rhs, so phase 2
     # starts from those two, every 64th zero-rhs row and phase 1's basis
     A = np.column_stack([np.ones(202), np.linspace(-1.0, 1.0, 202)])
@@ -303,9 +309,10 @@ def test_sobol_chebyshev_3d_lp_certifies_as_its_working_set_grows():
     assert stats.work_rows == sorted(stats.work_rows)
     assert stats.work_rows[-1] < problem.num_rows
     assert stats.phase1_pivots + stats.phase2_pivots == sol.iterations
-    # a getrf at every phase-1 pivot; in phase 2, one every REFACTOR_EVERY
-    # pivots and an eta update at the others
-    assert (stats.factorizations, stats.factor_updates) == (593, 638)
+    # phase 1 starts from the crash basis and makes no pivot; in phase 2, a
+    # getrf every REFACTOR_EVERY pivots and an eta update at the others
+    assert stats.crash_basis and stats.phase1_pivots == 0
+    assert (stats.factorizations, stats.factor_updates) == (11, 459)
     assert stats.pricing_s > 0.0
 
 
@@ -472,8 +479,9 @@ def test_line_lp_certifies_at_every_cloud_order(order, degree):
     assert sol.objective == pytest.approx(pinned[degree], rel=rtol)
 
 
-def test_devex_pricing_cuts_the_phase_2_pivots_of_the_cluster_lp(engine_runs):
-    # Dantzig's rule makes 115 + 549 pivots on this LP and Devex 141 + 497
+def test_devex_pricing_cuts_the_phase_2_pivots_of_the_cluster_lp(engine_runs, no_crash):
+    # from the artificials, Dantzig's rule makes 115 + 549 pivots on this
+    # LP and Devex 141 + 497
     problem = cluster_problem(9)
     sol = solve(problem)
     assert sol.status == "optimal", sol.message
@@ -487,7 +495,7 @@ def test_devex_pricing_cuts_the_phase_2_pivots_of_the_cluster_lp(engine_runs):
     assert np.all((engine.weights >= 1.0) & (engine.weights <= _DualSimplex.DEVEX_CAP))
 
 
-def test_basis_matrix_kept_in_place_matches_a_rebuilt_one(engine_runs):
+def test_basis_matrix_kept_in_place_matches_a_rebuilt_one(engine_runs, no_crash):
     sol = solve(cluster_problem(9))
     assert sol.status == "optimal", sol.message
     (engine,) = engine_runs
@@ -544,7 +552,7 @@ def test_phase_ends_are_logged_at_debug_level(caplog):
     assert not [r for r in caplog.records if r.name == "polycover"]
 
 
-def test_phase_ends_log_their_factorizations_and_eta_updates(caplog):
+def test_phase_ends_log_their_factorizations_and_eta_updates(caplog, no_crash):
     with caplog.at_level(logging.DEBUG, logger="polycover"):
         sol = solve(cluster_problem(9))
     assert sol.status == "optimal", sol.message
@@ -575,8 +583,8 @@ def w2_degree_9():
     ids=["w2-degree-9", "cluster-51-degree-9", "sobol-3d"],
 )
 def test_eta_updates_leave_the_solution_bitwise_unchanged(problem, monkeypatch):
-    # the last two start phase 1 from the artificials (the crash is skipped);
-    # eta updates in phase 1 took them to 183 + 374 and 361 + 480 pivots
+    # all three start phase 1 from the crash basis, so every eta update
+    # belongs to phase 2
     lp = problem()
     updated = solve(lp)
     monkeypatch.setattr(_DualSimplex, "REFACTOR_EVERY", 1)  # a getrf at every pivot
@@ -611,8 +619,8 @@ def test_primal_residual_stays_small_between_refactorizations(w2_degree_9, monke
     assert max(error for error, _ in errors) <= 16.0
 
 
-def test_small_bases_refactor_at_every_pivot():
-    # k = 36 < UPDATE_MIN_K, and 141 start rows < GROWTH * k skip the crash
+def test_small_bases_refactor_at_every_pivot(no_crash):
+    # k = 36 < UPDATE_MIN_K; from the artificials both phases pivot
     problem = cluster_problem(7)
     assert problem.num_cols < _DualSimplex.UPDATE_MIN_K
     sol = solve(problem)
@@ -737,19 +745,47 @@ def test_crash_grows_and_starts_phase_1_on_the_sobol_3d_lp():
     assert sol.objective == pytest.approx(pinned, rel=workloads.PINNED_RTOL)
 
 
-def test_crash_declines_below_growth_times_k_start_rows():
-    # the small LPs of this file have fewer than GROWTH * k start rows, so
-    # phase 1 starts from the artificials and each outcome stays as it was
-    problems = [
-        simple_problem(),
-        LpProblem(c=np.array([-1.0]), A=np.array([[1.0]]), b=np.array([0.0])),
-        LpProblem(c=np.array([1.0]), A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0])),
-    ]
-    for problem in problems:
+def test_crash_starts_phase_1_from_few_start_rows_on_the_3d_degree_8_lp():
+    # 540 rows, 165 columns and 48 start rows, far fewer than k: the crash
+    # grows its candidate set, and phase 1 makes no pivot
+    problem = build_problem(
+        PointCloud(_bench_workloads().cheb3d_cloud()), BoxDomain.symmetric(3), 8,
+        kind="chebyshev", grid=GridSpec(sample_count=500),
+    )
+    assert problem.A.shape == (540, 165)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    assert sol.stats.crash_rows[0] == 48
+    assert sol.stats.crash_basis
+    assert sol.stats.phase1_pivots == 0
+    ref = linprog(
+        problem.c, A_ub=-problem.A, b_ub=-problem.b, bounds=(None, None), method="highs"
+    )
+    assert ref.status == 0
+    # HiGHS gives 1.4098707002468465
+    assert abs(sol.objective - ref.fun) <= 1e-8
+
+
+def test_phase_1_from_the_artificials_certifies_a_ray_at_k_120(caplog):
+    # the cluster cloud on a 21^2 grid at degree 14: too few grid points
+    # bound the integral, and NNLS stops at a residual, so phase 1 starts
+    # from the artificials, refactoring at every pivot
+    problem = build_problem(
+        PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 14,
+        grid=GridSpec(points_per_axis=21),
+    )
+    assert problem.num_cols == 120 >= _DualSimplex.UPDATE_MIN_K
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
         sol = solve(problem)
-        assert sol.stats.crash_rows == []
-        assert not sol.stats.crash_basis
-    assert solve(simple_problem()).stats.phase1_pivots > 0
+    assert sol.status == "unbounded", sol.message
+    assert not sol.stats.crash_basis
+    assert sol.stats.phase1_pivots == 735
+    assert float(problem.c @ sol.ray) < 0.0
+    assert float(np.min(problem.A @ sol.ray)) >= -1e-9 * (1.0 + np.max(np.abs(problem.A)))
+    lines = [r.getMessage() for r in caplog.records if r.name == "polycover"]
+    assert lines[0].startswith("crash declined (residual ")
+    assert lines[1].startswith("phase 1 ended: 735 pivots, ")
+    assert ", 0 factor updates, " in lines[1]
 
 
 def test_crash_declines_when_the_objective_leaves_the_cone_of_the_rows(caplog):
