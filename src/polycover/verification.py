@@ -13,7 +13,9 @@ Gram-matrix route as a cross-check on the moment pipeline.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,8 @@ MIN_MC_SAMPLES = 1000
 # Roots of p - 1 with imaginary parts up to this size, in the coordinates that
 # map the box onto [-1, 1], still split the box in the exact 1-D count.
 ROOT_IMAG_TOL = 1e-3
+
+_log = logging.getLogger("polycover")
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,10 @@ def mc_volume(
     remaining = samples
     while remaining > 0:
         m = min(chunk_size, remaining)
-        points = lower + rng.random((m, box.dimension)) * widths
+        # in place: the same bits as lower + u * widths, without a temporary
+        points = rng.random((m, box.dimension))
+        points *= widths
+        points += lower
         hits += int(np.count_nonzero(eval_poly_many(p, points) >= 1.0))
         remaining -= m
     fraction = hits / samples
@@ -292,13 +299,33 @@ def run_report(
     scan_spec: GridSpec | None = None,
     resolution: int | None = None,
 ) -> VerificationReport:
-    """Full verification pass over one fitted polynomial."""
+    """Full verification pass over one fitted polynomial.
+
+    Writes one DEBUG line to the polycover logger with the seconds of each
+    stage and the points it evaluated.  The component count reports 0 cells
+    where it labels no grid: the exact 1-D count, and above 3-D, where it is
+    skipped like the trace in a Chebyshev basis.
+    """
+    n = box.dimension
+    start = time.perf_counter()
     moments = moment_vector(p.basis, box)
+    moments_done = time.perf_counter()
     volume = mc_volume(p, box, samples=mc_samples, seed=seed)
     cheb = chebyshev_check(p, moments, volume)
+    mc_done = time.perf_counter()
     scan = nonnegativity_scan(p, box, scan_spec)
-    components = count_components(p, box, resolution) if box.dimension <= 3 else None
+    scan_done = time.perf_counter()
+    components = count_components(p, box, resolution) if n <= 3 else None
+    components_done = time.perf_counter()
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
+    cells = (resolution or default_resolution(n)) ** n if 2 <= n <= 3 else 0
+    _log.debug(
+        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples, "
+        "scan %.3f s on %d points, components %.3f s on %d cells, trace %.3f s",
+        p.degree, moments_done - start, mc_done - moments_done, volume.samples,
+        scan_done - mc_done, scan.points, components_done - scan_done, cells,
+        time.perf_counter() - components_done,
+    )
     return VerificationReport(
         w=cheb.w,
         mc_volume=volume.estimate,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
 from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import _chebyshev_table, basis_size, constant_poly
+from polycover.basis import _BLOCK_POINTS, _chebyshev_table, basis_size, constant_poly
 from polycover.domain import tensor_grid
 
 from oracles import chebyshev_tensor_value, horner_eval
@@ -155,6 +155,93 @@ def test_univariate_polynomial_is_horner(coeffs, x):
     p = Polynomial(basis, np.asarray(coeffs))
     expected = horner_eval(coeffs, x)
     assert p(np.array([x])) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
+def _chebyshev_columns(t, max_degree):
+    # the column-by-column recurrence the kernel used before its tables
+    # went row-major
+    out = np.empty((t.shape[0], max_degree + 1))
+    out[:, 0] = 1.0
+    if max_degree >= 1:
+        out[:, 1] = t
+    for k in range(2, max_degree + 1):
+        out[:, k] = 2.0 * t * out[:, k - 1] - out[:, k - 2]
+    return out
+
+
+def _eval_poly_gathered(p, points, chunk_size=262_144):
+    # the block loop before row-major tables and in-place runs: a fresh
+    # (d + 1, block) table per axis, the rows of the other axes' tables
+    # gathered per prefix and multiplied in axis order, then a sum
+    basis = p.basis
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+
+    def axis_table(axis, x):
+        if basis.kind == "chebyshev":
+            lo, up = basis.box.lower[axis], basis.box.upper[axis]
+            t = (2.0 * x - (lo + up)) / (up - lo)
+            return np.ascontiguousarray(_chebyshev_columns(t, basis.degree).T)
+        table = np.empty((basis.degree + 1, x.shape[0]))
+        table[0] = 1.0
+        for k in range(1, basis.degree + 1):
+            table[k] = table[k - 1] * x
+        return table
+
+    keys, base = basis.exponent_array, basis.degree + 1
+    codes = np.zeros(keys.shape[0], dtype=np.int64)
+    for column in keys[:, :-1].T:
+        codes = np.unique(codes * base + column, return_inverse=True)[1]
+    count = int(codes.max()) + 1
+    prefixes = np.empty((count, keys.shape[1] - 1), dtype=keys.dtype)
+    prefixes[codes] = keys[:, :-1]
+    layout = np.zeros((count, base))
+    layout[codes, keys[:, -1]] = p.coeffs
+
+    last = basis.dimension - 1
+    out = np.empty(pts.shape[0])
+    step = min(chunk_size, _BLOCK_POINTS)
+    for start in range(0, pts.shape[0], step):
+        block = pts[start : start + step]
+        acc = layout @ axis_table(last, block[:, last])
+        for axis in range(last):
+            acc *= axis_table(axis, block[:, axis])[prefixes[:, axis]]
+        out[start : start + step] = acc.sum(axis=0)
+    return out
+
+
+@given(
+    dimension=st.integers(1, 4),
+    kind=st.sampled_from(["monomial", "chebyshev"]),
+    degree=st.integers(0, 12),
+    count=st.sampled_from([1, 7, 4096, 4097, 9000]),
+    chunk_size=st.sampled_from([262_144, 128]),
+    order=st.sampled_from(["C", "F", "column slice"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=60)
+def test_eval_poly_many_is_bitwise_the_gathered_block_loop(
+    dimension, kind, degree, count, chunk_size, order, seed
+):
+    # 4097 and 9000 points end in a partial block, whose buffers must be as
+    # contiguous as the full blocks' for the table product to keep its bits
+    box = BoxDomain(lower=(-1.5, -0.25, -2.0, -0.75)[:dimension],
+                    upper=(0.5, 1.75, 1.0, 0.25)[:dimension])
+    basis = make_basis(dimension, degree, kind, box)
+    rng = np.random.default_rng(seed)
+    p = Polynomial(basis, rng.normal(size=len(basis)))
+    wide = box.lower_array + rng.random((count, dimension + 1))[:, :dimension] * box.widths
+    wide[rng.random(wide.shape) < 0.1] = 0.0
+    wide[rng.random(wide.shape) < 0.1] = -0.0
+    if order == "column slice":
+        wider = np.full((count, dimension + 2), np.nan)
+        wider[:, 1:-1] = wide
+        points = wider[:, 1:-1]
+    else:
+        points = np.array(wide, order=order)
+    got = eval_poly_many(p, points, chunk_size=chunk_size)
+    want = _eval_poly_gathered(p, points, chunk_size=chunk_size)
+    assert got.shape == want.shape == (count,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_eval_poly_many_chunks_agree_with_direct_loop():

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,6 +67,17 @@ def test_mc_volume_chunking_does_not_change_the_estimate():
         one_chunk = mc_volume(p, box, samples=30_000, seed=1, chunk_size=30_000)
         assert 0 < small_chunks.estimate < box.volume
         assert small_chunks.estimate == one_chunk.estimate
+
+
+def test_mc_volume_estimate_is_pinned_at_seed_0():
+    # the points are built in place in each chunk; they must stay the bits
+    # of lower + u * widths, which gave this estimate (75,218 hits)
+    box = BoxDomain(lower=(-1.0, -0.5, 0.25), upper=(1.5, 2.0, 0.75))
+    basis = make_basis(3, 2, "monomial")
+    p = Polynomial(basis, np.linspace(0.1, 1.0, len(basis)) * (-1.0) ** np.arange(len(basis)))
+    est = mc_volume(p, box, samples=300_001, seed=0, chunk_size=100_000)
+    assert est.estimate == 0.783518221605928
+    assert est.standard_error == 0.002472911592730496
 
 
 def test_mc_standard_error_shrinks_with_samples():
@@ -325,3 +338,26 @@ def test_run_report_schema(figure_sweep):
     ]
     assert payload["components"] == 1
     assert payload["w"] == pytest.approx(44.0 / 27.0, rel=1e-12)
+
+
+def test_run_report_logs_its_stages_at_debug_level(caplog):
+    line = re.compile(
+        r"verify degree (\d+): moments \d+\.\d{3} s, monte carlo \d+\.\d{3} s on (\d+) "
+        r"samples, scan \d+\.\d{3} s on (\d+) points, components \d+\.\d{3} s on (\d+) "
+        r"cells, trace \d+\.\d{3} s"
+    )
+    square, segment = BoxDomain.symmetric(2), BoxDomain.symmetric(1)
+    line_poly = Polynomial(make_basis(1, 2, "monomial"), np.array([0.0, 0.0, 2.0]))
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        run_report(halfspace_poly(), square, mc_samples=10_000,
+                   scan_spec=GridSpec(points_per_axis=21), resolution=64)
+        run_report(line_poly, segment, mc_samples=2_000)  # exact count: no cells
+    lines = [line.fullmatch(r.getMessage()) for r in caplog.records if r.name == "polycover"]
+    assert all(lines)
+    assert [tuple(int(g) for g in m.groups()) for m in lines] == [
+        (1, 10_000, 441, 64 * 64),
+        (2, 2_000, nonnegativity_scan(line_poly, segment).points, 0),
+    ]
+    caplog.clear()
+    run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)  # silent by default
+    assert not [r for r in caplog.records if r.name == "polycover"]
