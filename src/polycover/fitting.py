@@ -13,13 +13,15 @@ slightly negative between them; the verification module measures this.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
 from .domain import BoxDomain, tensor_grid
@@ -120,15 +122,64 @@ def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
                 "use a quasi-random sample_count grid instead"
             )
         return tensor_grid(box.lower, box.upper, spec.points_per_axis)
+    if spec.sample_count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"quasi-random grid would hold {spec.sample_count} points (limit {MAX_GRID_POINTS})"
+        )
+    points = _sobol(n, spec.sample_count, spec.seed)
+    points *= box.widths  # qmc.scale's unit * (upper - lower) + lower, in place
+    points += box.lower_array
+    return points
 
-    from scipy.stats import qmc  # imported here: it doubles the package's import time
 
-    sampler = qmc.Sobol(d=n, scramble=True, seed=spec.seed)
-    with warnings.catch_warnings():
-        # Sobol balance holds only at powers of two; any count is fine here.
-        warnings.simplefilter("ignore", UserWarning)
-        unit = sampler.random(spec.sample_count)
-    return qmc.scale(unit, box.lower_array, box.upper_array)
+@functools.cache
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """The Joe-Kuo primitive polynomials and initial direction numbers that
+    scipy ships; locating the file by path imports no scipy.stats."""
+    with np.load(Path(scipy.__file__).with_name("stats") / "_sobol_direction_numbers.npz") as table:
+        return table["poly"], table["vinit"]
+
+
+def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n <= 2**30 points of scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=seed), bit for bit: Sobol's sequence with Joe-Kuo direction numbers
+    (SIAM J. Sci. Comput. 30, 2008) under Matousek's linear matrix scramble
+    and a digital shift (J. Complexity 14, 1998), drawn in Gray-code order."""
+    poly, vinit = _sobol_table()
+    if d > len(poly):
+        raise ValueError(f"Sobol grids have at most {len(poly)} dimensions, not {d}")
+    bits = 30
+    rng = np.random.default_rng(seed)  # as scipy's QMC engines seed their generator
+    shift_bits = rng.integers(2, size=(d, bits), dtype=np.uint32)
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    ltm[:, range(bits), range(bits)] = 1
+    # Direction numbers: row 0 all ones, row j by the recurrence of poly[j].
+    v = np.ones((d, bits), dtype=np.uint32)
+    for j in range(1, d):
+        p = int(poly[j])
+        m = p.bit_length() - 1
+        row = vinit[j, :m].tolist()
+        for i in range(m, bits):
+            new = row[i - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= row[i - k - 1] << (k + 1)
+            row.append(new)
+        v[j] = row
+    top = np.uint32(1) << np.arange(bits - 1, -1, -1, dtype=np.uint32)  # top[k] = 2**(29 - k)
+    v *= top
+    # Scramble: bit 29 - p of a column is the parity of ltm[p] against its
+    # bits 29 - k, k = 0..29.
+    digits = ((v[:, :, None] & top) != 0).astype(np.uint32)
+    columns = ((digits @ ltm.transpose(0, 2, 1)) & 1) @ top
+    # Point 0 is the shift; point i is point i - 1 XOR the column at the
+    # lowest zero bit of i - 1, which is b for i = 2**b mod 2**(b + 1).
+    points = np.empty((n, d), dtype=np.uint32)
+    points[0] = shift_bits @ top[::-1]
+    for b in range(bits):
+        points[1 << b :: 2 << b] = columns[:, b]
+    np.bitwise_xor.accumulate(points, axis=0, out=points)
+    return points * 2.0**-bits
 
 
 def assemble(

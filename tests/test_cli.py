@@ -519,16 +519,37 @@ def test_identical_invocations_write_identical_files(tmp_path):
     assert not math.isnan(json.loads(outputs[0][1])["w"])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # only Sobol grids need scipy.stats, which costs as much to import as
-    # the rest of the package; tensor-grid runs never load it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # Sobol grids are drawn in numpy, so neither the import nor a 3-D fit on a
+    # quasi-random grid (and its quasi-random scan) loads scipy.stats, which
+    # costs as much to import as the rest of the package
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.1, -0.2, 0.3), (-0.4, 0.5, 0.0), (0.2, 0.2, -0.3)])
     src = str(Path(polycover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, polycover.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    argv = ["fit", "--points", str(pts), "--grid-samples", "2000", "--degree", "2",
+            "--mc-samples", "2000", "--resolution", "64", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, polycover.cli\n"
+        f"assert polycover.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_quasirandom_grid_over_the_cap_exits_2(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.1, -0.2, 0.3)])
+    code = main(
+        ["fit", "--points", str(pts), "--degree", "2", "--grid-samples", "10000001",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "quasi-random grid would hold 10000001 points" in capsys.readouterr().err
 
 
 def test_traced_benchmark_names_resolve_in_the_package(monkeypatch):

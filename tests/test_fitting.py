@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,39 @@ def test_tensor_grid_layout_and_cap():
     big = math.ceil(MAX_GRID_POINTS ** (1 / 2)) + 1
     with pytest.raises(ValueError, match="limit"):
         build_grid(box, GridSpec(points_per_axis=big))
+
+
+def test_quasirandom_grid_limits_are_checked_before_drawing():
+    with pytest.raises(ValueError, match="quasi-random grid would hold 10000001 points .*limit"):
+        build_grid(BoxDomain.symmetric(3), GridSpec(sample_count=MAX_GRID_POINTS + 1))
+    # the Joe-Kuo table has 21201 rows of direction numbers
+    with pytest.raises(ValueError, match="at most 21201 dimensions"):
+        build_grid(BoxDomain.symmetric(21202), GridSpec(sample_count=1))
+
+
+def _scipy_sobol_grid(box, count, seed):
+    from scipy.stats import qmc  # the reference implementation, for tests only
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # balance needs powers of two
+        unit = qmc.Sobol(d=box.dimension, scramble=True, seed=seed).random(count)
+    return qmc.scale(unit, box.lower_array, box.upper_array)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 7])
+def test_quasirandom_grid_is_bitwise_scipy_sobol(dimension):
+    box = BoxDomain.symmetric(dimension)
+    for seed in (0, 1, 7, 12345):
+        for count in (1, 2, 3, 1000, 20000):
+            grid = build_grid(box, GridSpec(sample_count=count, seed=seed))
+            assert np.array_equal(grid, _scipy_sobol_grid(box, count, seed)), (seed, count)
+
+
+def test_quasirandom_scan_sized_grid_on_a_skewed_box_is_bitwise_scipy_sobol():
+    # 400,000 points is the 3-D nonnegativity scan's default sample
+    box = BoxDomain(lower=(-0.3, 2.0, -7.25), upper=(1.7, 2.5, 3.0))
+    grid = build_grid(box, GridSpec(sample_count=400_000, seed=1))
+    assert np.array_equal(grid, _scipy_sobol_grid(box, 400_000, 1))
 
 
 def test_quasirandom_grid_is_seed_deterministic():
