@@ -338,6 +338,24 @@ def eval_poly_many(
     return out
 
 
+def eval_poly_grid(p: Polynomial, axes: list[np.ndarray]) -> np.ndarray:
+    """Values on the tensor grid of the 1-D coordinate arrays in axes, of
+    shape (len(axes[0]), ..., len(axes[-1])): raveled, in tensor_grid's
+    row-major order.  The coefficients fill a dense (d + 1)^n array by
+    exponent, and each axis's degree index in turn is contracted with its
+    table (de Boor, ACM TOMS 5, 1979); no point array is built."""
+    basis = p.basis
+    if len(axes) != basis.dimension:
+        raise ValueError(f"got {len(axes)} axes, basis has dimension {basis.dimension}")
+    values = np.zeros((basis.degree + 1,) * basis.dimension)
+    values[tuple(basis.exponent_array.T)] = p.coeffs
+    for axis, x in enumerate(axes):
+        table = _axis_table(basis, axis, x, np.empty((basis.degree + 1, len(x))))
+        # the leading index is this axis's degree; its coordinates go last
+        values = np.tensordot(values, table, axes=(0, 0))
+    return values
+
+
 def constant_poly(basis: PolyBasis, value: float) -> Polynomial:
     coeffs = np.zeros(len(basis))
     coeffs[0] = value

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .basis import Polynomial, eval_poly_many, poly_from_dict, poly_to_dict
-from .domain import BoxDomain, tensor_grid
+from .basis import Polynomial, eval_poly_grid, eval_poly_many, poly_from_dict, poly_to_dict
+from .domain import BoxDomain, grid_axes
 from .fitting import (
     CONTAINMENT_TOL,
     ContainmentError,
@@ -203,19 +204,19 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     if box.dimension > 3:
         raise IngestError("plot data supports dimensions 1 to 3 only")
     resolution = args.resolution or default_resolution(box.dimension)
-    points = tensor_grid(box.lower, box.upper, resolution)
-    values = eval_poly_many(poly, points)
+    axes = grid_axes(box.lower, box.upper, resolution, "plot grid")
+    values = eval_poly_grid(poly, axes).reshape(-1)
 
     out = _out_dir(args)
     target = out / "plotdata.csv"
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f"x{d}" for d in range(box.dimension)] + ["p", "in_set"])
-        for row, value in zip(points, values):
+        for row, value in zip(itertools.product(*axes), values):
             writer.writerow(
                 [repr(float(c)) for c in row] + [repr(float(value)), int(value >= 1.0)]
             )
-    print(f"wrote {target} ({points.shape[0]} rows)")
+    print(f"wrote {target} ({values.size} rows)")
     return 0
 
 

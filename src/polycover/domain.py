@@ -6,13 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_GRID_POINTS = 10_000_000
+
+
+def grid_axes(lower, upper, count: int, what: str = "tensor grid") -> list[np.ndarray]:
+    """count evenly spaced coordinates per axis from lower[d] to upper[d],
+    both included: the axes whose product tensor_grid lays out.  A product
+    of more than MAX_GRID_POINTS points is refused before anything is built."""
+    total = count ** len(lower)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"{what} would hold {total} points (limit {MAX_GRID_POINTS})")
+    return [np.linspace(lo, up, count) for lo, up in zip(lower, upper)]
+
 
 def tensor_grid(lower, upper, count: int) -> np.ndarray:
-    """(count**n, n) array of the tensor grid with count evenly spaced points
-    per axis from lower[d] to upper[d], both included, laid out row-major in
-    the axis order."""
-    axes = [np.linspace(lo, up, count) for lo, up in zip(lower, upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    """(count**n, n) array of the tensor grid on grid_axes(lower, upper,
+    count), laid out row-major in the axis order."""
+    mesh = np.meshgrid(*grid_axes(lower, upper, count), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 

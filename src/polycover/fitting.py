@@ -24,13 +24,12 @@ import numpy as np
 import scipy
 
 from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
-from .domain import BoxDomain, tensor_grid
+from .domain import MAX_GRID_POINTS, BoxDomain, tensor_grid
 from .lp import LpOptions, LpProblem, LpSolution, SolveStats, solve
 from .moments import MomentVector, moment_vector
 
 _log = logging.getLogger("polycover")
 
-MAX_GRID_POINTS = 10_000_000
 CONTAINMENT_TOL = 1e-6
 
 
@@ -115,12 +114,6 @@ def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
     """
     n = box.dimension
     if spec.points_per_axis is not None:
-        total = spec.points_per_axis**n
-        if total > MAX_GRID_POINTS:
-            raise ValueError(
-                f"tensor grid would hold {total} points (limit {MAX_GRID_POINTS}); "
-                "use a quasi-random sample_count grid instead"
-            )
         return tensor_grid(box.lower, box.upper, spec.points_per_axis)
     if spec.sample_count > MAX_GRID_POINTS:
         raise ValueError(

@@ -8,7 +8,9 @@ to sampling noise.  The nonnegativity scan probes how far p dips below zero
 between the grid points where it was enforced, the component count describes
 the topology of U(p) (exactly in 1-D, from the real roots of p - 1; on a
 pixel grid in 2-D and 3-D), and the trace report recomputes w through a
-Gram-matrix route as a cross-check on the moment pipeline.
+Gram-matrix route as a cross-check on the moment pipeline.  Tensor grids
+(the scan below 3-D, the pixel grids) are evaluated axis by axis through
+eval_poly_grid, scattered points through eval_poly_many.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from numpy.polynomial import chebyshev
 from .basis import (
     Polynomial,
     eval_basis_many,
+    eval_poly_grid,
     eval_poly_many,
     half_degree,
     make_basis,
     poly_to_gram,
 )
-from .domain import BoxDomain, tensor_grid
+from .domain import BoxDomain, grid_axes
 from .fitting import GridSpec, build_grid, default_grid_spec
 from .moments import MomentVector, moment_matrix, moment_vector
 
@@ -138,14 +141,17 @@ def nonnegativity_scan(
             spec = GridSpec(points_per_axis=4 * (base.points_per_axis - 1) + 1)
         else:
             spec = GridSpec(sample_count=4 * base.sample_count, seed=1)
-    points = build_grid(box, spec)
-    values = eval_poly_many(p, points)
-    pos = int(np.argmin(values))
-    return ScanResult(
-        min_value=float(values[pos]),
-        argmin=tuple(float(x) for x in points[pos]),
-        points=points.shape[0],
-    )
+    if spec.points_per_axis is None:
+        points = build_grid(box, spec)
+        values = eval_poly_many(p, points)
+        pos = int(np.argmin(values))
+        argmin = points[pos]
+    else:
+        axes = grid_axes(box.lower, box.upper, spec.points_per_axis)
+        values = eval_poly_grid(p, axes)
+        pos = int(np.argmin(values))
+        argmin = [axis[i] for axis, i in zip(axes, np.unravel_index(pos, values.shape))]
+    return ScanResult(float(values.flat[pos]), tuple(float(x) for x in argmin), values.size)
 
 
 def default_resolution(dimension: int) -> int:
@@ -202,9 +208,9 @@ def count_components(
     as nothing, and so does a piece where p - 1 stays within the rounding
     error of its evaluation.  The resolution is validated but unused there.
     In dimensions 2 and 3 the count is of face-connected components on a
-    grid of cell centres, resolution cells per axis; components thinner than
-    a cell can escape it, so raise the resolution when the set has fine
-    structure.
+    grid of cell centres, resolution cells per axis, at most MAX_GRID_POINTS
+    cells in all; components thinner than a cell can escape it, so raise
+    the resolution when the set has fine structure.
     """
     n = box.dimension
     if p.dimension != n:
@@ -218,8 +224,9 @@ def count_components(
     if n == 1:
         return _count_intervals(p, box)
     h = box.widths / resolution
-    points = tensor_grid(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution)
-    mask = (eval_poly_many(p, points) >= 1.0).reshape((resolution,) * n)
+    axes = grid_axes(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution,
+                     "component grid")
+    mask = eval_poly_grid(p, axes) >= 1.0
     _, count = scipy.ndimage.label(mask)
     return int(count)
 

@@ -10,7 +10,8 @@ from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval
 from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
 from polycover.basis import _BLOCK_POINTS, _chebyshev_table, basis_size, constant_poly
-from polycover.domain import tensor_grid
+from polycover.basis import eval_poly_grid
+from polycover.domain import grid_axes, tensor_grid
 
 from oracles import chebyshev_tensor_value, horner_eval
 
@@ -289,6 +290,44 @@ def test_eval_poly_many_agrees_with_the_basis_matrix(dimension, kind):
         eval_poly_many(p, np.zeros((5, wrong)))
     with pytest.raises(ValueError, match=message):
         eval_poly_many(p, np.zeros(wrong))
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_eval_poly_grid_agrees_with_eval_poly_many_on_the_tensor_grid(dimension, kind):
+    rng = np.random.default_rng(20 * dimension + len(kind))
+    lower = rng.uniform(-2.0, -0.2, dimension)
+    box = BoxDomain(lower=tuple(lower), upper=tuple(lower + rng.uniform(0.5, 3.0, dimension)))
+    for degree in (0, 1, 4, 9):
+        basis = make_basis(dimension, degree, kind, box)
+        p = Polynomial(basis, rng.normal(size=len(basis)))
+        for per_axis in (1, 2, 9):
+            grid = tensor_grid(box.lower, box.upper, per_axis)
+            got = eval_poly_grid(p, grid_axes(box.lower, box.upper, per_axis))
+            assert got.shape == (per_axis,) * dimension
+            # both sum the same table products in other orders: at most
+            # (d + 1)^n terms, each with a few roundings of its own
+            bound = (8 * (degree + 1) ** dimension * np.finfo(float).eps
+                     * (np.abs(eval_basis_many(basis, grid)) @ np.abs(p.coeffs)))
+            assert np.all(np.abs(got.reshape(-1) - eval_poly_many(p, grid)) <= bound)
+
+    with pytest.raises(ValueError, match=f"got {dimension + 1} axes"):
+        eval_poly_grid(p, grid_axes(box.lower, box.upper, 3) + [np.zeros(3)])
+
+
+def test_eval_poly_grid_is_laid_out_row_major():
+    # p = x_d picks axis d's coordinates exactly (products with 1, sums with
+    # 0), so the values are the d-th column of the row-major point array
+    box = BoxDomain(lower=(-0.7, 0.2, -3.0), upper=(1.3, 0.9, -1.5))
+    axes = [np.linspace(lo, up, count) for lo, up, count in zip(box.lower, box.upper, (4, 1, 3))]
+    points = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    basis = make_basis(3, 2, "monomial")
+    for d in range(3):
+        coeffs = np.zeros(len(basis))
+        coeffs[basis.index_position[tuple(int(e == d) for e in range(3))]] = 1.0
+        values = eval_poly_grid(Polynomial(basis, coeffs), axes)
+        assert values.shape == (4, 1, 3)
+        assert np.array_equal(values.reshape(-1), points[:, d])
 
 
 def test_gram_quadratic_form_consistency():

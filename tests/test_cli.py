@@ -22,6 +22,7 @@ from polycover import (
 )
 from polycover.basis import constant_poly, make_basis, poly_to_dict
 from polycover.cli import IngestError, ingest_points, main, parse_box
+from polycover.fitting import MAX_GRID_POINTS
 from polycover.domain import tensor_grid
 from polycover.verification import default_resolution
 
@@ -550,6 +551,26 @@ def test_quasirandom_grid_over_the_cap_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "quasi-random grid would hold 10000001 points" in capsys.readouterr().err
+
+
+def test_resolution_over_the_grid_cap_exits_2(tmp_path, capsys, monkeypatch):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(2, 2), 1.0))))
+    resolution = math.isqrt(MAX_GRID_POINTS) + 1
+    real_meshgrid = np.meshgrid
+
+    def meshgrid_within_the_cap(*axes, **kwargs):
+        # a grid of points over the cap fails the test instead of being built
+        assert math.prod(len(a) for a in axes) <= MAX_GRID_POINTS
+        return real_meshgrid(*axes, **kwargs)
+
+    monkeypatch.setattr(np, "meshgrid", meshgrid_within_the_cap)
+    limit = f"would hold {resolution**2} points (limit {MAX_GRID_POINTS})"
+    common = ["--coeffs", str(coeffs), "--resolution", str(resolution), "--out", str(tmp_path)]
+    assert main(["verify", "--mc-samples", "1000"] + common) == 2
+    assert f"component grid {limit}" in capsys.readouterr().err
+    assert main(["plotdata"] + common) == 2
+    assert f"plot grid {limit}" in capsys.readouterr().err
 
 
 def test_traced_benchmark_names_resolve_in_the_package(monkeypatch):

@@ -174,6 +174,20 @@ def test_verification_memory_does_not_grow_with_the_basis():
         assert peak < 64 * 2**20
 
 
+def test_nonnegativity_scan_on_a_tensor_grid_builds_no_point_array():
+    # the default 2-D scan has 801^2 points; an (801^2, 2) array of them
+    # would alone take twice the bytes of the values
+    p = Polynomial(make_basis(2, 9), np.random.default_rng(9).normal(size=55))
+    tracemalloc.start()
+    try:
+        scan = nonnegativity_scan(p, BoxDomain.symmetric(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.points == 801**2
+    assert peak <= 1.5 * scan.points * np.dtype(float).itemsize
+
+
 def test_nonnegativity_scan_default_refines_the_fit_grid():
     basis = make_basis(1, 0, "monomial")
     p = Polynomial(basis, np.array([1.0]))
