@@ -124,12 +124,9 @@ def make_basis(
 _BLOCK_POINTS = 4096
 
 
-def _chebyshev_rows(
-    t: np.ndarray, max_degree: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _chebyshev_rows(t: np.ndarray, max_degree: int, table: np.ndarray) -> np.ndarray:
     """Values T_0(t)..T_max(t) via the three-term recurrence, one row per
-    degree; shape (max + 1, len(t)), filled into out if given."""
-    table = np.empty((max_degree + 1, t.shape[0])) if out is None else out
+    degree, filled into table of shape (max + 1, len(t))."""
     table[0] = 1.0
     if max_degree >= 1:
         table[1] = t
@@ -140,22 +137,18 @@ def _chebyshev_rows(
     return table
 
 
-def _chebyshev_table(t: np.ndarray, max_degree: int) -> np.ndarray:
-    """The rows of _chebyshev_rows as columns; shape (len(t), max + 1)."""
-    return _chebyshev_rows(t, max_degree).T
-
-
 def eval_basis_many(
     basis: PolyBasis, points: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate every basis element at every point.
 
-    Each axis's 1-D values (powers by ``**``, or the Chebyshev recurrence)
-    are tabulated once per distinct coordinate, told apart by bit pattern so
-    that -0.0 and 0.0 keep their own rows; a 201^2 tensor grid has 201
-    distinct coordinates per axis.  The result is filled in blocks of
-    _BLOCK_POINTS rows: gather each axis's table rows for the block, then
-    the columns of the basis exponents, and multiply the axes in order.
+    Each axis's 1-D values (powers by ``**``, or _axis_table's Chebyshev
+    recurrence) are tabulated once per distinct coordinate, told apart by
+    bit pattern so that -0.0 and 0.0 keep their own rows; a 201^2 tensor
+    grid has 201 distinct coordinates per axis.  The result is filled in
+    blocks of _BLOCK_POINTS rows: gather each axis's table rows for the
+    block, then the columns of the basis exponents, and multiply the axes
+    in order.
     Every entry is the product of the same float64 factors as tabulating
     per point would give, so the values do not depend on the grouping.
 
@@ -176,19 +169,15 @@ def eval_basis_many(
         raise ValueError(
             f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
         )
-    if basis.kind == "chebyshev":
-        assert basis.box is not None
-        pts = basis.box.affine_to_unit(pts)
-
     exps = basis.exponent_array
     tables, rows = [], []
     for d in range(basis.dimension):
         bits, inverse = np.unique(pts[:, d].view(np.int64), return_inverse=True)
-        t, top = bits.view(np.float64), int(exps[:, d].max())
+        x = bits.view(np.float64)
         # ** powers, not _axis_table's running products: those move A by up
         # to 9e-16, which changes line-LP outcomes
-        tables.append(t[:, None] ** np.arange(top + 1) if basis.kind == "monomial"
-                      else _chebyshev_table(t, top))
+        tables.append(x[:, None] ** np.arange(basis.degree + 1) if basis.kind == "monomial"
+                      else _axis_table(basis, d, x, np.empty((basis.degree + 1, x.size))).T)
         rows.append(inverse)
     values = np.empty((pts.shape[0], len(basis))) if out is None else out
     if values.shape != (pts.shape[0], len(basis)):
@@ -252,7 +241,7 @@ def _axis_table(basis: PolyBasis, axis: int, x: np.ndarray, out: np.ndarray) -> 
     """Values of the 1-D basis functions of degree 0..d along one axis, one
     row per degree and one column per coordinate in x, written into out of
     shape (d + 1, len(x)).  Chebyshev coordinates go through the affine map
-    of BoxDomain.affine_to_unit."""
+    of the box's axis onto [-1, 1]."""
     if basis.kind == "chebyshev":
         assert basis.box is not None
         lo, up = basis.box.lower[axis], basis.box.upper[axis]
@@ -295,10 +284,8 @@ def _prefix_layout(
     return runs, layout
 
 
-def eval_poly_many(
-    p: Polynomial, points: np.ndarray, chunk_size: int = 262_144
-) -> np.ndarray:
-    """Values at many points, evaluated in blocks of at most chunk_size points.
+def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
+    """Values at many points, evaluated in blocks of _BLOCK_POINTS points.
 
     The coefficients are grouped by the exponents of all axes but the last
     into a (P, d + 1) layout, so a block costs one product of that layout with
@@ -314,15 +301,12 @@ def eval_poly_many(
         raise ValueError(
             f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
         )
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     last = basis.dimension - 1
     runs, layout = _prefix_layout(basis, p.coeffs)
     out = np.empty(pts.shape[0])
-    step = min(chunk_size, _BLOCK_POINTS)
     acc = tables = np.empty((0, 0))
-    for start in range(0, pts.shape[0], step):
-        block = pts[start : start + step]
+    for start in range(0, pts.shape[0], _BLOCK_POINTS):
+        block = pts[start : start + _BLOCK_POINTS]
         if acc.shape[1] != block.shape[0]:
             # new buffers for a new block size, the last partial block
             # included: the product with a strided view of the old ones
@@ -334,7 +318,7 @@ def eval_poly_many(
             table = _axis_table(basis, axis, block[:, axis], tables[axis])
             for run_start, run_stop, exponent in runs[axis]:
                 acc[run_start:run_stop] *= table[exponent]
-        acc.sum(axis=0, out=out[start : start + step])
+        acc.sum(axis=0, out=out[start : start + _BLOCK_POINTS])
     return out
 
 

@@ -120,8 +120,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """Create the output directory; every verb calls this before any work."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IngestError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -135,6 +139,7 @@ def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     cloud = PointCloud(ingest_points(args.points))
     box = _box_for(args, cloud.dimension)
     result = fit(
@@ -153,7 +158,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=args.seed,
         resolution=args.resolution,
     )
-    out = _out_dir(args)
     _write_json(out / "coeffs.json", poly_to_dict(result.polynomial))
     _write_json(out / "report.json", report.to_json_dict())
     print(f"degree {result.degree}: w = {result.objective!r}")
@@ -164,10 +168,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     cloud = PointCloud(ingest_points(args.points))
     box = _box_for(args, cloud.dimension)
     degrees = sorted({int(d) for d in args.degrees.split(",")})
-    out = _out_dir(args)
     entries = degree_sweep(
         cloud, box, degrees,
         kind=args.basis, grid=_grid_for(args),
@@ -200,6 +204,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     poly, box = _load_poly(args)
     if box.dimension > 3:
         raise IngestError("plot data supports dimensions 1 to 3 only")
@@ -207,7 +212,6 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     axes = grid_axes(box.lower, box.upper, resolution, "plot grid")
     values = eval_poly_grid(poly, axes).reshape(-1)
 
-    out = _out_dir(args)
     target = out / "plotdata.csv"
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -221,13 +225,13 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 
 
 def cmd_export_mps(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     cloud = PointCloud(ingest_points(args.points))
     problem = build_problem(
         cloud, _box_for(args, cloud.dimension), args.degree,
         kind=args.basis, grid=_grid_for(args),
         inflate=args.inflate, coeff_bound=args.coeff_bound,
     )
-    out = _out_dir(args)
     target = out / "problem.mps"
     export_mps(problem, destination=target)
     print(f"wrote {target} ({problem.num_rows} rows, {problem.num_cols} columns)")
@@ -235,18 +239,18 @@ def cmd_export_mps(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     poly, box = _load_poly(args)
+    cloud = PointCloud(ingest_points(args.points)) if args.points is not None else None
     report = run_report(
         poly, box,
         mc_samples=args.mc_samples, seed=args.seed, resolution=args.resolution,
     )
-    out = _out_dir(args)
     _write_json(out / "report.json", report.to_json_dict())
     print(f"w = {report.w!r}, mc volume = {report.mc_volume!r}")
     print(f"components = {report.components}, min scan value = {report.min_scan_value!r}")
     print(f"wrote {out / 'report.json'}")
-    if args.points is not None:
-        cloud = PointCloud(ingest_points(args.points))
+    if cloud is not None:
         worst = float(np.min(eval_poly_many(poly, cloud.points)))
         if worst < 1.0 - CONTAINMENT_TOL:
             print(f"containment violated: min p over points is {worst!r}", file=sys.stderr)

@@ -83,24 +83,14 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(self.widths))
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """Boolean mask of which points lie in the box (boundary included)."""
+    def contains_all(self, points: np.ndarray) -> bool:
+        """Whether every point lies in the box (boundary included)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dimension:
             raise ValueError(
                 f"points have dimension {pts.shape[1]}, box has {self.dimension}"
             )
-        lo = self.lower_array - atol
-        up = self.upper_array + atol
-        return np.all((pts >= lo) & (pts <= up), axis=1)
-
-    def contains_all(self, points: np.ndarray, atol: float = 0.0) -> bool:
-        return bool(np.all(self.contains(points, atol=atol)))
-
-    def affine_to_unit(self, points: np.ndarray) -> np.ndarray:
-        """Map points affinely onto [-1, 1]^n, axis by axis."""
-        pts = np.asarray(points, dtype=float)
-        return (2.0 * pts - (self.lower_array + self.upper_array)) / self.widths
+        return bool(np.all((pts >= self.lower_array) & (pts <= self.upper_array)))
 
     def inflate(self, factor: float) -> "BoxDomain":
         """Scale the box about its center; factor 1.0 is the identity."""

@@ -276,27 +276,20 @@ def build_problem(
 
 
 @dataclass(frozen=True)
-class FitDiagnostics:
-    containment_margin: float
-    min_grid_value: float
-
-
-@dataclass(frozen=True)
 class FitResult:
     """One certified fit.  grid_size counts the grid nodes where p >= 0 was
-    enforced; nodes equal to a cloud point are not among them.  lp_stats
-    holds the solve's work counters; no output file carries them."""
+    enforced; nodes equal to a cloud point are not among them.
+    containment_margin is min p over the cloud minus 1.  lp_stats holds the
+    solve's work counters; no output file carries them."""
 
     polynomial: Polynomial
     objective: float
     degree: int
     grid_size: int
-    status: str
-    diagnostics: FitDiagnostics
+    containment_margin: float
     box: BoxDomain
     lp_iterations: int
     lp_rows: int
-    lp_cols: int
     lp_stats: SolveStats = field(compare=False)
 
     @property
@@ -315,9 +308,7 @@ def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> Fit
     solved = time.perf_counter()
     if solution.status == "optimal":
         polynomial = Polynomial(basis, solution.v)
-        cloud_count, grid_count = setup.cloud.count, setup.grid_points.shape[0]
-        values = problem.A[: cloud_count + grid_count] @ polynomial.coeffs
-        margin = float(np.min(values[:cloud_count])) - 1.0
+        margin = float(np.min(problem.A[: setup.cloud.count] @ polynomial.coeffs)) - 1.0
     _log.debug(
         "fit degree %d (%s): %d rows, assembly %.3f s, solve %.3f s, checks %.3f s",
         degree, solution.status, problem.num_rows, assembled - start,
@@ -334,22 +325,15 @@ def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> Fit
         raise ContainmentError(
             f"fitted polynomial misses a cloud point by {-margin:.3e}"
         )
-
-    diagnostics = FitDiagnostics(
-        containment_margin=margin,
-        min_grid_value=float(np.min(values[cloud_count:], initial=math.inf)),
-    )
     return FitResult(
         polynomial=polynomial,
         objective=float(solution.objective),
         degree=degree,
-        grid_size=grid_count,
-        status=solution.status,
-        diagnostics=diagnostics,
+        grid_size=setup.grid_points.shape[0],
+        containment_margin=margin,
         box=setup.box,
         lp_iterations=solution.iterations,
         lp_rows=problem.num_rows,
-        lp_cols=problem.num_cols,
         lp_stats=solution.stats,
     )
 

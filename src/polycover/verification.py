@@ -39,6 +39,8 @@ from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
 MIN_MC_SAMPLES = 1000
+# Monte Carlo points drawn and evaluated at a time
+MC_CHUNK_SAMPLES = 262_144
 # Roots of p - 1 with imaginary parts up to this size, in the coordinates that
 # map the box onto [-1, 1], still split the box in the exact 1-D count.
 ROOT_IMAG_TOL = 1e-3
@@ -52,7 +54,6 @@ class VolumeEstimate:
     standard_error: float
     samples: int
     seed: int
-    rng_name: str = "philox"
 
 
 def mc_volume(
@@ -60,7 +61,6 @@ def mc_volume(
     box: BoxDomain,
     samples: int = 1_000_000,
     seed: int = 0,
-    chunk_size: int = 262_144,
 ) -> VolumeEstimate:
     """Monte Carlo estimate of vol {x in B : p(x) >= 1}.
 
@@ -69,8 +69,6 @@ def mc_volume(
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     if p.dimension != box.dimension:
         raise ValueError("polynomial and box dimensions differ")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -79,7 +77,7 @@ def mc_volume(
     hits = 0
     remaining = samples
     while remaining > 0:
-        m = min(chunk_size, remaining)
+        m = min(MC_CHUNK_SAMPLES, remaining)
         # in place: the same bits as lower + u * widths, without a temporary
         points = rng.random((m, box.dimension))
         points *= widths
@@ -303,7 +301,6 @@ def run_report(
     *,
     mc_samples: int = 1_000_000,
     seed: int = 0,
-    scan_spec: GridSpec | None = None,
     resolution: int | None = None,
 ) -> VerificationReport:
     """Full verification pass over one fitted polynomial.
@@ -315,23 +312,24 @@ def run_report(
     """
     n = box.dimension
     start = time.perf_counter()
+    # first, so that a bad resolution fails before the costlier stages run
+    components = count_components(p, box, resolution) if n <= 3 else None
+    components_done = time.perf_counter()
     moments = moment_vector(p.basis, box)
     moments_done = time.perf_counter()
     volume = mc_volume(p, box, samples=mc_samples, seed=seed)
     cheb = chebyshev_check(p, moments, volume)
     mc_done = time.perf_counter()
-    scan = nonnegativity_scan(p, box, scan_spec)
+    scan = nonnegativity_scan(p, box)
     scan_done = time.perf_counter()
-    components = count_components(p, box, resolution) if n <= 3 else None
-    components_done = time.perf_counter()
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
     cells = (resolution or default_resolution(n)) ** n if 2 <= n <= 3 else 0
     _log.debug(
         "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples, "
         "scan %.3f s on %d points, components %.3f s on %d cells, trace %.3f s",
-        p.degree, moments_done - start, mc_done - moments_done, volume.samples,
-        scan_done - mc_done, scan.points, components_done - scan_done, cells,
-        time.perf_counter() - components_done,
+        p.degree, moments_done - components_done, mc_done - moments_done, volume.samples,
+        scan_done - mc_done, scan.points, components_done - start, cells,
+        time.perf_counter() - scan_done,
     )
     return VerificationReport(
         w=cheb.w,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
 from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import _BLOCK_POINTS, _chebyshev_table, basis_size, constant_poly
+from polycover.basis import _BLOCK_POINTS, basis_size, constant_poly
 from polycover.basis import eval_poly_grid
 from polycover.domain import grid_axes, tensor_grid
 
@@ -79,14 +79,16 @@ def test_eval_basis_single_point_matches_many():
 
 def _eval_basis_per_point(basis, points):
     # the evaluation before distinct-coordinate tables: every point's own
-    # ** powers or Chebyshev recurrence, then the product over the axes
+    # ** powers or Chebyshev recurrence, on its own map of each axis onto
+    # [-1, 1], then the product over the axes
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if basis.kind == "chebyshev":
-        pts = basis.box.affine_to_unit(pts)
+        lower, upper = basis.box.lower_array, basis.box.upper_array
+        pts = (2.0 * pts - (lower + upper)) / (upper - lower)
     exps = basis.exponent_array
     tables = [
         pts[:, d, None] ** np.arange(basis.degree + 1) if basis.kind == "monomial"
-        else _chebyshev_table(pts[:, d], basis.degree)
+        else _chebyshev_columns(pts[:, d], basis.degree)
         for d in range(basis.dimension)
     ]
     values = tables[0][:, exps[:, 0]]
@@ -117,7 +119,9 @@ def _points_with_repeats(draw):
 @settings(deadline=None, max_examples=80)
 def test_eval_basis_many_is_bitwise_the_per_point_evaluation(points, kind, degree):
     dimension = points.shape[1]
-    box = BoxDomain(lower=(-1.0,) * dimension, upper=(1.5,) * dimension)
+    # other bounds on every axis, so that a map that read another axis's
+    # bounds would change the values
+    box = BoxDomain(lower=(-1.0, -0.5, -2.0)[:dimension], upper=(1.5, 0.75, 0.25)[:dimension])
     basis = make_basis(dimension, degree, kind, box)
     got, want = eval_basis_many(basis, points), _eval_basis_per_point(basis, points)
     assert got.shape == want.shape == (points.shape[0], len(basis))
@@ -170,7 +174,7 @@ def _chebyshev_columns(t, max_degree):
     return out
 
 
-def _eval_poly_gathered(p, points, chunk_size=262_144):
+def _eval_poly_gathered(p, points):
     # the block loop before row-major tables and in-place runs: a fresh
     # (d + 1, block) table per axis, the rows of the other axes' tables
     # gathered per prefix and multiplied in axis order, then a sum
@@ -200,13 +204,12 @@ def _eval_poly_gathered(p, points, chunk_size=262_144):
 
     last = basis.dimension - 1
     out = np.empty(pts.shape[0])
-    step = min(chunk_size, _BLOCK_POINTS)
-    for start in range(0, pts.shape[0], step):
-        block = pts[start : start + step]
+    for start in range(0, pts.shape[0], _BLOCK_POINTS):
+        block = pts[start : start + _BLOCK_POINTS]
         acc = layout @ axis_table(last, block[:, last])
         for axis in range(last):
             acc *= axis_table(axis, block[:, axis])[prefixes[:, axis]]
-        out[start : start + step] = acc.sum(axis=0)
+        out[start : start + _BLOCK_POINTS] = acc.sum(axis=0)
     return out
 
 
@@ -215,13 +218,12 @@ def _eval_poly_gathered(p, points, chunk_size=262_144):
     kind=st.sampled_from(["monomial", "chebyshev"]),
     degree=st.integers(0, 12),
     count=st.sampled_from([1, 7, 4096, 4097, 9000]),
-    chunk_size=st.sampled_from([262_144, 128]),
     order=st.sampled_from(["C", "F", "column slice"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(deadline=None, max_examples=60)
 def test_eval_poly_many_is_bitwise_the_gathered_block_loop(
-    dimension, kind, degree, count, chunk_size, order, seed
+    dimension, kind, degree, count, order, seed
 ):
     # 4097 and 9000 points end in a partial block, whose buffers must be as
     # contiguous as the full blocks' for the table product to keep its bits
@@ -239,8 +241,8 @@ def test_eval_poly_many_is_bitwise_the_gathered_block_loop(
         points = wider[:, 1:-1]
     else:
         points = np.array(wide, order=order)
-    got = eval_poly_many(p, points, chunk_size=chunk_size)
-    want = _eval_poly_gathered(p, points, chunk_size=chunk_size)
+    got = eval_poly_many(p, points)
+    want = _eval_poly_gathered(p, points)
     assert got.shape == want.shape == (count,)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -275,8 +277,7 @@ def test_eval_poly_many_agrees_with_the_basis_matrix(dimension, kind):
         basis = make_basis(dimension, degree, kind, box)
         p = Polynomial(basis, rng.normal(size=len(basis)))
         points = box.lower_array + rng.random((300, dimension)) * box.widths
-        # 128-point chunks put two chunk boundaries inside the 300 points
-        _assert_matches_basis_matrix(p, eval_poly_many(p, points, chunk_size=128), points)
+        _assert_matches_basis_matrix(p, eval_poly_many(p, points), points)
         _assert_matches_basis_matrix(p, eval_poly_many(p, points[:1]), points[:1])
         _assert_matches_basis_matrix(p, eval_poly_many(p, grid), grid)
     if dimension <= 2:

@@ -21,6 +21,7 @@ from polycover import (
     poly_from_dict,
 )
 from polycover.basis import constant_poly, make_basis, poly_to_dict
+from polycover import cli, verification
 from polycover.cli import IngestError, ingest_points, main, parse_box
 from polycover.fitting import MAX_GRID_POINTS
 from polycover.domain import tensor_grid
@@ -370,6 +371,68 @@ def test_verify_flags_points_outside_the_set(tmp_path):
          "--out", str(tmp_path / "out")]
     )
     assert code == 4
+
+
+def test_verify_reads_the_points_before_the_report(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), 1.5))))
+    out = tmp_path / "out"
+    code = main(
+        ["verify", "--coeffs", str(coeffs), "--points", str(tmp_path / "missing.csv"),
+         "--mc-samples", "2000", "--resolution", "64", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'missing.csv'}: ")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "resolution, message",
+    [(10, "resolution must be at least 64"),
+     (4000, f"component grid would hold 16000000 points (limit {MAX_GRID_POINTS})")],
+    ids=["below_64", "over_the_cap"],
+)
+def test_verify_checks_the_resolution_before_the_monte_carlo(
+    tmp_path, capsys, monkeypatch, resolution, message
+):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(2, 2), 1.0))))
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before the resolution was checked")
+
+    monkeypatch.setattr(verification, "mc_volume", no_monte_carlo)
+    code = main(
+        ["verify", "--coeffs", str(coeffs), "--resolution", str(resolution),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("verb", ["fit", "sweep", "export-mps", "plotdata", "verify"])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), 1.5))))
+    taken = tmp_path / "somefile"
+    taken.write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was made")
+
+    for name in ("fit", "degree_sweep", "build_problem", "run_report", "eval_poly_grid"):
+        monkeypatch.setattr(cli, name, no_work)
+    inputs = {
+        "fit": ["--points", str(pts), "--degree", "2"],
+        "sweep": ["--points", str(pts), "--degrees", "2"],
+        "export-mps": ["--points", str(pts), "--degree", "2"],
+        "plotdata": ["--coeffs", str(coeffs)],
+        "verify": ["--coeffs", str(coeffs)],
+    }
+    assert main([verb, *inputs[verb], "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {taken}: ")
 
 
 # ------------------------------------------------------------------ config

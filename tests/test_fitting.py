@@ -78,7 +78,7 @@ def test_containment_margin_is_reported_and_honored():
         7,
         grid=GridSpec(points_per_axis=501),
     )
-    assert result.diagnostics.containment_margin >= -1e-6
+    assert result.containment_margin >= -1e-6
     values = eval_poly_many(result.polynomial, np.array([[-0.5], [0.0], [0.25]]))
     assert float(np.min(values)) >= 1.0 - 1e-6
 
@@ -141,7 +141,6 @@ def test_coefficient_bound_restores_boundedness():
         grid=GridSpec(points_per_axis=3),
         coeff_bound=10.0,
     )
-    assert result.status == "optimal"
     assert np.max(np.abs(result.polynomial.coeffs)) <= 10.0 + 1e-9
 
 
@@ -308,7 +307,7 @@ def test_quasirandom_grid_is_seed_deterministic():
     c = build_grid(box, GridSpec(sample_count=500, seed=10))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert np.all(box.contains(a))
+    assert box.contains_all(a)
 
 
 def test_assemble_shapes_and_kinds():

@@ -24,6 +24,7 @@ from polycover import (
     run_report,
     trace_report,
 )
+from polycover import verification
 from polycover.domain import tensor_grid
 
 from oracles import bfs_component_count
@@ -39,7 +40,6 @@ def test_mc_volume_of_halfspace():
     est = mc_volume(halfspace_poly(), BoxDomain.symmetric(2), samples=200_000, seed=3)
     assert est.estimate == pytest.approx(2.0, abs=4 * est.standard_error)
     assert est.samples == 200_000
-    assert est.rng_name == "philox"
 
 
 def test_mc_volume_is_seed_deterministic():
@@ -52,30 +52,35 @@ def test_mc_volume_is_seed_deterministic():
     assert a.estimate != c.estimate
 
 
-def test_mc_volume_chunking_does_not_change_the_estimate():
+def test_mc_volume_chunking_does_not_change_the_estimate(monkeypatch):
+    def estimate(p, box, chunk):
+        monkeypatch.setattr(verification, "MC_CHUNK_SAMPLES", chunk)
+        return mc_volume(p, box, samples=30_000, seed=1)
+
     p = halfspace_poly()
     box = BoxDomain.symmetric(2)
-    small_chunks = mc_volume(p, box, samples=30_000, seed=1, chunk_size=1_000)
-    one_chunk = mc_volume(p, box, samples=30_000, seed=1, chunk_size=30_000)
+    small_chunks = estimate(p, box, 1_000)
+    one_chunk = estimate(p, box, 30_000)
     assert small_chunks.estimate == one_chunk.estimate
 
     rng = np.random.default_rng(15)
     box3 = BoxDomain(lower=(-0.4, -1.0, 0.5), upper=(1.2, 0.3, 2.0))
     for basis, box in ((make_basis(2, 14), box), (make_basis(3, 6, "chebyshev", box3), box3)):
         p = Polynomial(basis, rng.normal(size=len(basis)))
-        small_chunks = mc_volume(p, box, samples=30_000, seed=1, chunk_size=1_000)
-        one_chunk = mc_volume(p, box, samples=30_000, seed=1, chunk_size=30_000)
+        small_chunks = estimate(p, box, 1_000)
+        one_chunk = estimate(p, box, 30_000)
         assert 0 < small_chunks.estimate < box.volume
         assert small_chunks.estimate == one_chunk.estimate
 
 
-def test_mc_volume_estimate_is_pinned_at_seed_0():
+def test_mc_volume_estimate_is_pinned_at_seed_0(monkeypatch):
     # the points are built in place in each chunk; they must stay the bits
     # of lower + u * widths, which gave this estimate (75,218 hits)
+    monkeypatch.setattr(verification, "MC_CHUNK_SAMPLES", 100_000)
     box = BoxDomain(lower=(-1.0, -0.5, 0.25), upper=(1.5, 2.0, 0.75))
     basis = make_basis(3, 2, "monomial")
     p = Polynomial(basis, np.linspace(0.1, 1.0, len(basis)) * (-1.0) ** np.arange(len(basis)))
-    est = mc_volume(p, box, samples=300_001, seed=0, chunk_size=100_000)
+    est = mc_volume(p, box, samples=300_001, seed=0)
     assert est.estimate == 0.783518221605928
     assert est.standard_error == 0.002472911592730496
 
@@ -96,17 +101,6 @@ def test_mc_standard_error_shrinks_with_samples():
 def test_mc_volume_rejects_tiny_sample_counts():
     with pytest.raises(ValueError, match="samples"):
         mc_volume(halfspace_poly(), BoxDomain.symmetric(2), samples=10)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -5])
-def test_nonpositive_chunk_sizes_are_rejected(chunk_size):
-    # a zero chunk would never shrink the remaining sample count, and a
-    # negative one would leave eval_poly_many's output unwritten
-    p = halfspace_poly()
-    with pytest.raises(ValueError, match="chunk_size"):
-        mc_volume(p, BoxDomain.symmetric(2), samples=2_000, chunk_size=chunk_size)
-    with pytest.raises(ValueError, match="chunk_size"):
-        eval_poly_many(p, np.zeros((3, 2)), chunk_size=chunk_size)
 
 
 def test_chebyshev_check_passes_for_nonnegative_polynomial():
@@ -363,13 +357,12 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
     square, segment = BoxDomain.symmetric(2), BoxDomain.symmetric(1)
     line_poly = Polynomial(make_basis(1, 2, "monomial"), np.array([0.0, 0.0, 2.0]))
     with caplog.at_level(logging.DEBUG, logger="polycover"):
-        run_report(halfspace_poly(), square, mc_samples=10_000,
-                   scan_spec=GridSpec(points_per_axis=21), resolution=64)
+        run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)
         run_report(line_poly, segment, mc_samples=2_000)  # exact count: no cells
     lines = [line.fullmatch(r.getMessage()) for r in caplog.records if r.name == "polycover"]
     assert all(lines)
     assert [tuple(int(g) for g in m.groups()) for m in lines] == [
-        (1, 10_000, 441, 64 * 64),
+        (1, 10_000, 801 * 801, 64 * 64),  # the default 2-D scan
         (2, 2_000, nonnegativity_scan(line_poly, segment).points, 0),
     ]
     caplog.clear()
