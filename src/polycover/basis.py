@@ -122,19 +122,12 @@ def make_basis(
 # take 0.05 s, against 0.11 s with 262144-point blocks; 1M 3-D degree-6
 # Chebyshev points take 0.13-0.15 s (2-core Xeon, one BLAS thread).
 _BLOCK_POINTS = 4096
-
-
-def _chebyshev_rows(t: np.ndarray, max_degree: int, table: np.ndarray) -> np.ndarray:
-    """Values T_0(t)..T_max(t) via the three-term recurrence, one row per
-    degree, filled into table of shape (max + 1, len(t))."""
-    table[0] = 1.0
-    if max_degree >= 1:
-        table[1] = t
-        two_t = 2.0 * t
-        for k in range(2, max_degree + 1):
-            np.multiply(two_t, table[k - 1], out=table[k])
-            table[k] -= table[k - 2]
-    return table
+# eval_poly_many pads a block to a multiple of this many points with copies
+# of its last point.  Its product with the last axis's table runs through
+# BLAS, whose last few columns, when their count is no multiple of the
+# kernel's width, and a lone column, take other code paths with other bits;
+# so a point's value would depend on its block.
+_TILE_POINTS = 64
 
 
 def eval_basis_many(
@@ -237,21 +230,40 @@ def eval_poly(p: Polynomial, x: np.ndarray) -> float:
     return float(eval_basis(p.basis, x) @ p.coeffs)
 
 
+def _axis_map(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
+    """The variable of one axis's 1-D basis functions at the coordinates x:
+    x itself for monomials; for Chebyshev, x's image under the affine map of
+    the box's axis onto [-1, 1].  This is the one place that map is written."""
+    if basis.kind == "monomial":
+        return x
+    assert basis.box is not None
+    lo, up = basis.box.lower[axis], basis.box.upper[axis]
+    return (2.0 * x - (lo + up)) / (up - lo)
+
+
+def _recurrence(kind: BasisKind, out: np.ndarray, times) -> np.ndarray:
+    """Rows 2..d of a table of the 1-D basis functions phi_0..phi_d of a
+    variable v, whose rows 0 and 1 already hold phi_0 = 1 and phi_1 = v:
+    running products v^k = v * v^(k-1) for monomials, the three-term
+    recurrence T_k = 2v * T_(k-1) - T_(k-2) for Chebyshev.  times(row, dst)
+    writes v * row (monomial) or 2v * row (Chebyshev) into dst."""
+    for k in range(2, len(out)):
+        times(out[k - 1], out[k])
+        if kind == "chebyshev":
+            out[k] -= out[k - 2]
+    return out
+
+
 def _axis_table(basis: PolyBasis, axis: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Values of the 1-D basis functions of degree 0..d along one axis, one
     row per degree and one column per coordinate in x, written into out of
-    shape (d + 1, len(x)).  Chebyshev coordinates go through the affine map
-    of the box's axis onto [-1, 1]."""
-    if basis.kind == "chebyshev":
-        assert basis.box is not None
-        lo, up = basis.box.lower[axis], basis.box.upper[axis]
-        return _chebyshev_rows((2.0 * x - (lo + up)) / (up - lo), basis.degree, out)
+    shape (d + 1, len(x))."""
+    v = _axis_map(basis, axis, x)
     out[0] = 1.0
     if basis.degree >= 1:
-        out[1] = x  # 1.0 * x is x, bit for bit
-    for k in range(2, basis.degree + 1):
-        np.multiply(out[k - 1], out[1], out=out[k])
-    return out
+        out[1] = v  # 1.0 * x is x, bit for bit
+    factor = 2.0 * v if basis.kind == "chebyshev" else v
+    return _recurrence(basis.kind, out, lambda row, dst: np.multiply(factor, row, out=dst))
 
 
 def _prefix_layout(
@@ -263,7 +275,9 @@ def _prefix_layout(
     lexicographic order.  Returns, for each of those n - 1 axes, the runs
     (start, stop, exponent) of consecutive prefixes that share that axis's
     exponent, and the (P, d + 1) layout that holds c_alpha at
-    [rank of the prefix of alpha, alpha_{n-1}] and zeros elsewhere.
+    [rank of the prefix of alpha, alpha_{n-1}] and zeros elsewhere.  A
+    single prefix (1-D, or degree 0) gets a second, zero row, which keeps
+    eval_poly_many's product with the last axis's table a matrix product.
     """
     keys, base = basis.exponent_array, basis.degree + 1
     codes = np.zeros(keys.shape[0], dtype=np.int64)
@@ -279,7 +293,7 @@ def _prefix_layout(
         starts = np.flatnonzero(np.diff(column, prepend=-1))
         stops = np.append(starts[1:], count)
         runs.append(list(zip(starts.tolist(), stops.tolist(), column[starts].tolist())))
-    layout = np.zeros((count, base))
+    layout = np.zeros((max(count, 2), base))
     layout[codes, keys[:, -1]] = coeffs
     return runs, layout
 
@@ -293,7 +307,8 @@ def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
     of prefixes that share its exponent multiplied in place by one row of
     that axis's table, and a sum over the P prefixes.  The tables are filled
     row by row into buffers kept across blocks.  No intermediate exceeds
-    (len(basis), block).
+    (len(basis), block).  A block is padded to a multiple of _TILE_POINTS
+    points, so a point's value does not depend on the block it is in.
     """
     basis = p.basis
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -303,10 +318,14 @@ def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
         )
     last = basis.dimension - 1
     runs, layout = _prefix_layout(basis, p.coeffs)
-    out = np.empty(pts.shape[0])
+    count = pts.shape[0]
+    out = np.empty(count + _TILE_POINTS)
     acc = tables = np.empty((0, 0))
-    for start in range(0, pts.shape[0], _BLOCK_POINTS):
+    for start in range(0, count, _BLOCK_POINTS):
         block = pts[start : start + _BLOCK_POINTS]
+        pad = -block.shape[0] % _TILE_POINTS
+        if pad:
+            block = np.concatenate([block, np.broadcast_to(block[-1], (pad, block.shape[1]))])
         if acc.shape[1] != block.shape[0]:
             # new buffers for a new block size, the last partial block
             # included: the product with a strided view of the old ones
@@ -318,26 +337,156 @@ def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
             table = _axis_table(basis, axis, block[:, axis], tables[axis])
             for run_start, run_stop, exponent in runs[axis]:
                 acc[run_start:run_stop] *= table[exponent]
-        acc.sum(axis=0, out=out[start : start + _BLOCK_POINTS])
-    return out
+        acc.sum(axis=0, out=out[start : start + block.shape[0]])
+    return out[:count]
+
+
+def _dense_coeffs(p: Polynomial) -> np.ndarray:
+    """The coefficients in a dense (d + 1)^n array, indexed by exponent."""
+    values = np.zeros((p.degree + 1,) * p.dimension)
+    values[tuple(p.basis.exponent_array.T)] = p.coeffs
+    return values
+
+
+def _contract(values: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading degree index of values with the leading index of
+    each table in turn (de Boor, ACM TOMS 5, 1979); the other indices of each
+    table go last, in order."""
+    for table in tables:
+        values = np.tensordot(values, table, axes=(0, 0))
+    return values
 
 
 def eval_poly_grid(p: Polynomial, axes: list[np.ndarray]) -> np.ndarray:
     """Values on the tensor grid of the 1-D coordinate arrays in axes, of
     shape (len(axes[0]), ..., len(axes[-1])): raveled, in tensor_grid's
-    row-major order.  The coefficients fill a dense (d + 1)^n array by
-    exponent, and each axis's degree index in turn is contracted with its
-    table (de Boor, ACM TOMS 5, 1979); no point array is built."""
+    row-major order.  The dense coefficient array is contracted with each
+    axis's table in turn; no point array is built."""
     basis = p.basis
     if len(axes) != basis.dimension:
         raise ValueError(f"got {len(axes)} axes, basis has dimension {basis.dimension}")
-    values = np.zeros((basis.degree + 1,) * basis.dimension)
-    values[tuple(basis.exponent_array.T)] = p.coeffs
-    for axis, x in enumerate(axes):
-        table = _axis_table(basis, axis, x, np.empty((basis.degree + 1, len(x))))
-        # the leading index is this axis's degree; its coordinates go last
-        values = np.tensordot(values, table, axes=(0, 0))
-    return values
+    tables = [_axis_table(basis, axis, x, np.empty((basis.degree + 1, len(x))))
+              for axis, x in enumerate(axes)]
+    return _contract(_dense_coeffs(p), tables)
+
+
+def _shift_table(kind: BasisKind, degree: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_axis_table's recurrence run on polynomials in a cell coordinate s:
+    S[j, k, m] is the coefficient of s^m in phi_j(a[k] + b[k] s), for the
+    variable a[k] + b[k] s of cell k, s in [-1, 1]."""
+    out = np.zeros((degree + 1, a.size, degree + 1))
+    out[0, :, 0] = 1.0
+    if degree >= 1:
+        out[1, :, 0], out[1, :, 1] = a, b
+    scale = 2.0 if kind == "chebyshev" else 1.0
+    sa, sb = (scale * a)[:, None], (scale * b)[:, None]
+
+    def times(row: np.ndarray, dst: np.ndarray) -> None:
+        # row * (sa + sb s); row has degree below d in s, so nothing drops out
+        np.multiply(sa, row, out=dst)
+        dst[:, 1:] += sb * row[:, :-1]
+
+    return _recurrence(kind, out, times)
+
+
+# Entries of the largest array that cell_enclosures builds per block of
+# cells: 2**17 float64, 1 MiB, about a third of its working memory.
+_ENCLOSURE_BLOCK = 2**17
+
+
+def cell_enclosures(
+    p: Polynomial, box: BoxDomain, cells: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bounds of p on each cell of the box split into `cells` equal cells
+    per axis, a power of two.  Returns lower, upper (one entry per cell,
+    row-major in the axis order) and a margin E such that every sample
+    x = lower + u * widths that mc_volume builds from a draw u in
+    [0, 1)^n with floor(u * cells) naming the cell has
+    lower - E <= eval_poly_many(p, x) <= upper + E.
+
+    On cell k of axis i, phi_j's variable v (x, or the Chebyshev map of x)
+    runs over [a_k - b_k, a_k + b_k], so v = a_k + b_k s with s in [-1, 1],
+    and _shift_table gives phi_j(v) as a polynomial in s.  Contracting the
+    dense coefficient array with those tables axis by axis gives
+    p = sum_beta q_beta s^beta on the cell, hence the centred form
+    q_0 - sum_{beta != 0} |q_beta| <= p <= q_0 + sum_{beta != 0} |q_beta|
+    (Ratschek and Rokne, Computer Methods for the Range of Functions, 1984).
+    The cells are enclosed in blocks of at most _ENCLOSURE_BLOCK entries.
+
+    The margin bounds rounding, with u = 2^-53.  Let z_i bound |v| on every
+    cell and at every sample (for Chebyshev, max(1, |a_k|) + b_k, [-1, 1]
+    grown by half a cell, plus the excursion and the map's rounding below),
+    m_ij = max |phi_j| on [-z_i, z_i] (z^j, or T_j(z) = cosh(j acosh z)) and
+    M = sum_alpha |c_alpha| prod_i m_{i,alpha_i}, which bounds
+    sum |c_alpha phi_alpha| at the samples and sum_beta |q_beta|, since the
+    absolute s-coefficients of phi_j(a + b s) sum to at most m_ij.  With
+    R_i = max |coordinate| of the box (and the basis box) and, for
+    Chebyshev, kappa_i = R_i / (basis box width), each table entry is off by
+    at most a_i u m_ij, where a_i sums, for monomials (times j <= d):
+    - eval_poly_many's running products, j - 1 roundings;
+    - _shift_table's, 2 per step;
+    - the excursion: x, the cell edges, a and b are each a few roundings
+      from their exact values, so a sample lies within 12.1 z_i u of its
+      enclosed cell, and |d/dx x^j| <= j m_ij / z_i;
+    so a_i = 16 d.  For Chebyshev (times j^2 <= d^2): the map's rounding,
+    |t^ - t| <= (3.01 z + 2.01 kappa) u, times |T_j'| <= j^2 m_ij; the
+    recurrence's rounding, whose errors propagate by U_{k-j} <=
+    (k - j + 1) T_{k-j}, 1.51 j^2 in eval_poly_many and 4.52 j^2 in
+    _shift_table (3 roundings a step); and the excursion,
+    (5.03 z + 22.13 kappa) u, times j^2 m_ij; so a_i = d^2 (15 z_i +
+    25 kappa_i).  The products over axes and the sums add (depth of each
+    rounded sum): n + d + len(basis) in eval_poly_many, n (d + 1) in the
+    contraction, (d + 1)^n in sum |q_beta|, and 6 for the last subtraction,
+    the addition of E and the comparison with 1.  So
+    E = 2 u M (sum_i a_i + n + d + len(basis) + n (d + 1) + (d + 1)^n + 6),
+    where the factor 2 covers the second-order terms while the bracket
+    times u is at most 2^-20; beyond that E is infinite and no cell is
+    decided.
+    """
+    basis, n, d = p.basis, p.dimension, p.degree
+    if box.dimension != n:
+        raise ValueError("polynomial and box dimensions differ")
+    unit = 2.0**-53
+    tables, majorants, excess = [], [], 0.0
+    for axis in range(n):
+        lo, width = box.lower[axis], box.widths[axis]
+        v = _axis_map(basis, axis, lo + width * (np.arange(cells + 1) / cells))
+        a, b = (v[1:] + v[:-1]) / 2.0, (v[1:] - v[:-1]) / 2.0
+        tables.append(_shift_table(basis.kind, d, a, b))
+        if basis.kind == "monomial":
+            z = float(np.max(np.abs(a) + b)) * (1.0 + 13.0 * unit)
+            majorants.append(z ** np.arange(d + 1))
+            excess += 16.0 * d
+        else:
+            assert basis.box is not None
+            blo, bup = basis.box.lower[axis], basis.box.upper[axis]
+            kappa = max(abs(lo), abs(box.upper[axis]), abs(blo), abs(bup)) / (bup - blo)
+            z0 = max(1.0, float(np.max(np.abs(a)))) + float(np.max(b))
+            z = z0 * (1.0 + 13.0 * unit) + 25.0 * kappa * unit
+            majorants.append(np.cosh(np.arange(d + 1) * np.arccosh(z)))
+            excess += d * d * (15.0 * z + 25.0 * kappa)
+    exps = basis.exponent_array
+    bound = np.abs(p.coeffs) * np.prod([m[exps[:, i]] for i, m in enumerate(majorants)], axis=0)
+    depth = excess + n + d + len(basis) + n * (d + 1) + (d + 1) ** n + 6
+    margin = 2.0 * unit * depth * float(np.sum(bound)) if depth * unit <= 2.0**-20 else math.inf
+
+    total = cells**n
+    per_block = 1 << max(0, (_ENCLOSURE_BLOCK // (d + 1) ** n).bit_length() - 1)
+    per_block = min(per_block, total)
+    lower, upper = np.empty(total), np.empty(total)
+    grid, powers = (cells,) * n, tuple(range(1, 2 * n, 2))
+    dense = _dense_coeffs(p)
+    for start in range(0, total, per_block):
+        # an aligned power-of-two run of cells: a product of index ranges
+        first = np.unravel_index(start, grid)
+        last = np.unravel_index(start + per_block - 1, grid)
+        q = _contract(dense, [t[:, f : l + 1] for t, f, l in zip(tables, first, last)])
+        # axes of q: (cell, power of s) for each axis in turn
+        centre = q[(slice(None), 0) * n].reshape(-1)
+        radius = np.abs(q).sum(axis=powers).reshape(-1) - np.abs(centre)
+        lower[start : start + per_block] = centre - radius
+        upper[start : start + per_block] = centre + radius
+    return lower, upper, margin
 
 
 def constant_poly(basis: PolyBasis, value: float) -> Polynomial:

@@ -38,7 +38,13 @@ from .fitting import (
     fit,
 )
 from .lp import export_mps
-from .verification import count_components, default_resolution, run_report
+from .verification import (
+    check_mc_samples,
+    check_resolution,
+    count_components,
+    default_resolution,
+    run_report,
+)
 
 
 class IngestError(ValueError):
@@ -138,10 +144,20 @@ def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
     return poly, box
 
 
+def _check_verification(args: argparse.Namespace, dimension: int, monte_carlo: bool) -> None:
+    """Refuse the resolution or sample count the verification would refuse,
+    before any fit or report: components are counted in dimensions 1 to 3."""
+    if dimension <= 3:
+        check_resolution(dimension, args.resolution)
+    if monte_carlo:
+        check_mc_samples(args.mc_samples)
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     cloud = PointCloud(ingest_points(args.points))
     box = _box_for(args, cloud.dimension)
+    _check_verification(args, cloud.dimension, monte_carlo=True)
     result = fit(
         cloud,
         box,
@@ -171,6 +187,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     cloud = PointCloud(ingest_points(args.points))
     box = _box_for(args, cloud.dimension)
+    _check_verification(args, cloud.dimension, monte_carlo=False)
     degrees = sorted({int(d) for d in args.degrees.split(",")})
     entries = degree_sweep(
         cloud, box, degrees,
@@ -242,6 +259,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     poly, box = _load_poly(args)
     cloud = PointCloud(ingest_points(args.points)) if args.points is not None else None
+    if cloud is not None and cloud.dimension != poly.dimension:
+        raise IngestError(f"points have dimension {cloud.dimension}, coefficients have "
+                          f"{poly.dimension}")
+    _check_verification(args, poly.dimension, monte_carlo=True)
     report = run_report(
         poly, box,
         mc_samples=args.mc_samples, seed=args.seed, resolution=args.resolution,
@@ -308,8 +329,8 @@ def _add_common(parser: argparse.ArgumentParser, *, points: bool, degree: str | 
     parser.add_argument(
         "--resolution",
         type=int,
-        help="component-count cells per axis, at least 64; checked in every "
-        "dimension but used only in 2-D and 3-D, since the 1-D count is exact "
+        help="component-count cells per axis, at least 64; checked in 1-D to "
+        "3-D but used only in 2-D and 3-D, since the 1-D count is exact "
         "(plotdata: grid points per axis)",
     )
     parser.add_argument("--out", help="output directory (default .)")

@@ -9,13 +9,18 @@ import numpy as np
 MAX_GRID_POINTS = 10_000_000
 
 
+def check_grid_size(count: int, dimension: int, what: str = "tensor grid") -> None:
+    """Refuse a tensor grid of count^dimension points over MAX_GRID_POINTS."""
+    total = count**dimension
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"{what} would hold {total} points (limit {MAX_GRID_POINTS})")
+
+
 def grid_axes(lower, upper, count: int, what: str = "tensor grid") -> list[np.ndarray]:
     """count evenly spaced coordinates per axis from lower[d] to upper[d],
     both included: the axes whose product tensor_grid lays out.  A product
     of more than MAX_GRID_POINTS points is refused before anything is built."""
-    total = count ** len(lower)
-    if total > MAX_GRID_POINTS:
-        raise ValueError(f"{what} would hold {total} points (limit {MAX_GRID_POINTS})")
+    check_grid_size(count, len(lower), what)
     return [np.linspace(lo, up, count) for lo, up in zip(lower, upper)]
 
 

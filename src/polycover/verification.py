@@ -1,16 +1,19 @@
 """Independent checks on a fitted superlevel set U(p) = {x in B : p(x) >= 1}.
 
 Volume is estimated by Monte Carlo with a counter-based generator, so runs
-with equal seeds agree bit for bit regardless of chunking.  When p >= 0 holds
-on all of B, Markov's bound gives  vol U(p) <= integral of p over B;  the
-integral is the fit objective w, so w should exceed the estimated volume up
-to sampling noise.  The nonnegativity scan probes how far p dips below zero
-between the grid points where it was enforced, the component count describes
-the topology of U(p) (exactly in 1-D, from the real roots of p - 1; on a
-pixel grid in 2-D and 3-D), and the trace report recomputes w through a
-Gram-matrix route as a cross-check on the moment pipeline.  Tensor grids
-(the scan below 3-D, the pixel grids) are evaluated axis by axis through
-eval_poly_grid, scattered points through eval_poly_many.
+with equal seeds agree bit for bit regardless of chunking.  Rigorous bounds
+of p on a grid of cells decide most samples; p is evaluated only at those in
+cells whose bounds straddle 1, and the count is the one that evaluating
+every sample gives.  When p >= 0 holds on all of B, Markov's bound gives
+vol U(p) <= integral of p over B;  the integral is the fit objective w, so w
+should exceed the estimated volume up to sampling noise.  The nonnegativity
+scan probes how far p dips below zero between the grid points where it was
+enforced, the component count describes the topology of U(p) (exactly in
+1-D, from the real roots of p - 1; on a pixel grid in 2-D and 3-D), and the
+trace report recomputes w through a Gram-matrix route as a cross-check on
+the moment pipeline.  Tensor grids (the scan below 3-D, the pixel grids) are
+evaluated axis by axis through eval_poly_grid, scattered points through
+eval_poly_many.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import scipy.ndimage
 from numpy.polynomial import chebyshev
 
 from .basis import (
+    _ENCLOSURE_BLOCK,
     Polynomial,
+    cell_enclosures,
     eval_basis_many,
     eval_poly_grid,
     eval_poly_many,
@@ -33,14 +38,14 @@ from .basis import (
     make_basis,
     poly_to_gram,
 )
-from .domain import BoxDomain, grid_axes
+from .domain import BoxDomain, check_grid_size, grid_axes
 from .fitting import GridSpec, build_grid, default_grid_spec
 from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
 MIN_MC_SAMPLES = 1000
-# Monte Carlo points drawn and evaluated at a time
-MC_CHUNK_SAMPLES = 262_144
+# Monte Carlo samples drawn and screened at a time
+MC_CHUNK_SAMPLES = 65_536
 # Roots of p - 1 with imaginary parts up to this size, in the coordinates that
 # map the box onto [-1, 1], still split the box in the exact 1-D count.
 ROOT_IMAG_TOL = 1e-3
@@ -54,6 +59,32 @@ class VolumeEstimate:
     standard_error: float
     samples: int
     seed: int
+    # samples whose cell enclosure did not decide them, so p was evaluated
+    evaluated: int
+
+
+def check_mc_samples(samples: int) -> None:
+    """Refuse a Monte Carlo sample count below MIN_MC_SAMPLES."""
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
+
+
+def _screen(p: Polynomial, box: BoxDomain, samples: int) -> tuple[int, np.ndarray]:
+    """Cells per axis of mc_volume's screen, a power of two, and the state of
+    each cell, row-major: 1 where p >= 1 on the whole cell, -1 where p < 1,
+    0 where the enclosure, rounding included, cannot tell.  About 4096
+    cells in all; fewer where their enclosures' multiply-adds, (d + 1)^(n + 1)
+    per cell, would pass twice the len(basis) per sample of evaluating
+    every sample (as matrix products they run several times faster); one
+    undecided cell where a cell's (d + 1)^n coefficients would not fit in
+    an enclosure block."""
+    n, d = p.dimension, p.degree
+    if (d + 1) ** n > _ENCLOSURE_BLOCK:
+        return 1, np.zeros(1, dtype=np.int8)
+    budget = min(4096, 2 * samples * math.comb(n + d, d) // (d + 1) ** (n + 1))
+    cells = 1 << max(0, budget.bit_length() - 1) // n
+    low, high, margin = cell_enclosures(p, box, cells)
+    return cells, (low - margin >= 1.0).astype(np.int8) - (high + margin < 1.0)
 
 
 def mc_volume(
@@ -64,31 +95,45 @@ def mc_volume(
 ) -> VolumeEstimate:
     """Monte Carlo estimate of vol {x in B : p(x) >= 1}.
 
-    The standard error is the binomial one, vol(B) * sqrt(q(1-q)/N); it goes
-    to zero only like 1/sqrt(N), so treat small gaps as noise.
+    The samples are screened by cell_enclosures: a sample in a cell where
+    p - 1 keeps its sign, rounding included, counts by its cell, and only
+    the samples in the other cells are built and evaluated, so the count
+    is that of evaluating p at every sample.  The standard error is the
+    binomial one, vol(B) * sqrt(q(1-q)/N); it goes to zero only like
+    1/sqrt(N), so treat small gaps as noise.
     """
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
+    check_mc_samples(samples)
     if p.dimension != box.dimension:
         raise ValueError("polynomial and box dimensions differ")
+    cells, state = _screen(p, box, samples)
     rng = np.random.Generator(np.random.Philox(seed))
     lower = box.lower_array
     widths = box.widths
-    hits = 0
+    hits = evaluated = 0
     remaining = samples
     while remaining > 0:
         m = min(MC_CHUNK_SAMPLES, remaining)
+        draws = rng.random((m, box.dimension))
+        # cells is a power of two, so u * cells is exact and its floor the cell
+        cell = np.zeros(m, dtype=np.int32)
+        for axis in range(box.dimension):
+            cell *= cells
+            cell += (draws[:, axis] * cells).astype(np.int32)
+        decided = state[cell]
+        hits += int(np.count_nonzero(decided == 1))
         # in place: the same bits as lower + u * widths, without a temporary
-        points = rng.random((m, box.dimension))
+        points = np.compress(decided == 0, draws, axis=0)
         points *= widths
         points += lower
         hits += int(np.count_nonzero(eval_poly_many(p, points) >= 1.0))
+        evaluated += points.shape[0]
         remaining -= m
     fraction = hits / samples
     volume = box.volume
     stderr = volume * math.sqrt(fraction * (1.0 - fraction) / samples)
     return VolumeEstimate(
-        estimate=volume * fraction, standard_error=stderr, samples=samples, seed=seed
+        estimate=volume * fraction, standard_error=stderr, samples=samples, seed=seed,
+        evaluated=evaluated,
     )
 
 
@@ -157,6 +202,19 @@ def default_resolution(dimension: int) -> int:
     return 512 if dimension <= 2 else 64
 
 
+def check_resolution(dimension: int, resolution: int | None) -> int:
+    """The resolution count_components uses in dimensions 1 to 3, the
+    default when None.  Refuses one below 64 and, in 2-D and 3-D, one whose
+    grid would pass MAX_GRID_POINTS cells, before anything is built."""
+    if resolution is None:
+        return default_resolution(dimension)
+    if resolution < 64:
+        raise ValueError("resolution must be at least 64")
+    if dimension >= 2:
+        check_grid_size(resolution, dimension, "component grid")
+    return resolution
+
+
 def _count_intervals(p: Polynomial, box: BoxDomain) -> int:
     """Number of intervals of positive length in {p >= 1} on a 1-D box.
 
@@ -215,10 +273,7 @@ def count_components(
         raise ValueError("polynomial and box dimensions differ")
     if n > 3:
         raise ValueError("component counting supports dimensions 1 to 3 only")
-    if resolution is None:
-        resolution = default_resolution(n)
-    if resolution < 64:
-        raise ValueError("resolution must be at least 64")
+    resolution = check_resolution(n, resolution)
     if n == 1:
         return _count_intervals(p, box)
     h = box.widths / resolution
@@ -306,9 +361,11 @@ def run_report(
     """Full verification pass over one fitted polynomial.
 
     Writes one DEBUG line to the polycover logger with the seconds of each
-    stage and the points it evaluated.  The component count reports 0 cells
-    where it labels no grid: the exact 1-D count, and above 3-D, where it is
-    skipped like the trace in a Chebyshev basis.
+    stage and the points it evaluated; for the Monte Carlo stage, both the
+    samples drawn and those the cell screen left to evaluate.  The
+    component count reports 0 cells where it labels no grid: the exact 1-D
+    count, and above 3-D, where it is skipped like the trace in a Chebyshev
+    basis.
     """
     n = box.dimension
     start = time.perf_counter()
@@ -325,10 +382,11 @@ def run_report(
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
     cells = (resolution or default_resolution(n)) ** n if 2 <= n <= 3 else 0
     _log.debug(
-        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples, "
-        "scan %.3f s on %d points, components %.3f s on %d cells, trace %.3f s",
+        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples "
+        "(%d evaluated), scan %.3f s on %d points, components %.3f s on %d cells, "
+        "trace %.3f s",
         p.degree, moments_done - components_done, mc_done - moments_done, volume.samples,
-        scan_done - mc_done, scan.points, components_done - start, cells,
+        volume.evaluated, scan_done - mc_done, scan.points, components_done - start, cells,
         time.perf_counter() - scan_done,
     )
     return VerificationReport(

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
 from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import _BLOCK_POINTS, basis_size, constant_poly
-from polycover.basis import eval_poly_grid
+from polycover.basis import _BLOCK_POINTS, _TILE_POINTS, basis_size, constant_poly
+from polycover.basis import cell_enclosures, eval_poly_grid
 from polycover.domain import grid_axes, tensor_grid
 
 from oracles import chebyshev_tensor_value, horner_eval
@@ -199,17 +199,20 @@ def _eval_poly_gathered(p, points):
     count = int(codes.max()) + 1
     prefixes = np.empty((count, keys.shape[1] - 1), dtype=keys.dtype)
     prefixes[codes] = keys[:, :-1]
-    layout = np.zeros((count, base))
+    layout = np.zeros((max(count, 2), base))  # two rows at least, as in the kernel
     layout[codes, keys[:, -1]] = p.coeffs
 
     last = basis.dimension - 1
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
         block = pts[start : start + _BLOCK_POINTS]
+        size = block.shape[0]
+        # padded with copies of the last point, as in the kernel
+        block = np.vstack([block, np.repeat(block[-1:], -size % _TILE_POINTS, axis=0)])
         acc = layout @ axis_table(last, block[:, last])
         for axis in range(last):
             acc *= axis_table(axis, block[:, axis])[prefixes[:, axis]]
-        out[start : start + _BLOCK_POINTS] = acc.sum(axis=0)
+        out[start : start + size] = acc.sum(axis=0)[:size]
     return out
 
 
@@ -255,6 +258,83 @@ def test_eval_poly_many_chunks_agree_with_direct_loop():
     sample = slice(0, None, 50_000)
     direct = [p(x) for x in points[sample]]
     np.testing.assert_allclose(values[sample], direct, rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("dimension, degree", [(1, 12), (1, 20), (2, 9), (2, 16), (3, 6)])
+def test_eval_poly_many_of_a_lone_point_is_bitwise_its_value_in_a_block(
+    dimension, degree, kind
+):
+    # mc_volume evaluates whatever subset of its samples the cell screen
+    # leaves, so a value must not depend on its block: a lone point once took
+    # numpy's matrix-vector path, and from 16 coefficients per row on, a
+    # block's last columns past a multiple of 8 took other BLAS kernels
+    rng = np.random.default_rng(20 + dimension + degree)
+    box = BoxDomain(lower=(-1.5, -0.25, -2.0)[:dimension], upper=(0.5, 1.75, 1.0)[:dimension])
+    basis = make_basis(dimension, degree, kind, box)
+    p = Polynomial(basis, rng.normal(size=len(basis)))
+    points = box.lower_array + rng.random((300, dimension)) * box.widths
+    block = eval_poly_many(p, points)
+    lone = np.array([eval_poly_many(p, points[i : i + 1])[0] for i in range(len(points))])
+    assert np.array_equal(lone.view(np.int64), block.view(np.int64))
+    for size in range(2, 70):
+        pick = np.sort(rng.choice(len(points), size, replace=False))
+        got = eval_poly_many(p, points[pick])
+        assert np.array_equal(got.view(np.int64), block[pick].view(np.int64))
+
+
+def _cell_samples(box, cells, rng, count):
+    """Samples built as mc_volume builds them, x = lower + u * widths in
+    place, and their cells: each coordinate of u is a random draw, a
+    cell's lower face k / cells or the largest draw below its upper face;
+    the box's corners are added."""
+    n = box.dimension
+    k = rng.integers(0, cells, (count, n))
+    u = np.select(
+        [rng.random((count, n)) < 0.4, rng.random((count, n)) < 0.5],
+        [(k + rng.random((count, n))) / cells, k / cells],
+        np.nextafter((k + 1) / cells, 0.0),
+    )
+    corners = np.array(np.meshgrid(*[[0.0, np.nextafter(1.0, 0.0)]] * n)).reshape(n, -1).T
+    u = np.vstack([u, corners])
+    cell = np.zeros(u.shape[0], dtype=np.int64)
+    for axis in range(n):
+        cell = cell * cells + (u[:, axis] * cells).astype(np.int64)
+    points = u.copy()
+    points *= box.widths
+    points += box.lower_array
+    return points, cell
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_cell_enclosures_contain_p_within_the_margin(dimension, kind):
+    rng = np.random.default_rng(40 + 10 * dimension + len(kind))
+    cells = (64, 16, 4, 2)[dimension - 1]
+    degrees = range(15) if dimension <= 2 else (0, 1, 2, 5, 9, 14)
+    for degree in degrees:
+        # off-centre boxes; for Chebyshev the cells also split a box inside
+        # the basis box, whose map then stays inside [-1, 1]
+        lower = rng.uniform(-3.0, 2.0, dimension)
+        basis_box = BoxDomain(lower=tuple(lower),
+                              upper=tuple(lower + rng.uniform(0.3, 3.0, dimension)))
+        box = basis_box
+        if kind == "chebyshev" and degree % 2:
+            box = BoxDomain(lower=tuple(basis_box.lower_array + 0.25 * basis_box.widths),
+                            upper=basis_box.upper)
+        basis = make_basis(dimension, degree, kind, basis_box)
+        p = Polynomial(basis, rng.normal(size=len(basis)))
+        points, cell = _cell_samples(box, cells, rng, 3000)
+        values = eval_poly_many(p, points)
+        # p about 1 at the first sample, so that its cell straddles 1
+        p.coeffs[0] += 1.0 - values[0]
+        values = eval_poly_many(p, points)
+        low, high, margin = cell_enclosures(p, box, cells)
+        assert low.shape == high.shape == (cells**dimension,)
+        assert 0.0 < margin < math.inf
+        assert np.all(low[cell] - margin <= values), (degree, np.min(values - low[cell]))
+        assert np.all(values <= high[cell] + margin), (degree, np.max(values - high[cell]))
+        assert np.all(low <= high)
 
 
 def _assert_matches_basis_matrix(p, values, points):

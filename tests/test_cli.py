@@ -410,6 +410,50 @@ def test_verify_checks_the_resolution_before_the_monte_carlo(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "verb, flags, message",
+    [
+        pytest.param("fit", ["--degree", "9", "--resolution", "10"],
+                     "resolution must be at least 64", id="fit_below_64"),
+        pytest.param("fit", ["--degree", "9", "--resolution", "4000"],
+                     f"component grid would hold 16000000 points (limit {MAX_GRID_POINTS})",
+                     id="fit_over_the_cap"),
+        pytest.param("fit", ["--degree", "9", "--mc-samples", "10"],
+                     "need at least 1000 samples", id="fit_few_samples"),
+        pytest.param("sweep", ["--degrees", "2,5", "--resolution", "10"],
+                     "resolution must be at least 64", id="sweep_below_64"),
+    ],
+)
+def test_fit_and_sweep_check_the_verification_settings_before_fitting(
+    tmp_path, capsys, monkeypatch, verb, flags, message
+):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3, -0.2), (-0.4, 0.5)])
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran before the verification settings were checked")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    monkeypatch.setattr(cli, "degree_sweep", no_fit)
+    out = tmp_path / "out"
+    assert main([verb, "--points", str(pts), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(out.iterdir())  # no sweep.csv, not even its header
+
+
+def test_verify_checks_the_dimension_of_the_points_before_the_report(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(2, 2), 1.0))))
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.1, 0.2, 0.3)])
+    out = tmp_path / "out"
+    code = main(["verify", "--coeffs", str(coeffs), "--points", str(pts),
+                 "--mc-samples", "1000", "--resolution", "64", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: points have dimension 3, coefficients have 2\n"
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("verb", ["fit", "sweep", "export-mps", "plotdata", "verify"])
 def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb):
     pts = tmp_path / "pts.csv"

@@ -103,6 +103,107 @@ def test_mc_volume_rejects_tiny_sample_counts():
         mc_volume(halfspace_poly(), BoxDomain.symmetric(2), samples=10)
 
 
+def _mc_samples(box, samples, seed):
+    # mc_volume's samples: the same Philox stream, built in place the same way
+    points = np.random.Generator(np.random.Philox(seed)).random((samples, box.dimension))
+    points *= box.widths
+    points += box.lower_array
+    return points
+
+
+def _screen_families():
+    """Polynomials of 1 to 4 variables, both kinds, degrees 0 to 14, on
+    off-centre boxes, each shifted so that about half the samples have
+    p >= 1."""
+    rng = np.random.default_rng(21)
+    for dimension, degrees in ((1, range(0, 15, 2)), (2, range(1, 15, 3)), (3, (2, 6, 9)),
+                               (4, (1, 4))):
+        for kind in ("monomial", "chebyshev"):
+            for degree in degrees:
+                lower = rng.uniform(-3.0, 2.0, dimension)
+                box = BoxDomain(lower=tuple(lower),
+                                upper=tuple(lower + rng.uniform(0.3, 3.0, dimension)))
+                basis = make_basis(dimension, degree, kind, box)
+                p = Polynomial(basis, rng.normal(size=len(basis)))
+                seed = int(rng.integers(2**32))
+                p.coeffs[0] += 1.0 - np.median(eval_poly_many(p, _mc_samples(box, 1000, seed)))
+                yield p, box, seed
+
+
+def test_screened_mc_volume_counts_what_evaluating_every_sample_counts():
+    screened = 0
+    for p, box, seed in _screen_families():
+        samples = 20_000 + seed % 1000
+        est = mc_volume(p, box, samples=samples, seed=seed)
+        hits = np.count_nonzero(eval_poly_many(p, _mc_samples(box, samples, seed)) >= 1.0)
+        assert est.estimate == box.volume * (hits / samples), (p.basis.kind, p.dimension, p.degree)
+        assert 0 <= est.evaluated <= samples
+        screened += est.evaluated < samples // 2
+    assert screened >= 10  # the screen decides most samples of most families
+
+
+def _touching_one(p, points, rng):
+    """p with its constant term shifted so that its computed value at one of
+    the points is exactly 1.0, and that point's position."""
+    for i in rng.permutation(len(points))[:50]:
+        coeffs = p.coeffs.copy()
+        for step in range(40):
+            value = eval_poly_many(Polynomial(p.basis, coeffs), points[i : i + 1])[0]
+            if value == 1.0:
+                return Polynomial(p.basis, coeffs), i
+            if step < 4:
+                coeffs[0] += 1.0 - value
+            else:  # below the constant's spacing: one ulp at a time
+                coeffs[0] = np.nextafter(coeffs[0], math.copysign(math.inf, 1.0 - value))
+    raise AssertionError("no shift of the constant term makes p exactly 1 at a point")
+
+
+def test_screened_mc_volume_counts_a_sample_where_p_is_exactly_one():
+    rng = np.random.default_rng(22)
+    for p, box, seed in _screen_families():
+        samples = 5_000
+        points = _mc_samples(box, samples, seed)
+        # p of order 1, so that the spacing of its values near 1 is 1's
+        p = Polynomial(p.basis, p.coeffs / np.max(np.abs(eval_poly_many(p, points))))
+        p, i = _touching_one(p, points, rng)
+        values = eval_poly_many(p, points)
+        assert values[i] == 1.0
+        est = mc_volume(p, box, samples=samples, seed=seed)
+        assert est.estimate == box.volume * (np.count_nonzero(values >= 1.0) / samples)
+
+
+def test_mc_volume_evaluates_every_sample_where_a_cell_would_not_fit_a_block():
+    # 8^6 coefficients per cell of a 6-D degree-7 polynomial pass the
+    # enclosure block, so nothing is screened
+    rng = np.random.default_rng(24)
+    box = BoxDomain.symmetric(6, 0.5)
+    basis = make_basis(6, 7)
+    p = Polynomial(basis, rng.normal(size=len(basis)))
+    points = _mc_samples(box, 2_000, 3)
+    p.coeffs[0] += 1.0 - np.median(eval_poly_many(p, points))
+    est = mc_volume(p, box, samples=2_000, seed=3)
+    hits = np.count_nonzero(eval_poly_many(p, points) >= 1.0)
+    assert est.evaluated == 2_000
+    assert 0 < hits < 2_000
+    assert est.estimate == box.volume * (hits / 2_000)
+
+
+def test_mc_volume_encloses_its_cells_in_blocks():
+    # 4096 cells of a 4-D degree-6 polynomial hold 7^4 coefficients each:
+    # enclosed at once they would take 79 MiB
+    rng = np.random.default_rng(23)
+    box = BoxDomain.symmetric(4)
+    p = Polynomial(make_basis(4, 6), 0.3 * rng.normal(size=210))
+    tracemalloc.start()
+    try:
+        est = mc_volume(p, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.evaluated < est.samples // 2
+    assert peak < 16 * 2**20
+
+
 def test_chebyshev_check_passes_for_nonnegative_polynomial():
     box = BoxDomain.symmetric(1)
     basis = make_basis(1, 2, "monomial")
@@ -351,8 +452,8 @@ def test_run_report_schema(figure_sweep):
 def test_run_report_logs_its_stages_at_debug_level(caplog):
     line = re.compile(
         r"verify degree (\d+): moments \d+\.\d{3} s, monte carlo \d+\.\d{3} s on (\d+) "
-        r"samples, scan \d+\.\d{3} s on (\d+) points, components \d+\.\d{3} s on (\d+) "
-        r"cells, trace \d+\.\d{3} s"
+        r"samples \((\d+) evaluated\), scan \d+\.\d{3} s on (\d+) points, components "
+        r"\d+\.\d{3} s on (\d+) cells, trace \d+\.\d{3} s"
     )
     square, segment = BoxDomain.symmetric(2), BoxDomain.symmetric(1)
     line_poly = Polynomial(make_basis(1, 2, "monomial"), np.array([0.0, 0.0, 2.0]))
@@ -361,10 +462,17 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
         run_report(line_poly, segment, mc_samples=2_000)  # exact count: no cells
     lines = [line.fullmatch(r.getMessage()) for r in caplog.records if r.name == "polycover"]
     assert all(lines)
-    assert [tuple(int(g) for g in m.groups()) for m in lines] == [
+    fields = [tuple(int(g) for g in m.groups()) for m in lines]
+    assert [f[:2] + f[3:] for f in fields] == [
         (1, 10_000, 801 * 801, 64 * 64),  # the default 2-D scan
         (2, 2_000, nonnegativity_scan(line_poly, segment).points, 0),
     ]
+    # the screen leaves only the samples near the boundary p = 1 to evaluate
+    assert [f[2] for f in fields] == [
+        mc_volume(halfspace_poly(), square, samples=10_000).evaluated,
+        mc_volume(line_poly, segment, samples=2_000).evaluated,
+    ]
+    assert 0 < fields[0][2] < 10_000 // 10 and 0 < fields[1][2] < 2_000 // 10
     caplog.clear()
     run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
