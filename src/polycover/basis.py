@@ -399,10 +399,15 @@ def cell_enclosures(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Bounds of p on each cell of the box split into `cells` equal cells
     per axis, a power of two.  Returns lower, upper (one entry per cell,
-    row-major in the axis order) and a margin E such that every sample
-    x = lower + u * widths that mc_volume builds from a draw u in
-    [0, 1)^n with floor(u * cells) naming the cell has
-    lower - E <= eval_poly_many(p, x) <= upper + E.
+    row-major in the axis order) and a margin E such that every point
+    x = lower + u * widths built in place from a u in [0, 1)^n with
+    floor(u * cells) naming the cell has
+    fl(lower - E) <= eval_poly_many(p, x) <= fl(upper + E).  Such points
+    are mc_volume's samples, built from its uniform draws, and the Sobol
+    points of nonnegativity_scan, exact multiples of 2^-30 scaled by
+    BoxDomain.scale_unit as build_grid scales them.  Comparing the rounded
+    bounds with 1, or with any value eval_poly_many gives at such a point,
+    is therefore sound.
 
     On cell k of axis i, phi_j's variable v (x, or the Chebyshev map of x)
     runs over [a_k - b_k, a_k + b_k], so v = a_k + b_k s with s in [-1, 1],
@@ -436,8 +441,8 @@ def cell_enclosures(
     (5.03 z + 22.13 kappa) u, times j^2 m_ij; so a_i = d^2 (15 z_i +
     25 kappa_i).  The products over axes and the sums add (depth of each
     rounded sum): n + d + len(basis) in eval_poly_many, n (d + 1) in the
-    contraction, (d + 1)^n in sum |q_beta|, and 6 for the last subtraction,
-    the addition of E and the comparison with 1.  So
+    contraction, (d + 1)^n in sum |q_beta|, and 6 for the last subtraction
+    and the rounding of lower - E and upper + E.  So
     E = 2 u M (sum_i a_i + n + d + len(basis) + n (d + 1) + (d + 1)^n + 6),
     where the factor 2 covers the second-order terms while the bracket
     times u is at most 2^-20; beyond that E is infinite and no cell is

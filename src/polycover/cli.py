@@ -188,7 +188,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cloud = PointCloud(ingest_points(args.points))
     box = _box_for(args, cloud.dimension)
     _check_verification(args, cloud.dimension, monte_carlo=False)
-    degrees = sorted({int(d) for d in args.degrees.split(",")})
+    try:
+        degrees = sorted({int(d) for d in args.degrees.split(",")})
+    except ValueError as exc:
+        raise IngestError(f"--degrees {args.degrees!r}: expected comma-separated integers") from exc
     entries = degree_sweep(
         cloud, box, degrees,
         kind=args.basis, grid=_grid_for(args),
@@ -225,7 +228,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     poly, box = _load_poly(args)
     if box.dimension > 3:
         raise IngestError("plot data supports dimensions 1 to 3 only")
-    resolution = args.resolution or default_resolution(box.dimension)
+    resolution = default_resolution(box.dimension) if args.resolution is None else args.resolution
+    if resolution < 2:
+        raise IngestError(f"plot grid would hold {resolution} points per axis (at least 2)")
     axes = grid_axes(box.lower, box.upper, resolution, "plot grid")
     values = eval_poly_grid(poly, axes).reshape(-1)
 

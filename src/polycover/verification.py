@@ -8,7 +8,9 @@ every sample gives.  When p >= 0 holds on all of B, Markov's bound gives
 vol U(p) <= integral of p over B;  the integral is the fit objective w, so w
 should exceed the estimated volume up to sampling noise.  The nonnegativity
 scan probes how far p dips below zero between the grid points where it was
-enforced, the component count describes the topology of U(p) (exactly in
+enforced; on a quasi-random grid the same cell bounds skip the points in
+cells that cannot hold the minimum, and run_report computes them once for
+both.  The component count describes the topology of U(p) (exactly in
 1-D, from the real roots of p - 1; on a pixel grid in 2-D and 3-D), and the
 trace report recomputes w through a Gram-matrix route as a cross-check on
 the moment pipeline.  Tensor grids (the scan below 3-D, the pixel grids) are
@@ -39,13 +41,16 @@ from .basis import (
     poly_to_gram,
 )
 from .domain import BoxDomain, check_grid_size, grid_axes
-from .fitting import GridSpec, build_grid, default_grid_spec
+from .fitting import GridSpec, default_grid_spec, unit_sobol_grid
 from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
 MIN_MC_SAMPLES = 1000
 # Monte Carlo samples drawn and screened at a time
 MC_CHUNK_SAMPLES = 65_536
+# The scan's threshold comes from the points of this share of the occupied
+# cells, lowest lower bounds first (see _screened_values).
+SCAN_SEED_SHARE = 32
 # Roots of p - 1 with imaginary parts up to this size, in the coordinates that
 # map the box onto [-1, 1], still split the box in the exact 1-D count.
 ROOT_IMAG_TOL = 1e-3
@@ -69,22 +74,56 @@ def check_mc_samples(samples: int) -> None:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
 
 
-def _screen(p: Polynomial, box: BoxDomain, samples: int) -> tuple[int, np.ndarray]:
-    """Cells per axis of mc_volume's screen, a power of two, and the state of
-    each cell, row-major: 1 where p >= 1 on the whole cell, -1 where p < 1,
-    0 where the enclosure, rounding included, cannot tell.  About 4096
-    cells in all; fewer where their enclosures' multiply-adds, (d + 1)^(n + 1)
-    per cell, would pass twice the len(basis) per sample of evaluating
-    every sample (as matrix products they run several times faster); one
-    undecided cell where a cell's (d + 1)^n coefficients would not fit in
-    an enclosure block."""
+@dataclass(frozen=True)
+class CellScreen:
+    """Bounds of p on `cells` equal cells per axis of the box, row-major in
+    the axis order, with cell_enclosures' margin applied: fl(lower - E) and
+    fl(upper + E).  Every point lower + u * widths built in place from a u
+    in [0, 1)^n whose floor(u * cells) names a cell has an eval_poly_many
+    value between that cell's two bounds."""
+
+    polynomial: Polynomial
+    box: BoxDomain
+    cells: int
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def cell_of(self, unit: np.ndarray) -> np.ndarray:
+        """The cell of each row of unit, points of [0, 1)^n; cells is a power
+        of two, so u * cells is exact and its floor the cell."""
+        cell = np.zeros(unit.shape[0], dtype=np.int32)
+        for axis in range(unit.shape[1]):
+            cell *= self.cells
+            cell += (unit[:, axis] * self.cells).astype(np.int32)
+        return cell
+
+
+def _screen(p: Polynomial, box: BoxDomain, samples: int) -> CellScreen:
+    """The cell screen for `samples` points.  Its cells per axis are a power
+    of two, about 4096 cells in all; fewer where their enclosures'
+    multiply-adds, (d + 1)^(n + 1) per cell, would pass twice the
+    len(basis) per sample of evaluating every sample (as matrix products
+    they run several times faster); one unbounded cell where a cell's
+    (d + 1)^n coefficients would not fit in an enclosure block."""
     n, d = p.dimension, p.degree
     if (d + 1) ** n > _ENCLOSURE_BLOCK:
-        return 1, np.zeros(1, dtype=np.int8)
+        return CellScreen(p, box, 1, np.array([-math.inf]), np.array([math.inf]))
     budget = min(4096, 2 * samples * math.comb(n + d, d) // (d + 1) ** (n + 1))
     cells = 1 << max(0, budget.bit_length() - 1) // n
     low, high, margin = cell_enclosures(p, box, cells)
-    return cells, (low - margin >= 1.0).astype(np.int8) - (high + margin < 1.0)
+    return CellScreen(p, box, cells, low - margin, high + margin)
+
+
+def _screen_for(
+    p: Polynomial, box: BoxDomain, samples: int, screen: CellScreen | None
+) -> CellScreen:
+    """screen, refused unless it was made for p on box; a new one for
+    `samples` points when None."""
+    if screen is None:
+        return _screen(p, box, samples)
+    if screen.polynomial is not p or screen.box != box:
+        raise ValueError("cell screen was computed for another polynomial or box")
+    return screen
 
 
 def mc_volume(
@@ -92,39 +131,34 @@ def mc_volume(
     box: BoxDomain,
     samples: int = 1_000_000,
     seed: int = 0,
+    *,
+    screen: CellScreen | None = None,
 ) -> VolumeEstimate:
     """Monte Carlo estimate of vol {x in B : p(x) >= 1}.
 
-    The samples are screened by cell_enclosures: a sample in a cell where
-    p - 1 keeps its sign, rounding included, counts by its cell, and only
-    the samples in the other cells are built and evaluated, so the count
-    is that of evaluating p at every sample.  The standard error is the
-    binomial one, vol(B) * sqrt(q(1-q)/N); it goes to zero only like
-    1/sqrt(N), so treat small gaps as noise.
+    The samples are screened by cell enclosures of p: a sample in a cell
+    where p - 1 keeps its sign, rounding included, counts by its cell, and
+    only the samples in the other cells are built and evaluated, so the
+    count is that of evaluating p at every sample.  A screen made for p and
+    box, of any cell count, may be passed in; it changes only the work.
+    The standard error is the binomial one, vol(B) * sqrt(q(1-q)/N); it goes
+    to zero only like 1/sqrt(N), so treat small gaps as noise.
     """
     check_mc_samples(samples)
     if p.dimension != box.dimension:
         raise ValueError("polynomial and box dimensions differ")
-    cells, state = _screen(p, box, samples)
+    screen = _screen_for(p, box, samples, screen)
+    # 1 where p >= 1 on the whole cell, -1 where p < 1, 0 where undecided
+    state = (screen.lower >= 1.0).astype(np.int8) - (screen.upper < 1.0)
     rng = np.random.Generator(np.random.Philox(seed))
-    lower = box.lower_array
-    widths = box.widths
     hits = evaluated = 0
     remaining = samples
     while remaining > 0:
         m = min(MC_CHUNK_SAMPLES, remaining)
         draws = rng.random((m, box.dimension))
-        # cells is a power of two, so u * cells is exact and its floor the cell
-        cell = np.zeros(m, dtype=np.int32)
-        for axis in range(box.dimension):
-            cell *= cells
-            cell += (draws[:, axis] * cells).astype(np.int32)
-        decided = state[cell]
+        decided = state[screen.cell_of(draws)]
         hits += int(np.count_nonzero(decided == 1))
-        # in place: the same bits as lower + u * widths, without a temporary
-        points = np.compress(decided == 0, draws, axis=0)
-        points *= widths
-        points += lower
+        points = box.scale_unit(np.compress(decided == 0, draws, axis=0))
         hits += int(np.count_nonzero(eval_poly_many(p, points) >= 1.0))
         evaluated += points.shape[0]
         remaining -= m
@@ -167,34 +201,90 @@ class ScanResult:
     min_value: float
     argmin: tuple[float, ...]
     points: int
+    # points at which p was evaluated; the others were screened out
+    evaluated: int
+
+
+def _scan_spec(dimension: int) -> GridSpec:
+    """The default scan grid: four times denser per axis than the fitting
+    grid, or a four times larger quasi-random sample in high dimension,
+    drawn with a different seed so it probes new locations."""
+    base = default_grid_spec(dimension)
+    if base.points_per_axis is not None:
+        return GridSpec(points_per_axis=4 * (base.points_per_axis - 1) + 1)
+    return GridSpec(sample_count=4 * base.sample_count, seed=1)
+
+
+def _screened_values(
+    p: Polynomial, box: BoxDomain, unit: np.ndarray, screen: CellScreen
+) -> tuple[np.ndarray, int]:
+    """Values of p at the points box.scale_unit makes of the rows of unit,
+    +inf at those skipped, and the count evaluated; only the evaluated
+    points are built.
+
+    p is evaluated first in the 1/SCAN_SEED_SHARE of the occupied cells with
+    the lowest lower bounds, and its least value there is the threshold T;
+    then in every other cell whose lower bound is not above T.  A skipped
+    point lies in a cell whose bound exceeds T, a value p takes at a point,
+    so its value is above the minimum: the minimum and the first point that
+    attains it are those of evaluating every point.  A bound sits below p's
+    minimum on its cell by the enclosure's width, so the lowest bound alone
+    gives a loose T; on the 3-D fit workload the lowest 1/32 of the cells
+    give the T that the exact minimum gives, for 1/32 of a full scan, and
+    seeding from a growing run of cells in bound order saved no more points
+    but took longer.  No point is evaluated twice.
+    """
+    cell, lower = screen.cell_of(unit), screen.lower
+    occupied = np.flatnonzero(np.bincount(cell, minlength=lower.size))
+    count = max(1, occupied.size // SCAN_SEED_SHARE)
+    seed = np.zeros(lower.size, dtype=bool)
+    seed[occupied[np.argpartition(lower[occupied], count - 1)[:count]]] = True
+    values = np.full(unit.shape[0], math.inf)
+
+    def evaluate(chosen: np.ndarray) -> np.ndarray:
+        rows = chosen[cell]
+        found = eval_poly_many(p, box.scale_unit(np.compress(rows, unit, axis=0)))
+        values[rows] = found
+        return found
+
+    seed_values = evaluate(seed)
+    # not (bound > T): a NaN threshold skips nothing
+    rest = evaluate(~seed & ~(lower > seed_values.min()))
+    return values, seed_values.size + rest.size
 
 
 def nonnegativity_scan(
-    p: Polynomial, box: BoxDomain, spec: GridSpec | None = None
+    p: Polynomial,
+    box: BoxDomain,
+    spec: GridSpec | None = None,
+    *,
+    screen: CellScreen | None = None,
 ) -> ScanResult:
-    """Minimum of p over a scan grid finer than the fitting default.
+    """Minimum of p over a scan grid finer than the fitting default
+    (_scan_spec when spec is None).
 
-    The default scan is four times denser per axis than the fitting grid
-    (or a four times larger quasi-random sample in high dimension, drawn
-    with a different seed so it probes new locations).
+    A tensor grid is evaluated axis by axis.  On a quasi-random grid p is
+    evaluated only in the cells of a cell screen whose lower bound can reach
+    the minimum (_screened_values), with the same result as evaluating every
+    point.  A screen made for p and box, of any cell count, may be passed
+    in; it changes only the work, and tensor grids ignore it.
     """
-    if spec is None:
-        base = default_grid_spec(box.dimension)
-        if base.points_per_axis is not None:
-            spec = GridSpec(points_per_axis=4 * (base.points_per_axis - 1) + 1)
-        else:
-            spec = GridSpec(sample_count=4 * base.sample_count, seed=1)
+    spec = _scan_spec(box.dimension) if spec is None else spec
     if spec.points_per_axis is None:
-        points = build_grid(box, spec)
-        values = eval_poly_many(p, points)
+        unit = unit_sobol_grid(box.dimension, spec)
+        screen = _screen_for(p, box, spec.sample_count, screen)
+        values, evaluated = _screened_values(p, box, unit, screen)
         pos = int(np.argmin(values))
-        argmin = points[pos]
+        argmin = box.scale_unit(unit[pos : pos + 1])[0]
     else:
         axes = grid_axes(box.lower, box.upper, spec.points_per_axis)
         values = eval_poly_grid(p, axes)
+        evaluated = values.size
         pos = int(np.argmin(values))
         argmin = [axis[i] for axis, i in zip(axes, np.unravel_index(pos, values.shape))]
-    return ScanResult(float(values.flat[pos]), tuple(float(x) for x in argmin), values.size)
+    return ScanResult(
+        float(values.flat[pos]), tuple(float(x) for x in argmin), values.size, evaluated
+    )
 
 
 def default_resolution(dimension: int) -> int:
@@ -360,33 +450,39 @@ def run_report(
 ) -> VerificationReport:
     """Full verification pass over one fitted polynomial.
 
-    Writes one DEBUG line to the polycover logger with the seconds of each
-    stage and the points it evaluated; for the Monte Carlo stage, both the
-    samples drawn and those the cell screen left to evaluate.  The
-    component count reports 0 cells where it labels no grid: the exact 1-D
-    count, and above 3-D, where it is skipped like the trace in a Chebyshev
-    basis.
+    One cell screen, sized for the Monte Carlo samples and a quasi-random
+    scan's points together, serves both.  Writes one DEBUG line to the
+    polycover logger with the seconds of each stage and the points it
+    evaluated; for the Monte Carlo stage and the scan, both the points drawn
+    and those the screen left to evaluate.  The component count reports 0
+    cells where it labels no grid: the exact 1-D count, and above 3-D, where
+    it is skipped like the trace in a Chebyshev basis.
     """
     n = box.dimension
     start = time.perf_counter()
     # first, so that a bad resolution fails before the costlier stages run
+    resolution = check_resolution(n, resolution) if n <= 3 else resolution
     components = count_components(p, box, resolution) if n <= 3 else None
     components_done = time.perf_counter()
     moments = moment_vector(p.basis, box)
     moments_done = time.perf_counter()
-    volume = mc_volume(p, box, samples=mc_samples, seed=seed)
+    scan_spec = _scan_spec(n)
+    screen = _screen(p, box, mc_samples + (scan_spec.sample_count or 0))
+    screen_done = time.perf_counter()
+    volume = mc_volume(p, box, samples=mc_samples, seed=seed, screen=screen)
     cheb = chebyshev_check(p, moments, volume)
     mc_done = time.perf_counter()
-    scan = nonnegativity_scan(p, box)
+    scan = nonnegativity_scan(p, box, scan_spec, screen=screen)
     scan_done = time.perf_counter()
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
-    cells = (resolution or default_resolution(n)) ** n if 2 <= n <= 3 else 0
+    cells = resolution**n if 2 <= n <= 3 else 0
     _log.debug(
-        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples "
-        "(%d evaluated), scan %.3f s on %d points, components %.3f s on %d cells, "
-        "trace %.3f s",
-        p.degree, moments_done - components_done, mc_done - moments_done, volume.samples,
-        volume.evaluated, scan_done - mc_done, scan.points, components_done - start, cells,
+        "verify degree %d: moments %.3f s, screen %.3f s on %d cells, monte carlo %.3f s "
+        "on %d samples (%d evaluated), scan %.3f s on %d points (%d evaluated), "
+        "components %.3f s on %d cells, trace %.3f s",
+        p.degree, moments_done - components_done, screen_done - moments_done,
+        screen.cells**n, mc_done - screen_done, volume.samples, volume.evaluated,
+        scan_done - mc_done, scan.points, scan.evaluated, components_done - start, cells,
         time.perf_counter() - scan_done,
     )
     return VerificationReport(

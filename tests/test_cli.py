@@ -330,6 +330,31 @@ def test_plotdata_default_resolution_is_the_component_count_default(tmp_path):
     assert len(lines) == 1 + default_resolution(1) == 513
 
 
+@pytest.mark.parametrize("resolution", [0, 1, -3])
+def test_plotdata_refuses_a_grid_below_two_points_per_axis(tmp_path, capsys, resolution):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(2, 0, "monomial"), 2.0))))
+    out = tmp_path / "out"
+    code = main(["plotdata", "--coeffs", str(coeffs), "--resolution", str(resolution),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: plot grid would hold {resolution} points per axis (at least 2)\n"
+    )
+    assert not (out / "plotdata.csv").exists()
+
+
+def test_sweep_refuses_a_degree_list_with_an_empty_entry(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(-0.5,), (0.25,)])
+    code = main(["sweep", "--points", str(pts), "--degrees", "2,,5", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --degrees '2,,5': expected comma-separated integers\n"
+    )
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("value, code", [(1.0 - 0.5e-6, 0), (1.0 - 2e-6, 4)])
 def test_verify_allows_the_fit_containment_tolerance(tmp_path, value, code):
     coeffs = tmp_path / "coeffs.json"
