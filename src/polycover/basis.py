@@ -130,6 +130,16 @@ _BLOCK_POINTS = 4096
 _TILE_POINTS = 64
 
 
+def _basis_table(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
+    """The 1-D factors of eval_basis_many's entries along one axis: the
+    values phi_0..phi_d at the coordinates x, one row per coordinate.
+    Monomials are ** powers, not _axis_table's running products: those move
+    the entries by up to 9e-16, which changes line-LP outcomes."""
+    if basis.kind == "monomial":
+        return x[:, None] ** np.arange(basis.degree + 1)
+    return _axis_table(basis, axis, x, np.empty((basis.degree + 1, x.size))).T
+
+
 def eval_basis_many(
     basis: PolyBasis, points: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -166,11 +176,7 @@ def eval_basis_many(
     tables, rows = [], []
     for d in range(basis.dimension):
         bits, inverse = np.unique(pts[:, d].view(np.int64), return_inverse=True)
-        x = bits.view(np.float64)
-        # ** powers, not _axis_table's running products: those move A by up
-        # to 9e-16, which changes line-LP outcomes
-        tables.append(x[:, None] ** np.arange(basis.degree + 1) if basis.kind == "monomial"
-                      else _axis_table(basis, d, x, np.empty((basis.degree + 1, x.size))).T)
+        tables.append(_basis_table(basis, d, bits.view(np.float64)))
         rows.append(inverse)
     values = np.empty((pts.shape[0], len(basis))) if out is None else out
     if values.shape != (pts.shape[0], len(basis)):

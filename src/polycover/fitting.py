@@ -9,6 +9,11 @@ U(p), which is what makes the objective a useful surrogate.
 
 Nonnegativity is only enforced at grid points, so a fitted polynomial can dip
 slightly negative between them; the verification module measures this.
+
+On a tensor grid in two or more dimensions, fit never builds the grid rows
+of the program: the solver prices them by contracting the coefficients with
+per-axis tables of the basis and builds only the rows it works with.  The
+program is the one build_problem returns, row for row and bit for bit.
 """
 
 from __future__ import annotations
@@ -19,13 +24,18 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
 
-from .basis import BasisKind, PolyBasis, Polynomial, eval_basis_many, make_basis
-from .domain import MAX_GRID_POINTS, BoxDomain, tensor_grid
-from .lp import LpOptions, LpProblem, LpSolution, SolveStats, solve
+from .basis import (
+    BasisKind, PolyBasis, Polynomial, _basis_table, _contract, eval_basis_many, make_basis,
+)
+from .domain import MAX_GRID_POINTS, BoxDomain, grid_axes, tensor_grid
+from .lp import (
+    DenseRows, LpOptions, LpProblem, SolveStats, StackedRows, _gamma, solve, solve_rows,
+)
 from .moments import MomentVector, moment_vector
 
 _log = logging.getLogger("polycover")
@@ -204,35 +214,149 @@ def _assemble(
     bound_rows = 0 if coeff_bound is None else 2 * k
     A = np.empty((rows + bound_rows, k))
     eval_basis_many(basis, np.vstack([cloud.points, grid_points]), out=A[:rows])
-    b = np.concatenate([np.ones(cloud.count), np.zeros(grid_count + bound_rows)])
     if bound_rows:
         eye = np.eye(k)
         A[rows : rows + k], A[rows + k :] = eye, -eye
-        b[rows:] = -coeff_bound
+    b = _rhs(cloud.count, grid_count, k, coeff_bound)
     kinds = ("K",) * cloud.count + ("grid",) * grid_count + ("bound",) * bound_rows
     return LpProblem(c=moments.values.copy(), A=A, b=b, row_kinds=kinds)
+
+
+def _rhs(cloud_count: int, grid_count: int, k: int, coeff_bound: float | None) -> np.ndarray:
+    """b of the coefficient program: 1 on the cloud rows, 0 on the grid rows
+    and -coeff_bound on the 2k bound rows when a bound is set."""
+    bound_rows = 0 if coeff_bound is None else 2 * k
+    b = np.concatenate([np.ones(cloud_count), np.zeros(grid_count + bound_rows)])
+    if bound_rows:
+        b[cloud_count + grid_count :] = -coeff_bound
+    return b
+
+
+class _GridRows:
+    """Row source (see lp.DenseRows) of a basis at the nodes of a tensor
+    grid, in tensor_grid's row-major order, less the nodes left out of the
+    program: the grid rows that _assemble fills.
+
+    Each axis's table holds _basis_table's values, the factors that
+    eval_basis_many multiplies, so take, which is eval_basis_many on the
+    chosen nodes, gives A's rows bit for bit.  price contracts the dense
+    coefficient array of each column of Y with the tables axis by axis, as
+    eval_poly_grid does; no row is formed.
+    """
+
+    def __init__(self, basis: PolyBasis, axes: list[np.ndarray], points: np.ndarray,
+                 kept: np.ndarray | None):
+        self.basis = basis
+        self.points = points  # the node of each row
+        self.kept = kept  # the node index of each row; None when no node is left out
+        self.tables = [np.ascontiguousarray(_basis_table(basis, axis, x).T)
+                       for axis, x in enumerate(axes)]
+        self.abs_tables = [np.abs(table) for table in self.tables]
+        self.shape = (points.shape[0], len(basis))
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        return eval_basis_many(self.basis, self.points[idx])
+
+    def _values(self, Y: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+        """Y's columns as dense coefficient arrays contracted with tables:
+        one row per grid row, one column per column of Y."""
+        dense = np.zeros((self.basis.degree + 1,) * self.basis.dimension + Y.shape[1:])
+        dense[tuple(self.basis.exponent_array.T)] = Y
+        values = _contract(dense, tables).reshape(Y.shape[1:] + (-1,)).T
+        return values if self.kept is None else values[self.kept]
+
+    def price(self, Y: np.ndarray) -> np.ndarray:
+        return self._values(Y, self.tables)
+
+    def error(self, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """2 gamma_N (|b| + S) plus an underflow term, where S is the same
+        contraction run on |v| and the |tables|, and N = n (d + 2) + 2.
+
+        The contraction is n dot products of length d + 1 in turn, so its
+        value is sum_alpha v_alpha prod_i t_i (1 + theta), |theta| <=
+        gamma_{n (d + 1)}; A's entries are the products prod_i t_i rounded
+        n - 1 times; b - price(v) rounds once more.  So the float residual
+        is within gamma_{n (d + 2)} (|b| + S) of b - A v, and the computed S
+        falls short of the exact one by a factor (1 - gamma_{n (d + 1)}) at
+        most, which the factor 2 of _gamma absorbs with the rest.  Underflow
+        adds at most half the smallest subnormal per product, scaled by the
+        tables' later factors: (n (d + 1)^n + n |v|_1) prod_i max(1, |t_i|).
+        """
+        n, d = self.basis.dimension, self.basis.degree
+        peak = math.prod(max(1.0, float(table.max())) for table in self.abs_tables)
+        products = n * (d + 1) ** n + n * float(np.sum(np.abs(v)))
+        e = self._values(np.abs(v), self.abs_tables)
+        e += np.abs(b)
+        e *= _gamma(n * (d + 2) + 2)
+        e += products * peak * np.finfo(float).smallest_subnormal
+        return e
+
+    def max_abs(self) -> float:
+        """max |A_ij| over every node, left out or not (a node left out
+        repeats a cloud row): the per-axis peaks multiplied in
+        eval_basis_many's order, since rounding is monotone."""
+        peaks = [table.max(axis=1) for table in self.abs_tables]
+        exps = self.basis.exponent_array
+        product = peaks[0][exps[:, 0]]
+        for axis in range(1, self.basis.dimension):
+            product = product * peaks[axis][exps[:, axis]]
+        return float(product.max())
+
+
+class _RowProgram(NamedTuple):
+    """min c.v subject to A v >= b, with A given by a row source whose
+    first rows, the cloud's, are held in cloud."""
+
+    c: np.ndarray
+    b: np.ndarray
+    rows: StackedRows
+    cloud: np.ndarray
 
 
 @dataclass(frozen=True)
 class _FitSetup:
     """Checked inputs shared by every degree: the cloud, the inflated box, the
-    grid where p >= 0 is enforced, the basis kind and the coefficient bound."""
+    grid where p >= 0 is enforced, the basis kind and the coefficient bound.
+    For a tensor grid in two or more dimensions, axes holds the grid's axes
+    and kept the node index of each point of grid_points, or None when no
+    node was left out."""
 
     cloud: PointCloud
     box: BoxDomain
     grid_points: np.ndarray
     kind: BasisKind
     coeff_bound: float | None
+    axes: list[np.ndarray] | None = None
+    kept: np.ndarray | None = None
+
+    def _basis(self, degree: int) -> tuple[PolyBasis, MomentVector]:
+        basis_box = self.box if self.kind == "chebyshev" else None
+        basis = make_basis(self.cloud.dimension, degree, self.kind, basis_box)
+        return basis, moment_vector(basis, self.box)
 
     def problem(self, degree: int) -> tuple[PolyBasis, LpProblem]:
         """The coefficient program of one degree: cloud rows, grid rows, then
         the rows -bound <= v_i <= bound when a coefficient bound is set."""
-        basis_box = self.box if self.kind == "chebyshev" else None
-        basis = make_basis(self.cloud.dimension, degree, self.kind, basis_box)
-        moments = moment_vector(basis, self.box)
+        basis, moments = self._basis(degree)
         if self.coeff_bound is None:
             return basis, assemble(self.cloud, self.grid_points, basis, moments)
         return basis, _assemble(self.cloud, self.grid_points, basis, moments, self.coeff_bound)
+
+    def program(self, degree: int) -> tuple[PolyBasis, LpProblem | _RowProgram]:
+        """The program fit solves: problem(degree), or on a tensor grid in
+        two or more dimensions the same program with its grid rows left to
+        a _GridRows."""
+        if self.axes is None:
+            return self.problem(degree)
+        basis, moments = self._basis(degree)
+        k = len(basis)
+        cloud = eval_basis_many(basis, self.cloud.points)
+        parts = [DenseRows(cloud), _GridRows(basis, self.axes, self.grid_points, self.kept)]
+        if self.coeff_bound is not None:
+            eye = np.eye(k)
+            parts.append(DenseRows(np.vstack([eye, -eye])))
+        b = _rhs(self.cloud.count, len(self.grid_points), k, self.coeff_bound)
+        return basis, _RowProgram(moments.values.copy(), b, StackedRows(parts), cloud)
 
 
 def _prepare(
@@ -261,7 +385,12 @@ def _prepare(
     on_cloud = np.isin(
         grid_points.view(point).ravel(), np.ascontiguousarray(cloud.points).view(point).ravel()
     )
-    return _FitSetup(cloud, box_eff, grid_points[~on_cloud], kind, coeff_bound)
+    axes = kept = None
+    if spec.points_per_axis is not None and cloud.dimension >= 2:
+        # in 1-D the one axis table is the grid's row block, and dense rows cost no more
+        axes = grid_axes(box_eff.lower, box_eff.upper, spec.points_per_axis)
+        kept = np.flatnonzero(~on_cloud) if on_cloud.any() else None
+    return _FitSetup(cloud, box_eff, grid_points[~on_cloud], kind, coeff_bound, axes, kept)
 
 
 def build_problem(
@@ -302,20 +431,25 @@ class FitResult:
 
 
 def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> FitResult:
-    """Assemble, solve and check one degree; writes one DEBUG line to the
-    polycover logger with the row count and the seconds of each stage."""
+    """Build, solve and check one degree; writes one DEBUG line to the
+    polycover logger with the row count and the seconds of each stage (build:
+    the assembly of A, or the row source of a tensor grid)."""
     start = time.perf_counter()
-    basis, problem = setup.problem(degree)
-    assembled = time.perf_counter()
-    solution: LpSolution = solve(problem, options)
+    basis, program = setup.program(degree)
+    built = time.perf_counter()
+    if isinstance(program, LpProblem):
+        solution, cloud = solve(program, options), program.A[: setup.cloud.count]
+    else:
+        solution = solve_rows(program.c, program.b, program.rows, options)
+        cloud = program.cloud
     solved = time.perf_counter()
     if solution.status == "optimal":
         polynomial = Polynomial(basis, solution.v)
-        margin = float(np.min(problem.A[: setup.cloud.count] @ polynomial.coeffs)) - 1.0
+        margin = float(np.min(cloud @ polynomial.coeffs)) - 1.0
     _log.debug(
-        "fit degree %d (%s): %d rows, assembly %.3f s, solve %.3f s, checks %.3f s",
-        degree, solution.status, problem.num_rows, assembled - start,
-        solved - assembled, time.perf_counter() - solved,
+        "fit degree %d (%s): %d rows, build %.3f s, solve %.3f s, checks %.3f s",
+        degree, solution.status, program.b.size, built - start,
+        solved - built, time.perf_counter() - solved,
     )
     if solution.status == "unbounded":
         raise UnboundedFitError(
@@ -336,7 +470,7 @@ def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> Fit
         containment_margin=margin,
         box=setup.box,
         lp_iterations=solution.iterations,
-        lp_rows=problem.num_rows,
+        lp_rows=program.b.size,
         lp_stats=solution.stats,
     )
 

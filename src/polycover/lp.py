@@ -30,6 +30,15 @@ a phase is about to finish; a phase ends only when a pricing over every row
 at the refined multipliers finds no entering row.  A run that never
 finishes ends at the iteration limit.
 
+The engine sees the rows through a row source (DenseRows, StackedRows, or
+any object with their methods): dense rows by index, products of every row
+with one or two vectors, and the rounding bound and extremes that the
+certificates need.  solve hands it the dense A of an LpProblem; solve_rows
+takes any source, so a caller whose rows have structure, such as a basis
+evaluated on a tensor grid, never builds the full matrix.  The engine turns
+into dense rows only its working sets, its basis and the certificate's
+candidate rows.
+
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility and duality gap.  Unbounded problems return a
 feasible point plus a ray along which the objective decreases forever.
@@ -117,6 +126,85 @@ class LpProblem:
         return self.c.size
 
 
+def _product(rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """rows @ Y for a (k, 2) Y, in blocks of 4096 rows: BLAS is slow on
+    tall (n, 2) products."""
+    out = np.empty((rows.shape[0], Y.shape[1]))
+    for i in range(0, rows.shape[0], 4096):
+        np.matmul(rows[i : i + 4096], Y, out=out[i : i + 4096])
+    return out
+
+
+def _gamma(n: int) -> float:
+    """2 gamma_n, gamma_n = n u / (1 - n u): Higham's bound for a dot product
+    of length n, doubled to cover the rounding of the bound itself and of
+    the extended-precision recheck."""
+    u = np.finfo(float).eps / 2
+    return 2.0 * n * u / (1.0 - n * u)
+
+
+class DenseRows:
+    """A row source that holds every row of A.
+
+    A row source offers shape (m, k); take(idx), the dense rows idx;
+    price(Y), A Y for a vector or a (k, 2) matrix Y, in an array of its own
+    that the caller may overwrite; error(b, v), a bound e with
+    |fl(b - price(v)) - (b - A v)| <= e / 2 row by row, evaluated in float64
+    (the half left over covers e's own rounding and the extended-precision
+    recheck); and max_abs(), max |A_ij|.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        self.shape = A.shape
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        return self.A[idx]
+
+    def price(self, Y: np.ndarray) -> np.ndarray:
+        return self.A @ Y if Y.ndim == 1 else _product(self.A, Y)
+
+    def error(self, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """2 gamma_{k+2} (|b| + |A| |v|), plus the underflow of the k + 2
+        products, with |A| taken one block at a time."""
+        n = v.size + 2
+        e = np.abs(b)
+        for start in range(0, self.A.shape[0], 4096):
+            e[start : start + 4096] += np.abs(self.A[start : start + 4096]) @ np.abs(v)
+        return _gamma(n) * e + n * np.finfo(float).smallest_subnormal
+
+    def max_abs(self) -> float:
+        return max(float(self.A.max(initial=0.0)), -float(self.A.min(initial=0.0)))
+
+
+class StackedRows:
+    """The rows of several row sources of equal width, one under the other."""
+
+    def __init__(self, parts: list):
+        self.parts = parts
+        self.offsets = np.cumsum([0] + [part.shape[0] for part in parts])
+        self.shape = (int(self.offsets[-1]), parts[0].shape[1])
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        out = np.empty((idx.size, self.shape[1]))
+        owner = self.offsets.searchsorted(idx, side="right") - 1
+        for j, part in enumerate(self.parts):
+            mine = owner == j
+            if mine.any():
+                out[mine] = part.take(idx[mine] - self.offsets[j])
+        return out
+
+    def price(self, Y: np.ndarray) -> np.ndarray:
+        return np.concatenate([part.price(Y) for part in self.parts])
+
+    def error(self, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+        bounds = zip(self.parts, self.offsets, self.offsets[1:])
+        return np.concatenate([part.error(b[lo:hi], v) for part, lo, hi in bounds])
+
+    def max_abs(self) -> float:
+        return max(part.max_abs() for part in self.parts)
+
+
 @dataclass
 class SolveStats:
     """Work counters of one solve, summed over its simplex runs.
@@ -130,7 +218,9 @@ class SolveStats:
     pricing_s is the time spent pricing, factorizations the LU
     factorizations of a basis matrix, factor_updates the pivots folded into
     the eta product instead, devex_resets the times the Devex weights
-    returned to 1 after one passed DEVEX_CAP.
+    returned to 1 after one passed DEVEX_CAP.  rows_built counts the rows
+    the engine took from its row source as dense rows; a row kept from one
+    working set to the next is counted once.
     """
 
     phase1_pivots: int = 0
@@ -145,6 +235,7 @@ class SolveStats:
     vertex_ext: bool = False
     crash_rows: list[int] = field(default_factory=list)
     crash_basis: bool = False
+    rows_built: int = 0
 
 
 @dataclass(frozen=True)
@@ -175,7 +266,10 @@ class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
     phase 1 starts from an NNLS crash basis when _crash finds one, and
     phase 2 prices a working set of rows, sorted by index, and grows it.
-    Both phases price by Devex weights kept aligned with the working set."""
+    Both phases price by Devex weights kept aligned with the working set.
+    The rows come from a row source; a working set of fewer than every row
+    keeps its rows dense, and the rows of the last such set are reused
+    before any is taken from the source again."""
 
     START_STRIDE = 64  # every 64th zero-cost row starts in the working set
     GROWTH = 4  # one growth adds at most GROWTH * k rows
@@ -184,24 +278,25 @@ class _DualSimplex:
     UPDATE_MIN_K = 48  # below it every pivot refactors: getrf is as cheap as an update
 
     def __init__(
-        self, rows: np.ndarray, rhs: np.ndarray, f: np.ndarray, options: LpOptions,
-        stats: SolveStats,
+        self, rows, rhs: np.ndarray, f: np.ndarray, options: LpOptions, stats: SolveStats,
     ):
-        self.rows = rows  # (m, k); dual column j is rows[j]
+        self.source = rows  # a row source of shape (m, k); dual column j is row j
         self.rhs = rhs
         self.f = f
         self.opt = options
         self.stats = stats
-        self.m, self.k = rows.shape
+        self.m, self.k = self.source.shape
         self.sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.k)
         self.in_basis = np.zeros(self.m, dtype=bool)
         self.iterations = 0
         self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
-        self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (rows,))
-        self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (rows,))
-        self.ger = scipy.linalg.get_blas_funcs("ger", (rows,))
         self.unit = np.eye(self.k)  # e_p for the pivot rows of the Devex update
+        self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (self.unit,))
+        self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (self.unit,))
+        self.ger = scipy.linalg.get_blas_funcs("ger", (self.unit,))
+        # the last working set with dense rows, and those rows
+        self.held, self.held_rows = np.zeros(0, dtype=np.int64), np.empty((0, self.k))
         # M with B^-1 = M B0^-1, B0 factored in lu; Fortran order lets ger update it in place
         self.eta = np.empty((self.k, self.k), order="F")
         self.etas = 0  # eta updates folded into M since the last getrf; 0 means M = I
@@ -210,12 +305,42 @@ class _DualSimplex:
         zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of phase 2
         self.start = np.union1d(np.flatnonzero(f != 0.0), zero[:: self.START_STRIDE])
 
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """Dense rows idx: copied where the last dense working set holds
+        them, taken from the source (and counted) where it does not."""
+        pos = np.minimum(self.held.searchsorted(idx), self.held.size - 1)
+        missing = self.held[pos] != idx if self.held.size else np.ones(idx.size, dtype=bool)
+        if missing.all():
+            self.stats.rows_built += idx.size
+            return self.source.take(idx)
+        # mode="clip" lets take write straight into out, with no temporary
+        out = np.take(self.held_rows, pos, axis=0, out=np.empty((idx.size, self.k)), mode="clip")
+        if missing.any():
+            self.stats.rows_built += int(np.count_nonzero(missing))
+            out[missing] = self.source.take(idx[missing])
+        return out
+
+    def _work_row(self, pos: int) -> np.ndarray:
+        """Row work[pos]: a dense working row, or taken from the source
+        when the working set is every row."""
+        if self.work_rows is None:
+            self.stats.rows_built += 1
+            return self.source.take(self.work[pos : pos + 1])[0]
+        return self.work_rows[pos]
+
+    def _products(self, Y: np.ndarray) -> np.ndarray:
+        """The working rows times a vector or a (k, 2) Y; the source's
+        pricing when the working set is every row."""
+        if self.work_rows is None:
+            return self.source.price(Y)
+        return self.work_rows @ Y if Y.ndim == 1 else _product(self.work_rows, Y)
+
     def _basis_matrix(self) -> np.ndarray:
-        """Columns rows[j] for basic j < m; sigma_i e_i for artificial m + i."""
+        """Columns row j for basic j < m; sigma_i e_i for artificial m + i."""
         real = self.basis < self.m
         art = self.basis[~real] - self.m
         B = np.zeros((self.k, self.k))
-        B[:, real] = self.rows[self.basis[real]].T
+        B[:, real] = self._rows(self.basis[real]).T
         B[art, np.flatnonzero(~real)] = self.sigma[art]
         return B
 
@@ -275,12 +400,15 @@ class _DualSimplex:
         return x
 
     def _set_work(self, work: np.ndarray, cost_real: np.ndarray) -> None:
-        """Price the rows `work`, sorted by index, from now on."""
+        """Price the rows `work`, sorted by index, from now on: from their
+        dense rows, or through the source when they are every row."""
         self.work = work
         self.in_work = np.zeros(self.m, dtype=bool)
         self.in_work[work] = True
         whole = work.size == self.m
-        self.work_rows = self.rows if whole else self.rows[work]
+        self.work_rows = None if whole else self._rows(work)
+        if not whole:
+            self.held, self.held_rows = work, self.work_rows
         self.work_cost = cost_real if whole else cost_real[work]
         self.weights = np.ones(work.size)
 
@@ -293,9 +421,7 @@ class _DualSimplex:
         if whole:
             self.stats.full_pricings += 1
         self.y_rho[:, 0] = y
-        product = np.empty((self.work.size, 2))
-        for i in range(0, self.work.size, 4096):  # BLAS is slow on tall (n, 2) products
-            np.matmul(self.work_rows[i : i + 4096], self.y_rho, out=product[i : i + 4096])
+        product = self._products(self.y_rho)
         reduced = self.work_cost - product[:, 0]
         if self.pending is not None:
             self._update_weights(product[:, 1])
@@ -331,7 +457,8 @@ class _DualSimplex:
         working set to it, append its size to sizes and return the entering
         row among the new rows, or -1."""
         self.stats.full_pricings += 1
-        reduced = cost_real - self.rows @ y
+        reduced = self.source.price(y)
+        np.subtract(cost_real, reduced, out=reduced)
         reduced[self.in_work] = math.inf
         new = np.flatnonzero(reduced < -price_tol)
         if new.size == 0:
@@ -339,11 +466,13 @@ class _DualSimplex:
         cap = self.GROWTH * self.k
         if new.size > cap:
             new = np.sort(new[np.argpartition(reduced[new], cap - 1)[:cap]])
+        entering = int(new[np.argmin(reduced[new])])
+        del reduced  # an m-vector; the new working rows need the room
         old, weights = self.work, self.weights
         self._set_work(np.union1d(self.work, new), cost_real)
         self.weights[self.work.searchsorted(old)] = weights
         sizes.append(self.work.size)
-        return int(new[np.argmin(reduced[new])])
+        return entering
 
     def _ratio_test(self, d: np.ndarray, x_basic: np.ndarray, phase: int) -> int:
         """Position of the leaving basic variable, or -1 if d has no positive entry."""
@@ -378,7 +507,8 @@ class _DualSimplex:
         passive: list[int] = []  # the rows in the column order of Q R
         Q, R = np.eye(self.k), np.zeros((self.k, 0))
         x = np.zeros(0)
-        tol = 1e-13 * float(np.linalg.norm(self.rhs) * np.max(np.abs(self.work_rows)))
+        peak = self.source.max_abs() if self.work_rows is None else np.max(np.abs(self.work_rows))
+        tol = 1e-13 * float(np.linalg.norm(self.rhs) * peak)
         reason, growths = "step limit", 0
         for _ in range(20 * self.k):
             p, r = len(passive), self.rhs
@@ -404,12 +534,13 @@ class _DualSimplex:
                     reason = ""
                     break
                 r = Q[:, p:] @ qtc[p:]
-            grad = self.work_rows @ r
+            grad = self._products(r)
             grad[self.in_basis[self.work]] = -math.inf
             pos = int(np.argmax(grad))
             if grad[pos] > tol:
                 row = int(self.work[pos])
-                Q, R = scipy.linalg.qr_insert(Q, R, self.rows[row], p, "col", check_finite=False)
+                column = self._work_row(pos)
+                Q, R = scipy.linalg.qr_insert(Q, R, column, p, "col", check_finite=False)
                 passive.append(row)
                 self.in_basis[row] = True
                 x = np.append(x, 0.0)
@@ -420,7 +551,7 @@ class _DualSimplex:
                 break
         if not reason:
             basis = np.sort(np.array(passive))
-            lu, piv, _ = self.getrf(self.rows[basis].T)
+            lu, piv, _ = self.getrf(self._rows(basis).T)
             self.stats.factorizations += 1
             x = self.getrs(lu, piv, self.rhs)[0]
             if not np.all(x >= -self.phase1_tol):
@@ -484,7 +615,9 @@ class _DualSimplex:
                 continue
             refine = False
 
-            d = self._solve(self.rows[entering], 0, False)
+            pos = self.work.searchsorted(entering)
+            row = self._work_row(pos)
+            d = self._solve(row, 0, False)
             leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
                 if phase == 1:
@@ -493,13 +626,13 @@ class _DualSimplex:
 
             leaving = self.basis[leave_pos]
             self.y_rho[:, 1] = self._apply(self.unit[leave_pos], 1)
-            w_q = self.weights[self.work.searchsorted(entering)]
+            w_q = self.weights[pos]
             self.pending = (d[leave_pos], w_q, leaving)
             if leaving < self.m:
                 self.in_basis[leaving] = False
             self.basis[leave_pos] = entering
             self.in_basis[entering] = True
-            self.B[:, leave_pos] = self.rows[entering]
+            self.B[:, leave_pos] = row
             self._update(d, leave_pos, phase)
 
             self.iterations += 1
@@ -584,30 +717,26 @@ def _residuals_ext(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_violation(A: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
+def _max_violation(rows, b: np.ndarray, v: np.ndarray) -> float:
     """max(0, max(b - A v)) for the vector actually returned to the caller,
-    equal to the maximum of _residuals_ext over every row.
+    equal to the maximum of _residuals_ext over every row of the row source
+    rows.
 
-    A float64 pass screens the rows: r = b - A v is within
-    e = 2 gamma_{k+2} (|b| + |A| |v|) of the exact residual, with
-    gamma_n = n u / (1 - n u) (Higham's bound for a dot product of length n;
-    the factor 2 covers the rounding of e itself and of the extended pass).
-    A row with r + e below the largest r - e cannot hold the maximum, so
-    only the other rows, and every row with a non-finite r or e, are
-    recomputed in extended precision.  A non-finite residual gives inf.
+    A float64 pass screens the rows: r = b - price(v) is within the
+    source's error bound e of the exact residual (for dense rows,
+    2 gamma_{k+2} (|b| + |A| |v|)).  A row with r + e below the largest
+    r - e cannot hold the maximum, so only the other rows, and every row
+    with a non-finite r or e, are recomputed in extended precision.  A
+    non-finite residual gives inf.
     """
-    n, u = v.size + 2, np.finfo(float).eps / 2
-    gamma = 2.0 * n * u / (1.0 - n * u)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow makes candidates
-        r = b - A @ v
-        e = np.abs(b)
-        for start in range(0, A.shape[0], 4096):  # |A| one block at a time
-            e[start : start + 4096] += np.abs(A[start : start + 4096]) @ np.abs(v)
-        e = gamma * e + n * np.finfo(float).smallest_subnormal  # underflow in the products
+        r = rows.price(v)
+        np.subtract(b, r, out=r)
+        e = rows.error(b, v)
         finite = np.isfinite(r) & np.isfinite(e)
         floor = float(np.max((r - e)[finite], initial=-math.inf))
-        rows = np.flatnonzero(~finite | (r + e >= floor))
-        worst = _residuals_ext(A[rows], b[rows], v)
+        candidates = np.flatnonzero(~finite | (r + e >= floor))
+        worst = _residuals_ext(rows.take(candidates), b[candidates], v)
     if not np.isfinite(worst).all():
         return math.inf
     return max(0.0, float(np.max(worst, initial=-math.inf)))
@@ -618,9 +747,9 @@ def _check_finite(v: np.ndarray, lam: np.ndarray) -> None:
         raise _EngineFailure("non-finite vertex")
 
 
-def _check_ray(A: np.ndarray, c: np.ndarray, ray: np.ndarray, feas_tol: float) -> bool:
-    scale = 1.0 + max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
-    recession = float(np.min(A @ ray, initial=0.0))
+def _check_ray(rows, c: np.ndarray, ray: np.ndarray, feas_tol: float) -> bool:
+    scale = 1.0 + rows.max_abs()
+    recession = float(np.min(rows.price(ray), initial=0.0))
     descent = float(c @ ray)
     return recession >= -feas_tol * scale and descent < 0.0
 
@@ -632,11 +761,18 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
     relative duality gap bound of opt_tol; violations are reported as
     solver_failure rather than silently returned.
     """
+    return solve_rows(problem.c, problem.b, DenseRows(problem.A), options)
+
+
+def solve_rows(
+    c: np.ndarray, b: np.ndarray, rows, options: LpOptions | None = None
+) -> LpSolution:
+    """solve for min c.v subject to A v >= b, with the rows of A given by
+    the row source rows (see DenseRows), to the same contract."""
     opt = options or LpOptions()
-    A, b, c = problem.A, problem.b, problem.c
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
 
-    if problem.num_rows == 0:
+    if b.size == 0:
         if float(np.max(np.abs(c), initial=0.0)) == 0.0:
             return LpSolution(
                 status="optimal", v=np.zeros(c.size), objective=0.0,
@@ -650,7 +786,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
         )
 
     stats = SolveStats()
-    engine = _DualSimplex(A, c, -b, opt, stats)
+    engine = _DualSimplex(rows, c, -b, opt, stats)
     engines = [engine]  # every run counts toward the reported iterations
     try:
         outcome = engine.run()
@@ -660,13 +796,13 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             lam = outcome.lam
             _check_finite(v, lam)
             objective = float(c @ v)
-            max_inf = _max_violation(A, b, v)
+            max_inf = _max_violation(rows, b, v)
             gap = abs(objective - float(b @ lam))
             if max_inf > opt.feas_tol * b_scale or gap > opt.opt_tol * (1.0 + abs(objective)):
                 v, lam = engine.vertex_ext()
                 _check_finite(v, lam)
                 objective = float(c @ v)
-                max_inf = _max_violation(A, b, v)
+                max_inf = _max_violation(rows, b, v)
                 gap = abs(objective - float(b @ lam))
             if max_inf > opt.feas_tol * b_scale:
                 raise _EngineFailure(
@@ -683,10 +819,10 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
         if outcome.kind == "dual_infeasible":
             ray = -outcome.y
             peak = float(np.max(np.abs(ray), initial=0.0))
-            if peak == 0.0 or not _check_ray(A, c, ray / peak, opt.feas_tol):
+            if peak == 0.0 or not _check_ray(rows, c, ray / peak, opt.feas_tol):
                 raise _EngineFailure("could not certify an unbounded direction")
             ray = ray / peak
-            probe = _DualSimplex(A, np.zeros(c.size), -b, opt, stats)
+            probe = _DualSimplex(rows, np.zeros(c.size), -b, opt, stats)
             engines.append(probe)
             probe_out = probe.run()
             if probe_out.kind == "dual_unbounded":
@@ -696,7 +832,7 @@ def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
             if probe_out.kind != "optimal":
                 raise _EngineFailure("feasibility probe failed to converge")
             v = -probe_out.y
-            max_inf = _max_violation(A, b, v)
+            max_inf = _max_violation(rows, b, v)
             if max_inf > opt.feas_tol * b_scale:
                 raise _EngineFailure(
                     f"probe produced an infeasible point: residual {max_inf:.3e}"

@@ -104,8 +104,13 @@ def _screen(p: Polynomial, box: BoxDomain, samples: int) -> CellScreen:
     multiply-adds, (d + 1)^(n + 1) per cell, would pass twice the
     len(basis) per sample of evaluating every sample (as matrix products
     they run several times faster); one unbounded cell where a cell's
-    (d + 1)^n coefficients would not fit in an enclosure block."""
+    (d + 1)^n coefficients would not fit in an enclosure block.  A degree-0
+    p gets one cell bounded by its constant, the value eval_poly_many
+    returns at every point."""
     n, d = p.dimension, p.degree
+    if d == 0:
+        value = np.array([p.coeffs[0]])
+        return CellScreen(p, box, 1, value, value.copy())
     if (d + 1) ** n > _ENCLOSURE_BLOCK:
         return CellScreen(p, box, 1, np.array([-math.inf]), np.array([math.inf]))
     budget = min(4096, 2 * samples * math.comb(n + d, d) // (d + 1) ** (n + 1))
@@ -232,8 +237,13 @@ def _screened_values(
     gives a loose T; on the 3-D fit workload the lowest 1/32 of the cells
     give the T that the exact minimum gives, for 1/32 of a full scan, and
     seeding from a growing run of cells in bound order saved no more points
-    but took longer.  No point is evaluated twice.
+    but took longer.  No point is evaluated twice.  A screen of one cell
+    skips nothing that way, so then every point is evaluated, with no cell
+    bookkeeping.
     """
+    if screen.cells == 1:
+        values = eval_poly_many(p, box.scale_unit(unit.copy()))
+        return values, values.size
     cell, lower = screen.cell_of(unit), screen.lower
     occupied = np.flatnonzero(np.bincount(cell, minlength=lower.size))
     count = max(1, occupied.size // SCAN_SEED_SHARE)

@@ -27,6 +27,7 @@ from polycover.fitting import MAX_GRID_POINTS
 from polycover.domain import tensor_grid
 from polycover.verification import default_resolution
 
+from conftest import cluster_point_array
 from oracles import read_mps
 
 
@@ -705,7 +706,7 @@ def test_resolution_over_the_grid_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert f"plot grid {limit}" in capsys.readouterr().err
 
 
-def test_traced_benchmark_names_resolve_in_the_package(monkeypatch):
+def test_traced_benchmark_names_resolve_in_the_package(monkeypatch, tmp_path):
     # bench/tracing.py wraps each TRACED name through getattr on its module,
     # so deleting or renaming one of these functions breaks the traced run
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -717,3 +718,18 @@ def test_traced_benchmark_names_resolve_in_the_package(monkeypatch):
         package_module = importlib.import_module(f"polycover.{module}")
         for name in names:
             assert callable(getattr(package_module, name, None)), f"polycover.{module}.{name}"
+
+    # its hooks read the arguments the package passes (lp.solve's reads
+    # problem.A), so a call they cannot read must fail here, not in the
+    # benchmark: a small sweep and fit run under them through cli.main
+    pts = tmp_path / "pts.csv"
+    write_points(pts, cluster_point_array().tolist())
+    common = ["--points", str(pts), "--grid", "21", "--resolution", "64"]
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer, 2):
+        assert cli.main(["sweep", "--degrees", "2,5", *common, "--out", str(tmp_path / "s")]) == 0
+        assert cli.main(["fit", "--degree", "5", "--mc-samples", "1000", *common,
+                         "--out", str(tmp_path / "f")]) == 0
+    names = {span.name for span in tracer.spans}
+    assert {"cli.main", "fitting.degree_sweep", "fitting.fit", "fitting.build_grid"} <= names
+    assert tracing.layer_metrics(tracer.spans, (2, 5))["fitting.grid_points"] == 2 * 21**2

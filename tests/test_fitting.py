@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import re
@@ -6,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycover import (
     BoxDomain,
     GridSpec,
+    LpOptions,
     PointCloud,
     SolverFailedError,
     UnboundedFitError,
@@ -19,14 +23,18 @@ from polycover import (
     default_grid_spec,
     degree_sweep,
     eval_poly_many,
+    export_mps,
     fit,
     make_basis,
     moment_vector,
     solve,
 )
-from polycover.fitting import MAX_GRID_POINTS
+from polycover.domain import grid_axes
+from polycover.fitting import MAX_GRID_POINTS, _prepare
+from polycover.lp import DenseRows, StackedRows, _max_violation, solve_rows
 
 from conftest import cluster_point_array
+from oracles import read_mps
 
 
 def test_single_point_degree_two_has_known_optimum():
@@ -357,9 +365,141 @@ def test_bound_rows_are_written_into_A_not_stacked_under_it():
     assert bounded.c.tobytes() == plain.c.tobytes()
 
 
+def test_tensor_grid_fit_builds_few_dense_rows(cluster_sweep):
+    # the W2 LP: the engine prices all 40,501 rows by contraction and
+    # builds only its working sets (3666 rows)
+    (result,) = [entry.result for entry in cluster_sweep if entry.degree == 14]
+    assert result.lp_rows == 40_501
+    assert 0 < result.lp_stats.rows_built <= 0.1 * result.lp_rows
+
+
+def test_tensor_grid_fit_allocates_a_fraction_of_A():
+    # the cluster cloud on the 201^2 grid at degree 9: A would hold
+    # 40,501 x 55 doubles; the fit never builds it
+    args = (PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 9)
+    spec = GridSpec(points_per_axis=201)
+    fit(*args, grid=spec)  # caches warm
+    tracemalloc.start()
+    try:
+        result = fit(*args, grid=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.23 m k 8 bytes, from the grid, its node test and the engine's m-vectors
+    assert peak <= 0.25 * result.lp_rows * len(result.polynomial.coeffs) * 8
+
+
+def _on_node_cloud() -> np.ndarray:
+    # the cluster cloud plus two nodes of the 31^2 grid on [-1, 1]^2
+    axis = grid_axes((-1.0, -1.0), (1.0, 1.0), 31)[0]
+    return np.vstack([cluster_point_array(), [[axis[4], axis[20]], [axis[15], axis[15]]]])
+
+
+def _cloud_3d() -> np.ndarray:
+    return np.clip(np.random.default_rng(3).normal(0.0, 0.3, size=(20, 3)), -0.9, 0.9)
+
+
+# (points, kind, degree, points per axis, coefficient bound)
+DIFFERENTIAL_CASES = {
+    "monomial": (cluster_point_array, "monomial", 9, 101, None),
+    "chebyshev": (cluster_point_array, "chebyshev", 9, 101, None),
+    "coeff_bound": (cluster_point_array, "monomial", 12, 21, 40.0),
+    "cloud_on_node": (_on_node_cloud, "chebyshev", 8, 31, None),
+    "3d": (_cloud_3d, "chebyshev", 5, 15, None),
+}
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_tensor_grid_program_matches_the_dense_program(case):
+    points, kind, degree, per_axis, bound = DIFFERENTIAL_CASES[case]
+    cloud = PointCloud(points())
+    box = BoxDomain.symmetric(cloud.dimension)
+    spec = GridSpec(points_per_axis=per_axis)
+    setup = _prepare(cloud, box, kind, spec, 1.0, bound)
+    problem = build_problem(cloud, box, degree, kind=kind, grid=spec, coeff_bound=bound)
+    basis, program = setup.program(degree)
+    assert isinstance(program.rows, StackedRows)
+    if case == "cloud_on_node":
+        assert problem.num_rows == cloud.count + per_axis**2 - 2
+    # the rows, built on demand, are A's rows bit for bit
+    rows = program.rows.take(np.arange(problem.num_rows))
+    assert rows.tobytes() == problem.A.tobytes()
+    assert program.b.tobytes() == problem.b.tobytes()
+    assert program.c.tobytes() == problem.c.tobytes()
+
+    opt_tol = LpOptions().opt_tol
+    dense = solve(problem)
+    tensor = solve_rows(program.c, program.b, program.rows)
+    assert dense.status == tensor.status == "optimal", (dense.message, tensor.message)
+    assert abs(tensor.objective - dense.objective) <= opt_tol * (1.0 + abs(dense.objective))
+    np.testing.assert_allclose(tensor.duals, dense.duals, rtol=0.0, atol=opt_tol)
+    result = fit(cloud, box, degree, kind=kind, grid=spec, coeff_bound=bound)
+    assert result.objective == tensor.objective
+    assert result.lp_rows == problem.num_rows
+    dense_margin = float(np.min(problem.A[: cloud.count] @ dense.v)) - 1.0
+    assert abs(result.containment_margin - dense_margin) <= opt_tol
+    if bound is not None:
+        assert np.max(np.abs(result.polynomial.coeffs)) <= bound * (1.0 + 1e-9)
+
+
+def test_tensor_grid_program_certifies_the_dense_program_ray():
+    # the k = 120 ray LP: the crash declines, so phase 1 prices every row
+    # from the artificials through the contraction, and the ray check reads
+    # the source's max |A| and products
+    cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
+    setup = _prepare(cloud, box, "monomial", GridSpec(points_per_axis=21), 1.0, None)
+    _, problem = setup.problem(14)
+    _, program = setup.program(14)
+    assert program.rows.max_abs() == DenseRows(problem.A).max_abs()
+    dense = solve(problem)
+    tensor = solve_rows(program.c, program.b, program.rows)
+    assert dense.status == tensor.status == "unbounded"
+    assert tensor.stats.phase1_pivots > 0
+    assert float(problem.c @ tensor.ray) < 0.0
+    assert float(np.min(problem.A @ tensor.ray)) >= -1e-9 * (1.0 + np.max(np.abs(problem.A)))
+
+
+def test_exported_program_is_the_one_the_tensor_grid_fit_solves():
+    cloud, box = PointCloud(_on_node_cloud()), BoxDomain.symmetric(2)
+    spec = GridSpec(points_per_axis=31)
+    c, A, b, _, _ = read_mps(export_mps(build_problem(cloud, box, 6, grid=spec, coeff_bound=20.0)))
+    _, program = _prepare(cloud, box, "monomial", spec, 1.0, 20.0).program(6)
+    np.testing.assert_array_equal(A, program.rows.take(np.arange(program.b.size)))
+    np.testing.assert_array_equal(b, program.b)
+    np.testing.assert_array_equal(c, program.c)
+
+
+@functools.cache
+def _violation_programs():
+    cloud, box = PointCloud(_on_node_cloud()), BoxDomain.symmetric(2)
+    spec = GridSpec(points_per_axis=31)
+    programs = []
+    for kind, bound in (("monomial", None), ("chebyshev", 25.0)):
+        setup = _prepare(cloud, box, kind, spec, 1.0, bound)
+        _, problem = setup.problem(7)
+        _, program = setup.program(7)
+        programs.append((problem, program, solve(problem).v))
+    return programs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1.0, 1e3, 1e12]),
+    near_optimum=st.booleans(),
+)
+def test_tensor_grid_max_violation_is_the_dense_one_bit_for_bit(which, seed, scale, near_optimum):
+    problem, program, optimum = _violation_programs()[which]
+    step = np.random.default_rng(seed).normal(size=problem.num_cols) * scale
+    v = optimum + step if near_optimum else step
+    dense = _max_violation(DenseRows(problem.A), problem.b, v)
+    assert _max_violation(program.rows, program.b, v) == dense
+
+
 def test_every_fit_writes_one_debug_line(caplog):
     line = re.compile(
-        r"fit degree (\d+) \((\w+)\): (\d+) rows, assembly \d+\.\d{3} s, "
+        r"fit degree (\d+) \((\w+)\): (\d+) rows, build \d+\.\d{3} s, "
         r"solve \d+\.\d{3} s, checks \d+\.\d{3} s"
     )
     cloud, box = PointCloud(np.array([-0.5, 0.0, 0.25])), BoxDomain.symmetric(1)

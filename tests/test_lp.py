@@ -21,7 +21,7 @@ from polycover import (
     solve,
 )
 from polycover.lp import (
-    SolveStats, _DualSimplex, _EngineFailure, _max_violation, _Outcome, _residuals_ext,
+    DenseRows, SolveStats, _DualSimplex, _EngineFailure, _max_violation, _Outcome, _residuals_ext,
 )
 
 from conftest import cluster_point_array
@@ -382,7 +382,7 @@ def w2_degree_14():
 def _assert_screened_violation_is_exact(A, b, v):
     # the certificate before screening: every row in extended precision
     want = max(0.0, float(np.max(_residuals_ext(A, b, v), initial=-math.inf)))
-    got = _max_violation(A, b, v)
+    got = _max_violation(DenseRows(A), b, v)
     assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
 
 
@@ -434,7 +434,7 @@ def test_screened_violation_checks_every_row_when_the_screen_overflows(monkeypat
     v = np.array([1e200, 1e200])
     _assert_screened_violation_is_exact(A, b, v)
     monkeypatch.setattr("polycover.lp._residuals_ext", recording_residuals)
-    _max_violation(A, b, v)
+    _max_violation(DenseRows(A), b, v)
     assert sum(checked) == A.shape[0]
 
 
@@ -442,7 +442,7 @@ def test_screened_violation_allocates_a_small_part_of_A(w2_degree_14):
     problem, v = w2_degree_14
     tracemalloc.start()
     try:
-        _max_violation(problem.A, problem.b, v)
+        _max_violation(DenseRows(problem.A), problem.b, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,7 +527,7 @@ def test_duals_come_back_in_input_order(engine_runs):
 def test_singular_basis_fails_with_message():
     # two parallel rows as the basis: getrf leaves an exact zero pivot
     rows = np.array([[1.0, 2.0], [2.0, 4.0]])
-    engine = _DualSimplex(rows, np.ones(2), np.zeros(2), LpOptions(), SolveStats())
+    engine = _DualSimplex(DenseRows(rows), np.ones(2), np.zeros(2), LpOptions(), SolveStats())
     engine.basis = np.array([0, 1])
     engine.B = engine._basis_matrix()
     engine._factor()
@@ -631,7 +631,7 @@ def test_small_bases_refactor_at_every_pivot(no_crash):
 
 @pytest.mark.parametrize("v", [(math.nan, 5.0), (math.inf, -math.inf)])
 def test_non_finite_vertex_has_infinite_violation(v):
-    assert _max_violation(np.eye(2), np.array([1.0, 2.0]), np.array(v)) == math.inf
+    assert _max_violation(DenseRows(np.eye(2)), np.array([1.0, 2.0]), np.array(v)) == math.inf
 
 
 def test_non_finite_engine_vertex_fails_with_message(monkeypatch):
@@ -837,7 +837,7 @@ def test_crash_nnls_matches_scipy_nnls(caplog):
             lam[rng.choice(m, k, replace=False)] = rng.uniform(0.5, 2.0, k)
             c = rows.T @ lam
         # every cost is nonzero, so every row is a start row
-        engine = _DualSimplex(rows, c, np.ones(m), LpOptions(), SolveStats())
+        engine = _DualSimplex(DenseRows(rows), c, np.ones(m), LpOptions(), SolveStats())
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polycover"):
             engine._crash()

@@ -27,6 +27,7 @@ from polycover import (
 from polycover import verification
 from polycover.basis import constant_poly
 from polycover.domain import MAX_GRID_POINTS, tensor_grid
+from polycover.fitting import unit_sobol_grid
 
 from oracles import bfs_component_count
 
@@ -423,6 +424,31 @@ def test_run_report_encloses_the_cells_once_for_both_screens(monkeypatch):
     assert (report.mc_volume, report.mc_stderr) == (volume.estimate, volume.standard_error)
     assert report.min_scan_value == scan.min_value
     assert scan.evaluated < scan.points // 2
+
+
+@pytest.mark.parametrize("dimension, degree, spec", [
+    (3, 0, None),  # the default 400,000-point scan; one exact cell
+    (4, 19, GridSpec(sample_count=3000, seed=5)),  # 20^4 coefficients: one unbounded cell
+])
+def test_one_cell_screens_scan_as_the_unscreened_scan(dimension, degree, spec):
+    box = BoxDomain(lower=(-0.5,) * dimension, upper=(1.5,) * dimension)
+    basis = make_basis(dimension, degree, "chebyshev", box)
+    p = Polynomial(basis, np.random.default_rng(degree).normal(size=len(basis)))
+    screen = verification._screen(p, box, 10_000)
+    assert screen.cells == 1
+    scan = nonnegativity_scan(p, box, spec)
+    unit = unit_sobol_grid(dimension, spec or verification._scan_spec(dimension))
+    points = box.scale_unit(unit)
+    values = eval_poly_many(p, points)
+    pos = int(np.argmin(values))
+    assert scan.min_value == values[pos]
+    assert scan.argmin == tuple(points[pos])
+    assert scan.evaluated == scan.points == values.size
+    if degree == 0:
+        # the constant is its own enclosure: every sample is decided
+        assert screen.lower[0] == screen.upper[0] == p.coeffs[0]
+        volume = mc_volume(constant_poly(basis, 1.0), box, samples=10_000)
+        assert (volume.estimate, volume.evaluated) == (box.volume, 0)
 
 
 def test_a_screen_made_for_another_polynomial_is_refused():
