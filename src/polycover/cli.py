@@ -1,15 +1,9 @@
-"""Command line front end.
+"""Command line front end: VERBS names each verb and the flags it reads.
 
-Verbs:
-    fit         fit one degree and verify the result
-    sweep       fit several degrees on one shared grid
-    plotdata    tabulate a fitted polynomial on a plotting grid
-    export-mps  write the assembled program without solving it
-    verify      run the verification pass on saved coefficients
-
-Exit codes: 0 success, 2 bad input or configuration, 3 solver failure,
-4 verification or containment failure.  Outputs contain no timestamps, so
-identical invocations produce byte-identical files.
+Exit codes: 0 success, 2 bad input or configuration, a failed output write
+or a refused allocation, 3 solver failure, 4 verification or containment
+failure.  Outputs contain no timestamps, so identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +13,9 @@ import csv
 import itertools
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,16 +107,6 @@ def _box_for(args: argparse.Namespace, dimension: int) -> BoxDomain:
     return BoxDomain.symmetric(dimension)
 
 
-def _grid_for(args: argparse.Namespace) -> GridSpec | None:
-    if args.grid is not None and args.grid_samples is not None:
-        raise IngestError("choose one of --grid and --grid-samples")
-    if args.grid is not None:
-        return GridSpec(points_per_axis=args.grid)
-    if args.grid_samples is not None:
-        return GridSpec(sample_count=args.grid_samples, seed=args.seed)
-    return None
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -144,29 +130,35 @@ def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
     return poly, box
 
 
-def _check_verification(args: argparse.Namespace, dimension: int, monte_carlo: bool) -> None:
+def _program(args: argparse.Namespace) -> tuple[PointCloud, BoxDomain, dict]:
+    """The cloud, the box and the program keywords of fit, sweep and export-mps."""
+    if args.grid is not None and args.grid_samples is not None:
+        raise IngestError("choose one of --grid and --grid-samples")
+    grid = None
+    if args.grid is not None:
+        grid = GridSpec(points_per_axis=args.grid)
+    elif args.grid_samples is not None:
+        grid = GridSpec(sample_count=args.grid_samples, seed=args.seed)
+    cloud = PointCloud(ingest_points(args.points))
+    box = _box_for(args, cloud.dimension)
+    return cloud, box, dict(kind=args.basis, grid=grid, inflate=args.inflate,
+                            coeff_bound=args.coeff_bound)
+
+
+def _check_verification(args: argparse.Namespace, dimension: int) -> None:
     """Refuse the resolution or sample count the verification would refuse,
     before any fit or report: components are counted in dimensions 1 to 3."""
     if dimension <= 3:
         check_resolution(dimension, args.resolution)
-    if monte_carlo:
+    if hasattr(args, "mc_samples"):
         check_mc_samples(args.mc_samples)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    cloud = PointCloud(ingest_points(args.points))
-    box = _box_for(args, cloud.dimension)
-    _check_verification(args, cloud.dimension, monte_carlo=True)
-    result = fit(
-        cloud,
-        box,
-        args.degree,
-        kind=args.basis,
-        grid=_grid_for(args),
-        inflate=args.inflate,
-        coeff_bound=args.coeff_bound,
-    )
+    cloud, box, program = _program(args)
+    _check_verification(args, cloud.dimension)
+    result = fit(cloud, box, args.degree, **program)
     report = run_report(
         result.polynomial,
         result.box,
@@ -185,18 +177,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    cloud = PointCloud(ingest_points(args.points))
-    box = _box_for(args, cloud.dimension)
-    _check_verification(args, cloud.dimension, monte_carlo=False)
+    cloud, box, program = _program(args)
+    _check_verification(args, cloud.dimension)
     try:
         degrees = sorted({int(d) for d in args.degrees.split(",")})
     except ValueError as exc:
         raise IngestError(f"--degrees {args.degrees!r}: expected comma-separated integers") from exc
-    entries = degree_sweep(
-        cloud, box, degrees,
-        kind=args.basis, grid=_grid_for(args),
-        inflate=args.inflate, coeff_bound=args.coeff_bound,
-    )
+    entries = degree_sweep(cloud, box, degrees, **program)
 
     successes = 0
     with (out / "sweep.csv").open("w", newline="") as handle:
@@ -248,12 +235,8 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 
 def cmd_export_mps(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    cloud = PointCloud(ingest_points(args.points))
-    problem = build_problem(
-        cloud, _box_for(args, cloud.dimension), args.degree,
-        kind=args.basis, grid=_grid_for(args),
-        inflate=args.inflate, coeff_bound=args.coeff_bound,
-    )
+    cloud, box, program = _program(args)
+    problem = build_problem(cloud, box, args.degree, **program)
     target = out / "problem.mps"
     export_mps(problem, destination=target)
     print(f"wrote {target} ({problem.num_rows} rows, {problem.num_cols} columns)")
@@ -267,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cloud is not None and cloud.dimension != poly.dimension:
         raise IngestError(f"points have dimension {cloud.dimension}, coefficients have "
                           f"{poly.dimension}")
-    _check_verification(args, poly.dimension, monte_carlo=True)
+    _check_verification(args, poly.dimension)
     report = run_report(
         poly, box,
         mc_samples=args.mc_samples, seed=args.seed, resolution=args.resolution,
@@ -285,61 +268,55 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset flags from a JSON config file, through each flag's type and
-    choices as on the command line; explicit flags win."""
-    if args.config is None:
-        return args
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IngestError(f"cannot load config {args.config}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise IngestError("config file must hold a JSON object")
-    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
-    actions = {action.dest: action for action in commands[args.command]._actions}
-    for key, value in config.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None or not hasattr(args, action.dest):
-            raise IngestError(f"config key {key!r} is not a recognized option")
-        if getattr(args, action.dest) is not None or value is None:
-            continue
-        try:
-            value = (action.type or str)(str(value))
-        except ValueError as exc:
-            raise IngestError(f"config key {key!r}: invalid value {value!r}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise IngestError(f"config key {key!r}: {value!r} is not one of {action.choices}")
-        setattr(args, action.dest, value)
-    return args
-
-
-def _add_common(parser: argparse.ArgumentParser, *, points: bool, degree: str | None) -> None:
-    if points:
-        parser.add_argument("--points", help="CSV file, one point per line")
-    parser.add_argument("--box", help="box as 'l1,u1;l2,u2;...'; default [-1,1]^n")
-    if degree == "single":
-        parser.add_argument("--degree", type=int, help="polynomial degree")
-    elif degree == "list":
-        parser.add_argument("--degrees", help="comma-separated degrees, e.g. 2,5,9")
-    parser.add_argument(
-        "--basis", choices=("monomial", "chebyshev"), help="coefficient basis"
-    )
-    parser.add_argument("--grid", type=int, help="tensor grid points per axis")
-    parser.add_argument("--grid-samples", type=int, help="quasi-random grid size")
-    parser.add_argument("--seed", type=int, help="seed for sampling (default 0)")
-    parser.add_argument("--inflate", type=float, help="box inflation factor (default 1)")
-    parser.add_argument("--coeff-bound", type=float, help="sup-norm bound on coefficients")
-    parser.add_argument("--mc-samples", type=int, help="Monte Carlo sample count")
-    parser.add_argument(
-        "--resolution",
+# Each flag's add_argument keywords; every verb also takes --out and --config.
+FLAGS: dict[str, dict] = {
+    "points": dict(help="CSV file, one point per line"),
+    "coeffs": dict(help="coeffs.json from a fit"),
+    "box": dict(help="box as 'l1,u1;l2,u2;...' (write --box=-1,1 when l1 is negative); "
+                "default [-1,1]^n"),
+    "degree": dict(type=int, help="polynomial degree"),
+    "degrees": dict(help="comma-separated degrees, e.g. 2,5,9"),
+    "basis": dict(choices=("monomial", "chebyshev"), help="coefficient basis"),
+    "grid": dict(type=int, help="tensor grid points per axis"),
+    "grid-samples": dict(type=int, help="quasi-random grid size"),
+    "seed": dict(type=int, help="seed for sampling (default 0)"),
+    "inflate": dict(type=float, help="box inflation factor (default 1)"),
+    "coeff-bound": dict(type=float, help="sup-norm bound on coefficients"),
+    "mc-samples": dict(type=int, help="Monte Carlo sample count"),
+    "resolution": dict(
         type=int,
-        help="component-count cells per axis, at least 64; checked in 1-D to "
-        "3-D but used only in 2-D and 3-D, since the 1-D count is exact "
-        "(plotdata: grid points per axis)",
-    )
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--config", help="JSON file with defaults for these flags")
+        help="component-count cells per axis, at least 64; checked in 1-D to 3-D but used "
+        "only in 2-D and 3-D, since the 1-D count is exact (plotdata: grid points per axis)",
+    ),
+    "out": dict(help="output directory (default .)"),
+    "config": dict(help="JSON file with defaults for these flags"),
+}
+
+# Defaults that apply after the config file, to the verbs that take the flag.
+DEFAULTS = {"seed": 0, "inflate": 1.0, "mc_samples": 1_000_000, "out": ".", "basis": "monomial"}
+
+_PROGRAM = ("box", "basis", "grid", "grid-samples", "seed", "inflate", "coeff-bound")
+
+
+class Verb(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...]  # the flags it reads, besides --out and --config
+    required: tuple[str, ...]
+
+
+VERBS = {
+    "fit": Verb(cmd_fit, "fit one degree and verify it",
+            ("points", "degree", *_PROGRAM, "mc-samples", "resolution"), ("points", "degree")),
+    "sweep": Verb(cmd_sweep, "fit several degrees on one grid",
+              ("points", "degrees", *_PROGRAM, "resolution"), ("points", "degrees")),
+    "plotdata": Verb(cmd_plotdata, "tabulate a saved polynomial on a grid",
+                 ("coeffs", "box", "resolution"), ("coeffs",)),
+    "export-mps": Verb(cmd_export_mps, "write the program in MPS format",
+                   ("points", "degree", *_PROGRAM), ("points", "degree")),
+    "verify": Verb(cmd_verify, "verification pass on saved coefficients",
+               ("coeffs", "points", "box", "seed", "mc-samples", "resolution"), ("coeffs",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,68 +325,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit and check low-volume polynomial superlevel sets around point clouds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit one degree and verify it")
-    _add_common(p_fit, points=True, degree="single")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_sweep = sub.add_parser("sweep", help="fit several degrees on one grid")
-    _add_common(p_sweep, points=True, degree="list")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_plot = sub.add_parser("plotdata", help="tabulate a saved polynomial on a grid")
-    p_plot.add_argument("--coeffs", help="coeffs.json from a fit")
-    _add_common(p_plot, points=False, degree=None)
-    p_plot.set_defaults(func=cmd_plotdata)
-
-    p_mps = sub.add_parser("export-mps", help="write the program in MPS format")
-    _add_common(p_mps, points=True, degree="single")
-    p_mps.set_defaults(func=cmd_export_mps)
-
-    p_verify = sub.add_parser("verify", help="verification pass on saved coefficients")
-    p_verify.add_argument("--coeffs", help="coeffs.json from a fit")
-    _add_common(p_verify, points=True, degree=None)
-    p_verify.set_defaults(func=cmd_verify)
-
+    for command, verb in VERBS.items():
+        # full names only, as in config files: `sweep --degree` is not --degrees
+        sub_parser = sub.add_parser(command, help=verb.help, allow_abbrev=False)
+        for flag in (*verb.flags, "out", "config"):
+            sub_parser.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
-def _finalize_defaults(args: argparse.Namespace) -> None:
-    if args.seed is None:
-        args.seed = 0
-    if getattr(args, "inflate", None) is None:
-        args.inflate = 1.0
-    if args.mc_samples is None:
-        args.mc_samples = 1_000_000
-    if args.out is None:
-        args.out = "."
-    if getattr(args, "basis", None) is None:
-        args.basis = "monomial"
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from a JSON config file, through each flag's type and
+    choices as on the command line; explicit flags win.  A key naming
+    another verb's flag is skipped, so one file can serve several verbs."""
+    if args.config is None:
+        return
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IngestError(f"cannot load config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise IngestError("config file must hold a JSON object")
+    for key, value in config.items():
+        flag = key.replace("_", "-")
+        if flag not in FLAGS:
+            raise IngestError(f"config key {key!r} is not a recognized option")
+        dest = flag.replace("-", "_")
+        if not hasattr(args, dest) or getattr(args, dest) is not None or value is None:
+            continue
+        spec = FLAGS[flag]
+        try:
+            value = spec.get("type", str)(str(value))
+        except ValueError as exc:
+            raise IngestError(f"config key {key!r}: invalid value {value!r}") from exc
+        if "choices" in spec and value not in spec["choices"]:
+            raise IngestError(f"config key {key!r}: {value!r} is not one of {spec['choices']}")
+        setattr(args, dest, value)
 
 
-def _check_required(args: argparse.Namespace) -> None:
-    needs_points = args.command in ("fit", "sweep", "export-mps")
-    if needs_points and args.points is None:
-        raise IngestError("--points is required (flag or config)")
-    if args.command in ("fit", "export-mps") and args.degree is None:
-        raise IngestError("--degree is required (flag or config)")
-    if args.command == "sweep" and args.degrees is None:
-        raise IngestError("--degrees is required (flag or config)")
-    if args.command in ("plotdata", "verify") and args.coeffs is None:
-        raise IngestError("--coeffs is required (flag or config)")
+def _settle(args: argparse.Namespace) -> None:
+    """After the config file: refuse missing required flags and a negative
+    seed, and fill the defaults of the flags the verb takes."""
+    for flag in VERBS[args.command].required:
+        if getattr(args, flag.replace("-", "_")) is None:
+            raise IngestError(f"--{flag} is required (flag or config)")
+    for dest, value in DEFAULTS.items():
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if getattr(args, "seed", 0) < 0:
+        raise IngestError("--seed must be nonnegative")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config(args, parser)
-        _check_required(args)
-        _finalize_defaults(args)
-        return args.func(args)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _apply_config(args)
+        _settle(args)
+        return VERBS[args.command].func(args)
     except (UnboundedFitError, SolverFailedError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -419,8 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, FitError, OSError, MemoryError) as exc:
+        # bad input, a failed output write, or an allocation the OS refused
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

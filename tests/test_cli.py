@@ -505,6 +505,117 @@ def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err.startswith(f"error: cannot create output directory {taken}: ")
 
 
+@pytest.mark.parametrize("verb, blocked", [("fit", "coeffs.json"), ("sweep", "sweep.csv")])
+def test_a_failed_output_write_exits_2(tmp_path, capsys, verb, blocked):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(-0.5,), (0.25,)])
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main([verb, "--points", str(pts), "--grid", "21", *VERB_ARGS[verb], "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ") and str(out / blocked) in err
+    assert err.count("\n") == 1
+
+
+# numpy's message when the OS refuses A for 3 points in 3-D at degree 40
+REFUSED = "Unable to allocate 9.20 GiB for an array with shape (100003, 12341) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError(REFUSED), REFUSED), (MemoryError(), "MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_a_refused_allocation_exits_2(tmp_path, capsys, monkeypatch, error, message):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.1, -0.2, 0.3)])
+
+    def refused(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "fit", refused)
+    code = main(["fit", "--points", str(pts), "--degree", "40", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("verb", ["fit", "verify"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb, source):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), 1.5))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a negative seed")
+
+    for name in ("fit", "run_report", "ingest_points"):
+        monkeypatch.setattr(cli, name, no_work)
+    inputs = {"fit": ["--points", str(pts), "--degree", "2"], "verify": ["--coeffs", str(coeffs)]}
+    seed = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+    assert main([verb, *inputs[verb], *seed, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
+
+
+# ------------------------------------------------------------------- flags
+
+
+def _sample_value(flag):
+    spec = cli.FLAGS[flag]
+    if "choices" in spec:
+        return spec["choices"][-1]
+    return {int: "3", float: "1.5", str: "text"}[spec.get("type", str)]
+
+
+@pytest.mark.parametrize("flag", cli.FLAGS)
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_every_verb_takes_exactly_its_flags(capsys, verb, flag):
+    argv = [verb, f"--{flag}", _sample_value(flag)]
+    if flag in (*cli.VERBS[verb].flags, "out", "config"):
+        args = cli.build_parser().parse_args(argv)
+        value = getattr(args, flag.replace("-", "_"))
+        assert value == cli.FLAGS[flag].get("type", str)(_sample_value(flag))
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [("sweep", ["--mc-samples", "10"]), ("plotdata", ["--grid", "11"]),
+     ("verify", ["--basis", "chebyshev"]), ("export-mps", ["--resolution", "64"])],
+)
+def test_a_flag_the_verb_would_ignore_exits_2(tmp_path, capsys, monkeypatch, verb, flag):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), 1.5))))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a flag the verb does not read")
+
+    for name in ("degree_sweep", "build_problem", "run_report", "eval_poly_grid"):
+        monkeypatch.setattr(cli, name, no_work)
+    inputs = {
+        "sweep": ["--points", str(pts), "--degrees", "2"],
+        "export-mps": ["--points", str(pts), "--degree", "2"],
+        "plotdata": ["--coeffs", str(coeffs)],
+        "verify": ["--coeffs", str(coeffs)],
+    }
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *inputs[verb], *flag, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ config
 
 
@@ -548,6 +659,34 @@ def test_unknown_config_key_exits_2(tmp_path):
          str(config), "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+def test_one_config_serves_fit_sweep_and_verify(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(-0.5,), (0.0,), (0.25,)])
+    settings = {"points": str(pts), "mc-samples": 2000, "degree": 2, "degrees": "2,4",
+                "grid": 101, "resolution": 64}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    fit_out, sweep_out = tmp_path / "fit", tmp_path / "sweep"
+    assert main(["fit", "--config", str(config), "--out", str(fit_out)]) == 0
+    assert main(["sweep", "--config", str(config), "--out", str(sweep_out)]) == 0
+    verify = ["verify", "--coeffs", str(fit_out / "coeffs.json"), "--config", str(config)]
+    assert main([*verify, "--out", str(tmp_path / "verify")]) == 0
+
+    # verify reads mc-samples and points from the file and skips degree,
+    # degrees and grid, so it repeats the fit's report byte for byte
+    verified = (tmp_path / "verify" / "report.json").read_bytes()
+    assert verified == (fit_out / "report.json").read_bytes()
+    degrees = [line.split(",")[0] for line in (sweep_out / "sweep.csv").read_text().splitlines()]
+    assert degrees == ["degree", "2", "4"]
+    assert "containment holds" in capsys.readouterr().out
+
+    # a key that names no flag of any verb is still refused
+    config.write_text(json.dumps({**settings, "degre": 3}))
+    for argv in (["fit", "--config", str(config)], ["sweep", "--config", str(config)], verify):
+        assert main([*argv, "--out", str(tmp_path / "refused")]) == 2
+        assert capsys.readouterr().err == "error: config key 'degre' is not a recognized option\n"
 
 
 @pytest.mark.parametrize("key", ["func", "command", "help"])
