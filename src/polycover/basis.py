@@ -409,11 +409,8 @@ def cell_enclosures(
     x = lower + u * widths built in place from a u in [0, 1)^n with
     floor(u * cells) naming the cell has
     fl(lower - E) <= eval_poly_many(p, x) <= fl(upper + E).  Such points
-    are mc_volume's samples, built from its uniform draws, and the Sobol
-    points of nonnegativity_scan, exact multiples of 2^-30 scaled by
-    BoxDomain.scale_unit as build_grid scales them.  Comparing the rounded
-    bounds with 1, or with any value eval_poly_many gives at such a point,
-    is therefore sound.
+    are mc_volume's samples, built from its uniform draws, so comparing the
+    rounded bounds with 1 is sound.
 
     On cell k of axis i, phi_j's variable v (x, or the Chebyshev map of x)
     runs over [a_k - b_k, a_k + b_k], so v = a_k + b_k s with s in [-1, 1],

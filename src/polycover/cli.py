@@ -111,6 +111,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_coeffs(path: Path, p: Polynomial, box: BoxDomain) -> None:
+    """poly_to_dict with the fit box, which a monomial basis does not carry,
+    so that verify and plotdata find the box the fit was made on."""
+    box_dict = {"lower": list(box.lower), "upper": list(box.upper)}
+    _write_json(path, {**poly_to_dict(p), "box": box_dict})
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     """Create the output directory; every verb calls this before any work."""
     out = Path(args.out)
@@ -122,12 +129,21 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
+    """The saved polynomial and its box: a Chebyshev basis's own box; for
+    monomials --box, else the stored fit box, else [-1, 1]^n."""
     try:
-        poly = poly_from_dict(json.loads(Path(args.coeffs).read_text()))
+        data = json.loads(Path(args.coeffs).read_text())
+        poly = poly_from_dict(data)
+        stored = data.get("box")
+        if stored is not None:
+            stored = BoxDomain(lower=tuple(stored["lower"]), upper=tuple(stored["upper"]))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IngestError(f"cannot load coeffs {args.coeffs}: {exc!r}") from exc
-    box = poly.basis.box if poly.basis.box is not None else _box_for(args, poly.dimension)
-    return poly, box
+    if poly.basis.box is not None:
+        return poly, poly.basis.box
+    if args.box is None and stored is not None:
+        return poly, stored
+    return poly, _box_for(args, poly.dimension)
 
 
 def _program(args: argparse.Namespace) -> tuple[PointCloud, BoxDomain, dict]:
@@ -166,7 +182,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=args.seed,
         resolution=args.resolution,
     )
-    _write_json(out / "coeffs.json", poly_to_dict(result.polynomial))
+    _write_coeffs(out / "coeffs.json", result.polynomial, result.box)
     _write_json(out / "report.json", report.to_json_dict())
     print(f"degree {result.degree}: w = {result.objective!r}")
     print(f"mc volume = {report.mc_volume!r} (stderr {report.mc_stderr!r})")
@@ -204,7 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 [entry.degree, repr(entry.result.objective), comps,
                  f"{entry.seconds:.3f}"]
             )
-            _write_json(out / f"coeffs_d{entry.degree}.json", poly_to_dict(poly))
+            _write_coeffs(out / f"coeffs_d{entry.degree}.json", poly, entry.result.box)
             print(f"degree {entry.degree}: w = {entry.result.objective!r}")
     print(f"wrote {out / 'sweep.csv'} ({successes} of {len(entries)} degrees)")
     return 0 if successes else 3

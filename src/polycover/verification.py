@@ -8,14 +8,14 @@ every sample gives.  When p >= 0 holds on all of B, Markov's bound gives
 vol U(p) <= integral of p over B;  the integral is the fit objective w, so w
 should exceed the estimated volume up to sampling noise.  The nonnegativity
 scan probes how far p dips below zero between the grid points where it was
-enforced; on a quasi-random grid the same cell bounds skip the points in
-cells that cannot hold the minimum, and run_report computes them once for
-both.  The component count describes the topology of U(p) (exactly in
-1-D, from the real roots of p - 1; on a pixel grid in 2-D and 3-D), and the
-trace report recomputes w through a Gram-matrix route as a cross-check on
-the moment pipeline.  Tensor grids (the scan below 3-D, the pixel grids) are
-evaluated axis by axis through eval_poly_grid, scattered points through
-eval_poly_many.
+enforced, on a tensor grid that holds the box's faces, edges and corners;
+only where no tensor grid of the scan's size fits p does it evaluate a
+quasi-random sample instead.  The component count describes the topology of
+U(p) (exactly in 1-D, from the real roots of p - 1; on a pixel grid in 2-D
+and 3-D), and the trace report recomputes w through a Gram-matrix route as
+a cross-check on the moment pipeline.  Tensor grids (the scan, the pixel
+grids) are evaluated axis by axis through eval_poly_grid, scattered points
+(the Monte Carlo samples, a quasi-random scan) through eval_poly_many.
 """
 
 from __future__ import annotations
@@ -41,16 +41,13 @@ from .basis import (
     poly_to_gram,
 )
 from .domain import BoxDomain, check_grid_size, grid_axes
-from .fitting import GridSpec, default_grid_spec, unit_sobol_grid
+from .fitting import GridSpec, build_grid, default_grid_spec
 from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
 MIN_MC_SAMPLES = 1000
 # Monte Carlo samples drawn and screened at a time
 MC_CHUNK_SAMPLES = 65_536
-# The scan's threshold comes from the points of this share of the occupied
-# cells, lowest lower bounds first (see _screened_values).
-SCAN_SEED_SHARE = 32
 # Roots of p - 1 with imaginary parts up to this size, in the coordinates that
 # map the box onto [-1, 1], still split the box in the exact 1-D count.
 ROOT_IMAG_TOL = 1e-3
@@ -206,95 +203,52 @@ class ScanResult:
     min_value: float
     argmin: tuple[float, ...]
     points: int
-    # points at which p was evaluated; the others were screened out
-    evaluated: int
 
 
-def _scan_spec(dimension: int) -> GridSpec:
+def _scan_spec(p: Polynomial) -> GridSpec:
     """The default scan grid: four times denser per axis than the fitting
-    grid, or a four times larger quasi-random sample in high dimension,
-    drawn with a different seed so it probes new locations."""
-    base = default_grid_spec(dimension)
+    grid in 1-D and 2-D.  In 3-D and up, the tensor grid with the most
+    nodes per axis whose points fit in a quasi-random sample four times the
+    fitting grid's: 73 per axis in 3-D, 25 in 4-D, 2 from 12-D to 18-D.
+    eval_poly_grid contracts p's dense (d + 1)^n coefficients, so where
+    they would not fit in an enclosure block, or the grid would have fewer
+    than 2 nodes per axis, the scan draws that sample itself, with another
+    seed than the fitting grid's so that it probes new locations."""
+    n = p.dimension
+    base = default_grid_spec(n)
     if base.points_per_axis is not None:
         return GridSpec(points_per_axis=4 * (base.points_per_axis - 1) + 1)
-    return GridSpec(sample_count=4 * base.sample_count, seed=1)
-
-
-def _screened_values(
-    p: Polynomial, box: BoxDomain, unit: np.ndarray, screen: CellScreen
-) -> tuple[np.ndarray, int]:
-    """Values of p at the points box.scale_unit makes of the rows of unit,
-    +inf at those skipped, and the count evaluated; only the evaluated
-    points are built.
-
-    p is evaluated first in the 1/SCAN_SEED_SHARE of the occupied cells with
-    the lowest lower bounds, and its least value there is the threshold T;
-    then in every other cell whose lower bound is not above T.  A skipped
-    point lies in a cell whose bound exceeds T, a value p takes at a point,
-    so its value is above the minimum: the minimum and the first point that
-    attains it are those of evaluating every point.  A bound sits below p's
-    minimum on its cell by the enclosure's width, so the lowest bound alone
-    gives a loose T; on the 3-D fit workload the lowest 1/32 of the cells
-    give the T that the exact minimum gives, for 1/32 of a full scan, and
-    seeding from a growing run of cells in bound order saved no more points
-    but took longer.  No point is evaluated twice.  A screen of one cell
-    skips nothing that way, so then every point is evaluated, with no cell
-    bookkeeping.
-    """
-    if screen.cells == 1:
-        values = eval_poly_many(p, box.scale_unit(unit.copy()))
-        return values, values.size
-    cell, lower = screen.cell_of(unit), screen.lower
-    occupied = np.flatnonzero(np.bincount(cell, minlength=lower.size))
-    count = max(1, occupied.size // SCAN_SEED_SHARE)
-    seed = np.zeros(lower.size, dtype=bool)
-    seed[occupied[np.argpartition(lower[occupied], count - 1)[:count]]] = True
-    values = np.full(unit.shape[0], math.inf)
-
-    def evaluate(chosen: np.ndarray) -> np.ndarray:
-        rows = chosen[cell]
-        found = eval_poly_many(p, box.scale_unit(np.compress(rows, unit, axis=0)))
-        values[rows] = found
-        return found
-
-    seed_values = evaluate(seed)
-    # not (bound > T): a NaN threshold skips nothing
-    rest = evaluate(~seed & ~(lower > seed_values.min()))
-    return values, seed_values.size + rest.size
+    budget = 4 * base.sample_count
+    per_axis = 1
+    while (per_axis + 1) ** n <= budget:
+        per_axis += 1
+    if per_axis >= 2 and (p.degree + 1) ** n <= _ENCLOSURE_BLOCK:
+        return GridSpec(points_per_axis=per_axis)
+    return GridSpec(sample_count=budget, seed=1)
 
 
 def nonnegativity_scan(
-    p: Polynomial,
-    box: BoxDomain,
-    spec: GridSpec | None = None,
-    *,
-    screen: CellScreen | None = None,
+    p: Polynomial, box: BoxDomain, spec: GridSpec | None = None
 ) -> ScanResult:
     """Minimum of p over a scan grid finer than the fitting default
-    (_scan_spec when spec is None).
+    (_scan_spec when spec is None), and the first grid point, in
+    build_grid's order, that attains it.
 
-    A tensor grid is evaluated axis by axis.  On a quasi-random grid p is
-    evaluated only in the cells of a cell screen whose lower bound can reach
-    the minimum (_screened_values), with the same result as evaluating every
-    point.  A screen made for p and box, of any cell count, may be passed
-    in; it changes only the work, and tensor grids ignore it.
+    A tensor grid is evaluated axis by axis, with no point array; a
+    quasi-random grid at every point.
     """
-    spec = _scan_spec(box.dimension) if spec is None else spec
+    spec = _scan_spec(p) if spec is None else spec
     if spec.points_per_axis is None:
-        unit = unit_sobol_grid(box.dimension, spec)
-        screen = _screen_for(p, box, spec.sample_count, screen)
-        values, evaluated = _screened_values(p, box, unit, screen)
+        points = build_grid(box, spec)
+        values = eval_poly_many(p, points)
         pos = int(np.argmin(values))
-        argmin = box.scale_unit(unit[pos : pos + 1])[0]
+        argmin = points[pos]
     else:
         axes = grid_axes(box.lower, box.upper, spec.points_per_axis)
         values = eval_poly_grid(p, axes)
-        evaluated = values.size
         pos = int(np.argmin(values))
         argmin = [axis[i] for axis, i in zip(axes, np.unravel_index(pos, values.shape))]
-    return ScanResult(
-        float(values.flat[pos]), tuple(float(x) for x in argmin), values.size, evaluated
-    )
+    return ScanResult(float(values.flat[pos]), tuple(float(x) for x in argmin), values.size)
 
 
 def default_resolution(dimension: int) -> int:
@@ -460,13 +414,12 @@ def run_report(
 ) -> VerificationReport:
     """Full verification pass over one fitted polynomial.
 
-    One cell screen, sized for the Monte Carlo samples and a quasi-random
-    scan's points together, serves both.  Writes one DEBUG line to the
-    polycover logger with the seconds of each stage and the points it
-    evaluated; for the Monte Carlo stage and the scan, both the points drawn
-    and those the screen left to evaluate.  The component count reports 0
-    cells where it labels no grid: the exact 1-D count, and above 3-D, where
-    it is skipped like the trace in a Chebyshev basis.
+    Writes one DEBUG line to the polycover logger with the seconds of each
+    stage and the points it evaluated: for the Monte Carlo stage, both the
+    samples drawn and those the cell screen left to evaluate; for the scan,
+    its grid.  The component count reports 0 cells where it labels no grid:
+    the exact 1-D count, and above 3-D, where it is skipped like the trace
+    in a Chebyshev basis.
     """
     n = box.dimension
     start = time.perf_counter()
@@ -476,23 +429,25 @@ def run_report(
     components_done = time.perf_counter()
     moments = moment_vector(p.basis, box)
     moments_done = time.perf_counter()
-    scan_spec = _scan_spec(n)
-    screen = _screen(p, box, mc_samples + (scan_spec.sample_count or 0))
+    screen = _screen(p, box, mc_samples)
     screen_done = time.perf_counter()
     volume = mc_volume(p, box, samples=mc_samples, seed=seed, screen=screen)
     cheb = chebyshev_check(p, moments, volume)
     mc_done = time.perf_counter()
-    scan = nonnegativity_scan(p, box, scan_spec, screen=screen)
+    scan_spec = _scan_spec(p)
+    scan = nonnegativity_scan(p, box, scan_spec)
     scan_done = time.perf_counter()
+    per_axis, samples = scan_spec.points_per_axis, scan_spec.sample_count
+    scan_grid = f"{samples} Sobol points" if per_axis is None else f"a {per_axis}^{n} grid"
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
     cells = resolution**n if 2 <= n <= 3 else 0
     _log.debug(
         "verify degree %d: moments %.3f s, screen %.3f s on %d cells, monte carlo %.3f s "
-        "on %d samples (%d evaluated), scan %.3f s on %d points (%d evaluated), "
-        "components %.3f s on %d cells, trace %.3f s",
+        "on %d samples (%d evaluated), scan %.3f s on %s, components %.3f s on %d cells, "
+        "trace %.3f s",
         p.degree, moments_done - components_done, screen_done - moments_done,
         screen.cells**n, mc_done - screen_done, volume.samples, volume.evaluated,
-        scan_done - mc_done, scan.points, scan.evaluated, components_done - start, cells,
+        scan_done - mc_done, scan_grid, components_done - start, cells,
         time.perf_counter() - scan_done,
     )
     return VerificationReport(

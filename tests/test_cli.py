@@ -753,6 +753,37 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, values, message):
     assert err.count("\n") == 1
 
 
+def test_verify_and_plotdata_use_the_box_a_monomial_fit_was_made_on(tmp_path):
+    # a monomial basis carries no box, so fit and sweep store the inflated
+    # box in every coeffs file; an explicit --box still overrides it
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(-0.5,), (0.0,), (0.25,)])
+    settings = ["--mc-samples", "2000", "--resolution", "64"]
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--points", str(pts), "--degree", "4", "--inflate", "1.5", *settings,
+                 "--out", str(fit_out)]) == 0
+    assert main(["sweep", "--points", str(pts), "--degrees", "2,4", "--inflate", "1.5",
+                 "--resolution", "64", "--out", str(tmp_path / "sweep")]) == 0
+    stored = {"lower": [-1.5], "upper": [1.5]}
+    for path in (fit_out / "coeffs.json", *sorted((tmp_path / "sweep").glob("coeffs_d*.json"))):
+        assert json.loads(path.read_text())["box"] == stored, path.name
+    coeffs = str(fit_out / "coeffs.json")
+
+    def verify(*flags):
+        out = tmp_path / f"verify{len(flags)}"
+        assert main(["verify", "--coeffs", coeffs, *flags, *settings, "--out", str(out)]) == 0
+        return (out / "report.json").read_text()
+
+    fitted = (fit_out / "report.json").read_text()
+    assert json.loads(fitted)["w"] == pytest.approx(1.679575839956412, rel=1e-9)
+    assert verify() == fitted
+    assert json.loads(verify("--box=-1,1"))["w"] == pytest.approx(1.5650246759548034, rel=1e-9)
+    plot = tmp_path / "plot"
+    assert main(["plotdata", "--coeffs", coeffs, "--resolution", "3", "--out", str(plot)]) == 0
+    rows = (plot / "plotdata.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["-1.5", "0.0", "1.5"]
+
+
 @pytest.mark.parametrize("verb", ["plotdata", "verify"])
 @pytest.mark.parametrize(
     "content, message",

@@ -27,7 +27,6 @@ from polycover import (
 from polycover import verification
 from polycover.basis import constant_poly
 from polycover.domain import MAX_GRID_POINTS, tensor_grid
-from polycover.fitting import unit_sobol_grid
 
 from oracles import bfs_component_count
 
@@ -272,17 +271,24 @@ def test_verification_memory_does_not_grow_with_the_basis():
 
 
 def test_nonnegativity_scan_on_a_tensor_grid_builds_no_point_array():
-    # the default 2-D scan has 801^2 points; an (801^2, 2) array of them
-    # would alone take twice the bytes of the values
-    p = Polynomial(make_basis(2, 9), np.random.default_rng(9).normal(size=55))
-    tracemalloc.start()
-    try:
-        scan = nonnegativity_scan(p, BoxDomain.symmetric(2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert scan.points == 801**2
-    assert peak <= 1.5 * scan.points * np.dtype(float).itemsize
+    # the default scans have 801^2 points in 2-D and 73^3 in 3-D; an array
+    # of those points would alone take two or three times the bytes of the
+    # values
+    skewed = BoxDomain(lower=(-0.4, -1.0, 0.5), upper=(1.2, 0.3, 2.0))
+    rng = np.random.default_rng(9)
+    for box, basis, per_axis in (
+        (BoxDomain.symmetric(2), make_basis(2, 9), 801),
+        (skewed, make_basis(3, 6, "chebyshev", skewed), 73),
+    ):
+        p = Polynomial(basis, rng.normal(size=len(basis)))
+        tracemalloc.start()
+        try:
+            scan = nonnegativity_scan(p, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.points == per_axis**box.dimension
+        assert peak <= 1.5 * scan.points * np.dtype(float).itemsize
 
 
 def test_nonnegativity_scan_default_refines_the_fit_grid():
@@ -292,100 +298,58 @@ def test_nonnegativity_scan_default_refines_the_fit_grid():
     assert scan.points == 4 * 2000 + 1
 
 
-def _unscreened_scan(p, box, spec):
+def test_default_scan_finds_the_lowest_corner_of_an_affine_p():
+    # the default grid holds the box's 2^n corners, where an affine p takes
+    # its minimum; dyadic coefficients and bounds make every value exact
+    rng = np.random.default_rng(36)
+    for dimension in range(3, 7):
+        for kind in ("monomial", "chebyshev"):
+            lower = rng.integers(-12, 8, dimension) / 4.0
+            box = BoxDomain(lower=tuple(lower),
+                            upper=tuple(lower + rng.integers(1, 8, dimension) / 2.0))
+            basis = make_basis(dimension, 1, kind, box)
+            coeffs = rng.choice([-3.0, -1.5, -0.5, 0.25, 1.0, 2.5], size=len(basis))
+            p = Polynomial(basis, coeffs)
+            corners = tensor_grid(box.lower, box.upper, 2)
+            values = eval_poly_many(p, corners)
+            pos = int(np.argmin(values))
+            scan = nonnegativity_scan(p, box)
+            assert scan.points == verification._scan_spec(p).points_per_axis ** dimension
+            assert (scan.min_value, scan.argmin) == (values[pos], tuple(corners[pos])), (
+                dimension, kind)
+
+
+def _every_point_scan(p, box, spec):
     """The scan by evaluating p at every point of build_grid: the minimum
-    and the first point, in draw order, that attains it."""
+    and the first point, in build_grid's order, that attains it."""
     points = build_grid(box, spec)
     values = eval_poly_many(p, points)
     pos = int(np.argmin(values))
     return float(values[pos]), tuple(float(x) for x in points[pos]), len(points)
 
 
-def _scan_families():
-    """Polynomials of 3 and 4 variables, both kinds, degrees 0 to 9, on
-    off-centre boxes, with a Sobol scan spec each."""
-    rng = np.random.default_rng(31)
-    for dimension in (3, 4):
-        for kind in ("monomial", "chebyshev"):
-            for degree in range(10):
-                lower = rng.uniform(-3.0, 2.0, dimension)
-                box = BoxDomain(lower=tuple(lower),
-                                upper=tuple(lower + rng.uniform(0.3, 3.0, dimension)))
-                basis = make_basis(dimension, degree, kind, box)
-                p = Polynomial(basis, rng.normal(size=len(basis)))
-                spec = GridSpec(sample_count=int(rng.integers(5_000, 20_000)),
-                                seed=int(rng.integers(2**32)))
-                yield p, box, spec
-
-
-def test_screened_sobol_scan_finds_what_evaluating_every_point_finds():
-    screened = 0
-    for p, box, spec in _scan_families():
-        scan = nonnegativity_scan(p, box, spec)
-        assert (scan.min_value, scan.argmin, scan.points) == _unscreened_scan(p, box, spec), (
-            p.basis.kind, p.dimension, p.degree)
-        assert 0 < scan.evaluated <= scan.points
-        screened += scan.evaluated < scan.points // 2
-    assert screened >= 20  # the screen skips most points of most families
-
-
-def test_screened_sobol_scan_keeps_the_first_of_tied_minima():
-    # a constant: nothing can be skipped, and point 0 is the argmin
-    box = BoxDomain(lower=(-0.4, -1.0, 0.5), upper=(1.2, 0.3, 2.0))
-    spec = GridSpec(sample_count=30_000, seed=4)
-    scan = nonnegativity_scan(constant_poly(make_basis(3, 2), 0.25), box, spec)
-    assert scan.min_value == 0.25
-    assert scan.argmin == tuple(float(x) for x in build_grid(box, spec)[0])
-    assert scan.evaluated == scan.points == 30_000
-    # zero: every cell's bound, with no margin, equals the minimum
-    scan = nonnegativity_scan(constant_poly(make_basis(3, 2), 0.0), box, spec)
-    assert scan.min_value == 0.0
-    assert scan.argmin == tuple(float(x) for x in build_grid(box, spec)[0])
-    assert scan.evaluated == 30_000
-    # p = x0 on a box so narrow that 1.0 + u * 2^-40 rounds to 1.0 for the
-    # u below 2^-13: 8 points share the minimum 1.0; the first lies outside
-    # the cells that seed the threshold, the second inside
-    box = BoxDomain(lower=(1.0, 0.0, 0.0), upper=(1.0 + 2.0**-40, 1.0, 1.0))
-    basis = make_basis(3, 1)
-    coeffs = np.zeros(len(basis))
-    coeffs[basis.index_position[(1, 0, 0)]] = 1.0
-    p = Polynomial(basis, coeffs)
-    spec = GridSpec(sample_count=60_000, seed=0)
-    values = eval_poly_many(p, build_grid(box, spec))
-    assert np.count_nonzero(values == values.min()) >= 2
-    scan = nonnegativity_scan(p, box, spec)
-    assert (scan.min_value, scan.argmin, scan.points) == _unscreened_scan(p, box, spec)
-    assert scan.evaluated < scan.points // 2
-
-
-def test_screened_sobol_scan_is_exact_where_rounding_dominates_p():
-    # a large constant plus tiny terms: p's values at the points differ from
-    # their cells' bounds by rounding alone, so skipping a cell on a bound
-    # without the enclosure's margin loses the first point of the minimum
-    rng = np.random.default_rng(35)
-    for trial in range(40):
-        lower = rng.uniform(-2.0, 1.0, 3)
-        box = BoxDomain(lower=tuple(lower), upper=tuple(lower + rng.uniform(0.5, 2.0, 3)))
-        basis = make_basis(3, 2, ("monomial", "chebyshev")[trial % 2], box)
-        coeffs = rng.normal(size=len(basis)) * 10.0 ** rng.uniform(-14.0, -9.0)
-        coeffs[0] = 10.0 ** rng.uniform(0.0, 6.0)
-        p = Polynomial(basis, coeffs)
-        spec = GridSpec(sample_count=20_000, seed=trial)
-        scan = nonnegativity_scan(p, box, spec)
-        assert (scan.min_value, scan.argmin, scan.points) == _unscreened_scan(p, box, spec)
-
-
-def test_sobol_scan_evaluates_every_point_where_a_cell_would_not_fit_a_block():
-    # 8^6 coefficients per cell of a 6-D degree-7 polynomial pass the
-    # enclosure block: one unbounded cell, which skips nothing
-    rng = np.random.default_rng(32)
-    box = BoxDomain.symmetric(6, 0.5)
-    basis = make_basis(6, 7)
+@pytest.mark.parametrize("dimension, degree, per_axis", [
+    (17, 1, 2),  # 2^17 coefficients: exactly an enclosure block
+    (18, 1, None),  # 2^18: past it
+    (18, 0, 2),  # 2^18 points within the budget
+    (19, 0, None),  # 2^19 points would pass it: fewer than 2 nodes per axis
+])
+def test_default_scan_draws_sobol_points_only_where_no_tensor_grid_fits(
+    dimension, degree, per_axis
+):
+    rng = np.random.default_rng(dimension + degree)
+    lower = rng.uniform(-2.0, 1.0, dimension)
+    box = BoxDomain(lower=tuple(lower), upper=tuple(lower + rng.uniform(0.5, 2.0, dimension)))
+    basis = make_basis(dimension, degree, "chebyshev", box)
     p = Polynomial(basis, rng.normal(size=len(basis)))
-    spec = GridSpec(sample_count=3_000, seed=2)
-    scan = nonnegativity_scan(p, box, spec)
-    assert (scan.min_value, scan.argmin, scan.points) == _unscreened_scan(p, box, spec)
-    assert scan.evaluated == 3_000
+    spec = verification._scan_spec(p)
+    assert spec.points_per_axis == per_axis
+    scan = nonnegativity_scan(p, box)
+    if per_axis is None:
+        assert spec == GridSpec(sample_count=400_000, seed=1)
+        assert (scan.min_value, scan.argmin, scan.points) == _every_point_scan(p, box, spec)
+    else:
+        assert scan.points == per_axis**dimension
 
 
 def test_sobol_scan_over_the_grid_cap_fails_before_allocating():
@@ -402,7 +366,8 @@ def test_sobol_scan_over_the_grid_cap_fails_before_allocating():
 
 
 def test_run_report_encloses_the_cells_once_for_both_screens(monkeypatch):
-    # the Monte Carlo samples and the 3-D scan's Sobol points share one screen
+    # run_report times the Monte Carlo's screen as a stage of its own: the
+    # screen that mc_volume would make, enclosed once
     calls = []
     real = verification.cell_enclosures
 
@@ -415,19 +380,17 @@ def test_run_report_encloses_the_cells_once_for_both_screens(monkeypatch):
     p = Polynomial(make_basis(3, 4, "chebyshev", box), rng.normal(size=35))
     monkeypatch.setattr(verification, "cell_enclosures", counted)
     report = run_report(p, box, mc_samples=20_000, resolution=64)
-    assert calls == [16]
-    # on its own, mc_volume's 20,000 samples earn 8 cells per axis; the
-    # results are the same
+    # 20,000 samples earn 8 cells per axis
+    assert calls == [8]
     volume = mc_volume(p, box, samples=20_000)
     scan = nonnegativity_scan(p, box)
-    assert calls == [16, 8, 16]
+    assert calls == [8, 8]
     assert (report.mc_volume, report.mc_stderr) == (volume.estimate, volume.standard_error)
     assert report.min_scan_value == scan.min_value
-    assert scan.evaluated < scan.points // 2
 
 
 @pytest.mark.parametrize("dimension, degree, spec", [
-    (3, 0, None),  # the default 400,000-point scan; one exact cell
+    (3, 0, None),  # the default 73^3 scan; one exact cell
     (4, 19, GridSpec(sample_count=3000, seed=5)),  # 20^4 coefficients: one unbounded cell
 ])
 def test_one_cell_screens_scan_as_the_unscreened_scan(dimension, degree, spec):
@@ -437,13 +400,8 @@ def test_one_cell_screens_scan_as_the_unscreened_scan(dimension, degree, spec):
     screen = verification._screen(p, box, 10_000)
     assert screen.cells == 1
     scan = nonnegativity_scan(p, box, spec)
-    unit = unit_sobol_grid(dimension, spec or verification._scan_spec(dimension))
-    points = box.scale_unit(unit)
-    values = eval_poly_many(p, points)
-    pos = int(np.argmin(values))
-    assert scan.min_value == values[pos]
-    assert scan.argmin == tuple(points[pos])
-    assert scan.evaluated == scan.points == values.size
+    spec = spec or verification._scan_spec(p)
+    assert (scan.min_value, scan.argmin, scan.points) == _every_point_scan(p, box, spec)
     if degree == 0:
         # the constant is its own enclosure: every sample is decided
         assert screen.lower[0] == screen.upper[0] == p.coeffs[0]
@@ -456,7 +414,6 @@ def test_a_screen_made_for_another_polynomial_is_refused():
     p, q = (Polynomial(make_basis(3, 2), np.full(10, c)) for c in (1.0, 2.0))
     screen = verification._screen(p, box, 10_000)
     for run in (lambda: mc_volume(q, box, samples=10_000, screen=screen),
-                lambda: nonnegativity_scan(q, box, screen=screen),
                 lambda: mc_volume(p, BoxDomain.symmetric(3, 2.0), screen=screen)):
         with pytest.raises(ValueError, match="cell screen was computed for another"):
             run()
@@ -625,7 +582,7 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
     line = re.compile(
         r"verify degree (\d+): moments \d+\.\d{3} s, screen \d+\.\d{3} s on (\d+) cells, "
         r"monte carlo \d+\.\d{3} s on (\d+) samples \((\d+) evaluated\), scan \d+\.\d{3} s "
-        r"on (\d+) points \((\d+) evaluated\), components \d+\.\d{3} s on (\d+) cells, "
+        r"on (a \d+\^\d+ grid|\d+ Sobol points), components \d+\.\d{3} s on (\d+) cells, "
         r"trace \d+\.\d{3} s"
     )
     square, segment = BoxDomain.symmetric(2), BoxDomain.symmetric(1)
@@ -633,25 +590,31 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
     with caplog.at_level(logging.DEBUG, logger="polycover"):
         run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)
         run_report(line_poly, segment, mc_samples=2_000)  # exact count: no cells
+        for dimension in (3, 19):  # no components counted past 3-D
+            run_report(constant_poly(make_basis(dimension, 0), 0.5),
+                       BoxDomain.symmetric(dimension), mc_samples=2_000, resolution=64)
     lines = [line.fullmatch(r.getMessage()) for r in caplog.records if r.name == "polycover"]
     assert all(lines)
-    fields = [tuple(int(g) for g in m.groups()) for m in lines]
-    line_scan = nonnegativity_scan(line_poly, segment).points
-    # tensor-grid scans evaluate every point; only Monte Carlo samples share the screen
-    assert [f[:1] + f[2:3] + f[4:] for f in fields] == [
-        (1, 10_000, 801 * 801, 801 * 801, 64 * 64),  # the default 2-D scan
-        (2, 2_000, line_scan, line_scan, 0),
+    fields = [m.groups() for m in lines]
+    # the scan names its grid: nodes per axis, or Sobol points past 18-D
+    assert [(int(f[0]), int(f[2]), f[4], int(f[5])) for f in fields] == [
+        (1, 10_000, "a 801^2 grid", 64 * 64),
+        (2, 2_000, "a 8001^1 grid", 0),
+        (0, 2_000, "a 73^3 grid", 64**3),
+        (0, 2_000, "400000 Sobol points", 0),
     ]
-    assert [f[1] for f in fields] == [
+    assert [int(f[1]) for f in fields[:2]] == [
         verification._screen(halfspace_poly(), square, 10_000).cells ** 2,
         verification._screen(line_poly, segment, 2_000).cells,
     ]
     # the screen leaves only the samples near the boundary p = 1 to evaluate
-    assert [f[3] for f in fields] == [
+    assert [int(f[3]) for f in fields[:2]] == [
         mc_volume(halfspace_poly(), square, samples=10_000).evaluated,
         mc_volume(line_poly, segment, samples=2_000).evaluated,
     ]
-    assert 0 < fields[0][3] < 10_000 // 10 and 0 < fields[1][3] < 2_000 // 10
+    assert 0 < int(fields[0][3]) < 10_000 // 10 and 0 < int(fields[1][3]) < 2_000 // 10
+    # a constant's one cell decides every sample
+    assert [(int(f[1]), int(f[3])) for f in fields[2:]] == [(1, 0), (1, 0)]
     caplog.clear()
     run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
