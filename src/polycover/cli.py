@@ -129,8 +129,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
-    """The saved polynomial and its box: a Chebyshev basis's own box; for
-    monomials --box, else the stored fit box, else [-1, 1]^n."""
+    """The saved polynomial and its box: a Chebyshev basis's own box, which
+    a --box must equal; for monomials --box, else the stored fit box, else
+    [-1, 1]^n."""
     try:
         data = json.loads(Path(args.coeffs).read_text())
         poly = poly_from_dict(data)
@@ -140,7 +141,12 @@ def _load_poly(args: argparse.Namespace) -> tuple[Polynomial, BoxDomain]:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IngestError(f"cannot load coeffs {args.coeffs}: {exc!r}") from exc
     if poly.basis.box is not None:
-        return poly, poly.basis.box
+        own = poly.basis.box
+        if args.box is not None and _box_for(args, poly.dimension) != own:
+            text = ";".join(f"{lo!r},{up!r}" for lo, up in zip(own.lower, own.upper))
+            raise IngestError(f"--box {args.box} differs from the Chebyshev basis box {text} "
+                              f"of {args.coeffs}")
+        return poly, own
     if args.box is None and stored is not None:
         return poly, stored
     return poly, _box_for(args, poly.dimension)

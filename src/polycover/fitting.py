@@ -120,22 +120,16 @@ def build_grid(box: BoxDomain, spec: GridSpec) -> np.ndarray:
 
     Tensor grids include the box boundary and are laid out row-major in the
     axis order.  Quasi-random grids use a scrambled Sobol sequence, so a
-    fixed seed gives identical points on every run.
+    fixed seed gives identical points on every run; more than
+    MAX_GRID_POINTS of them are refused before anything is drawn.
     """
     if spec.points_per_axis is not None:
         return tensor_grid(box.lower, box.upper, spec.points_per_axis)
-    return box.scale_unit(unit_sobol_grid(box.dimension, spec))
-
-
-def unit_sobol_grid(dimension: int, spec: GridSpec) -> np.ndarray:
-    """The quasi-random grid of spec in [0, 1)^dimension, before build_grid
-    scales it onto a box: exact multiples of 2^-30.  More than
-    MAX_GRID_POINTS points are refused before anything is drawn."""
     if spec.sample_count > MAX_GRID_POINTS:
         raise ValueError(
             f"quasi-random grid would hold {spec.sample_count} points (limit {MAX_GRID_POINTS})"
         )
-    return _sobol(dimension, spec.sample_count, spec.seed)
+    return box.scale_unit(_sobol(box.dimension, spec.sample_count, spec.seed))
 
 
 @functools.cache

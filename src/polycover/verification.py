@@ -1,14 +1,15 @@
 """Independent checks on a fitted superlevel set U(p) = {x in B : p(x) >= 1}.
 
 Volume is estimated by Monte Carlo with a counter-based generator, so runs
-with equal seeds agree bit for bit regardless of chunking.  Rigorous bounds
-of p on a grid of cells decide most samples; p is evaluated only at those in
-cells whose bounds straddle 1, and the count is the one that evaluating
-every sample gives.  When p >= 0 holds on all of B, Markov's bound gives
-vol U(p) <= integral of p over B;  the integral is the fit objective w, so w
-should exceed the estimated volume up to sampling noise.  The nonnegativity
-scan probes how far p dips below zero between the grid points where it was
-enforced, on a tensor grid that holds the box's faces, edges and corners;
+with equal seeds agree bit for bit regardless of chunking.  mc_volume first
+bounds p rigorously on a grid of cells, its own screen: the bounds decide
+most samples, p is evaluated only at those in cells whose bounds straddle
+1, and the count is the one that evaluating every sample gives.  When
+p >= 0 holds on all of B, Markov's bound gives vol U(p) <= integral of p
+over B;  the integral is the fit objective w, so w should exceed the
+estimated volume up to sampling noise.  The nonnegativity scan probes how
+far p dips below zero between the grid points where it was enforced, on a
+tensor grid that holds the box's faces, edges and corners;
 only where no tensor grid of the scan's size fits p does it evaluate a
 quasi-random sample instead.  The component count describes the topology of
 U(p) (exactly in 1-D, from the real roots of p - 1; on a pixel grid in 2-D
@@ -61,7 +62,9 @@ class VolumeEstimate:
     standard_error: float
     samples: int
     seed: int
-    # samples whose cell enclosure did not decide them, so p was evaluated
+    # cells of the screen in all, and the samples whose cell did not decide
+    # them, so p was evaluated
+    cells: int
     evaluated: int
 
 
@@ -71,94 +74,61 @@ def check_mc_samples(samples: int) -> None:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
 
 
-@dataclass(frozen=True)
-class CellScreen:
-    """Bounds of p on `cells` equal cells per axis of the box, row-major in
-    the axis order, with cell_enclosures' margin applied: fl(lower - E) and
-    fl(upper + E).  Every point lower + u * widths built in place from a u
-    in [0, 1)^n whose floor(u * cells) names a cell has an eval_poly_many
-    value between that cell's two bounds."""
-
-    polynomial: Polynomial
-    box: BoxDomain
-    cells: int
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def cell_of(self, unit: np.ndarray) -> np.ndarray:
-        """The cell of each row of unit, points of [0, 1)^n; cells is a power
-        of two, so u * cells is exact and its floor the cell."""
-        cell = np.zeros(unit.shape[0], dtype=np.int32)
-        for axis in range(unit.shape[1]):
-            cell *= self.cells
-            cell += (unit[:, axis] * self.cells).astype(np.int32)
-        return cell
-
-
-def _screen(p: Polynomial, box: BoxDomain, samples: int) -> CellScreen:
-    """The cell screen for `samples` points.  Its cells per axis are a power
-    of two, about 4096 cells in all; fewer where their enclosures'
-    multiply-adds, (d + 1)^(n + 1) per cell, would pass twice the
-    len(basis) per sample of evaluating every sample (as matrix products
-    they run several times faster); one unbounded cell where a cell's
-    (d + 1)^n coefficients would not fit in an enclosure block.  A degree-0
-    p gets one cell bounded by its constant, the value eval_poly_many
-    returns at every point."""
+def _screen(p: Polynomial, box: BoxDomain, samples: int) -> tuple[int, np.ndarray]:
+    """The cell screen for `samples` points: its cells per axis, a power of
+    two, and one int8 per cell, row-major in the axis order: 1 where p >= 1
+    on the whole cell, -1 where p < 1, 0 where undecided, decided by the
+    cell's enclosure widened by cell_enclosures' margin E.  About 4096 cells
+    in all; fewer where their enclosures' multiply-adds, (d + 1)^(n + 1) per
+    cell, would pass twice the len(basis) per sample of evaluating every
+    sample (as matrix products they run several times faster); one
+    undecided cell where a cell's (d + 1)^n coefficients would not fit in an
+    enclosure block.  A degree-0 p gets one cell bounded by its constant,
+    the value eval_poly_many returns at every point."""
     n, d = p.dimension, p.degree
+    cells = 1
     if d == 0:
-        value = np.array([p.coeffs[0]])
-        return CellScreen(p, box, 1, value, value.copy())
-    if (d + 1) ** n > _ENCLOSURE_BLOCK:
-        return CellScreen(p, box, 1, np.array([-math.inf]), np.array([math.inf]))
-    budget = min(4096, 2 * samples * math.comb(n + d, d) // (d + 1) ** (n + 1))
-    cells = 1 << max(0, budget.bit_length() - 1) // n
-    low, high, margin = cell_enclosures(p, box, cells)
-    return CellScreen(p, box, cells, low - margin, high + margin)
-
-
-def _screen_for(
-    p: Polynomial, box: BoxDomain, samples: int, screen: CellScreen | None
-) -> CellScreen:
-    """screen, refused unless it was made for p on box; a new one for
-    `samples` points when None."""
-    if screen is None:
-        return _screen(p, box, samples)
-    if screen.polynomial is not p or screen.box != box:
-        raise ValueError("cell screen was computed for another polynomial or box")
-    return screen
+        low = high = p.coeffs[:1]
+    elif (d + 1) ** n > _ENCLOSURE_BLOCK:
+        low, high = np.array([-math.inf]), np.array([math.inf])
+    else:
+        budget = min(4096, 2 * samples * math.comb(n + d, d) // (d + 1) ** (n + 1))
+        cells = 1 << max(0, budget.bit_length() - 1) // n
+        low, high, margin = cell_enclosures(p, box, cells)
+        low, high = low - margin, high + margin
+    return cells, (low >= 1.0).astype(np.int8) - (high < 1.0)
 
 
 def mc_volume(
-    p: Polynomial,
-    box: BoxDomain,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    *,
-    screen: CellScreen | None = None,
+    p: Polynomial, box: BoxDomain, samples: int = 1_000_000, seed: int = 0
 ) -> VolumeEstimate:
     """Monte Carlo estimate of vol {x in B : p(x) >= 1}.
 
-    The samples are screened by cell enclosures of p: a sample in a cell
-    where p - 1 keeps its sign, rounding included, counts by its cell, and
-    only the samples in the other cells are built and evaluated, so the
-    count is that of evaluating p at every sample.  A screen made for p and
-    box, of any cell count, may be passed in; it changes only the work.
+    The samples are screened by cell enclosures of p (_screen): a sample in
+    a cell where p - 1 keeps its sign, rounding included, counts by its
+    cell, and only the samples in the other cells are built and evaluated,
+    so the count is that of evaluating p at every sample.
     The standard error is the binomial one, vol(B) * sqrt(q(1-q)/N); it goes
     to zero only like 1/sqrt(N), so treat small gaps as noise.
     """
     check_mc_samples(samples)
-    if p.dimension != box.dimension:
+    n = box.dimension
+    if p.dimension != n:
         raise ValueError("polynomial and box dimensions differ")
-    screen = _screen_for(p, box, samples, screen)
-    # 1 where p >= 1 on the whole cell, -1 where p < 1, 0 where undecided
-    state = (screen.lower >= 1.0).astype(np.int8) - (screen.upper < 1.0)
+    cells, state = _screen(p, box, samples)
     rng = np.random.Generator(np.random.Philox(seed))
     hits = evaluated = 0
     remaining = samples
     while remaining > 0:
         m = min(MC_CHUNK_SAMPLES, remaining)
-        draws = rng.random((m, box.dimension))
-        decided = state[screen.cell_of(draws)]
+        draws = rng.random((m, n))
+        # cells is a power of two, so u * cells is exact and its floor the cell
+        cell = np.zeros(m, dtype=np.int32)
+        for axis in range(n):
+            cell *= cells
+            cell += (draws[:, axis] * cells).astype(np.int32)
+        decided = state[cell]
+        del cell  # freed before the next chunk is drawn, or it raises the peak RSS
         hits += int(np.count_nonzero(decided == 1))
         points = box.scale_unit(np.compress(decided == 0, draws, axis=0))
         hits += int(np.count_nonzero(eval_poly_many(p, points) >= 1.0))
@@ -169,7 +139,7 @@ def mc_volume(
     stderr = volume * math.sqrt(fraction * (1.0 - fraction) / samples)
     return VolumeEstimate(
         estimate=volume * fraction, standard_error=stderr, samples=samples, seed=seed,
-        evaluated=evaluated,
+        cells=cells**n, evaluated=evaluated,
     )
 
 
@@ -415,23 +385,22 @@ def run_report(
     """Full verification pass over one fitted polynomial.
 
     Writes one DEBUG line to the polycover logger with the seconds of each
-    stage and the points it evaluated: for the Monte Carlo stage, both the
-    samples drawn and those the cell screen left to evaluate; for the scan,
-    its grid.  The component count reports 0 cells where it labels no grid:
-    the exact 1-D count, and above 3-D, where it is skipped like the trace
-    in a Chebyshev basis.
+    stage and the points it evaluated: for the Monte Carlo stage, which
+    includes its cell screen, the samples drawn, the screen's cells and the
+    samples they left to evaluate; for the scan, its grid.  The component
+    count reports 0 cells where it labels no grid: the exact 1-D count, and
+    above 3-D, where it is skipped like the trace in a Chebyshev basis.
     """
     n = box.dimension
     start = time.perf_counter()
-    # first, so that a bad resolution fails before the costlier stages run
+    # first, so that a bad setting fails before the costlier stages run
+    check_mc_samples(mc_samples)
     resolution = check_resolution(n, resolution) if n <= 3 else resolution
     components = count_components(p, box, resolution) if n <= 3 else None
     components_done = time.perf_counter()
     moments = moment_vector(p.basis, box)
     moments_done = time.perf_counter()
-    screen = _screen(p, box, mc_samples)
-    screen_done = time.perf_counter()
-    volume = mc_volume(p, box, samples=mc_samples, seed=seed, screen=screen)
+    volume = mc_volume(p, box, samples=mc_samples, seed=seed)
     cheb = chebyshev_check(p, moments, volume)
     mc_done = time.perf_counter()
     scan_spec = _scan_spec(p)
@@ -442,13 +411,11 @@ def run_report(
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
     cells = resolution**n if 2 <= n <= 3 else 0
     _log.debug(
-        "verify degree %d: moments %.3f s, screen %.3f s on %d cells, monte carlo %.3f s "
-        "on %d samples (%d evaluated), scan %.3f s on %s, components %.3f s on %d cells, "
-        "trace %.3f s",
-        p.degree, moments_done - components_done, screen_done - moments_done,
-        screen.cells**n, mc_done - screen_done, volume.samples, volume.evaluated,
-        scan_done - mc_done, scan_grid, components_done - start, cells,
-        time.perf_counter() - scan_done,
+        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples in %d cells "
+        "(%d evaluated), scan %.3f s on %s, components %.3f s on %d cells, trace %.3f s",
+        p.degree, moments_done - components_done, mc_done - moments_done, volume.samples,
+        volume.cells, volume.evaluated, scan_done - mc_done, scan_grid,
+        components_done - start, cells, time.perf_counter() - scan_done,
     )
     return VerificationReport(
         w=cheb.w,

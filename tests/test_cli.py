@@ -784,6 +784,35 @@ def test_verify_and_plotdata_use_the_box_a_monomial_fit_was_made_on(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["-1.5", "0.0", "1.5"]
 
 
+@pytest.mark.parametrize("verb", ["verify", "plotdata"])
+def test_a_box_other_than_the_chebyshev_basis_box_exits_2(tmp_path, capsys, monkeypatch, verb):
+    # moment_vector integrates a Chebyshev basis over its own box only, so
+    # --box may only repeat that box
+    basis = make_basis(1, 4, "chebyshev", BoxDomain(lower=(-0.5,), upper=(1.0,)))
+    coeffs = tmp_path / "coeffs.json"
+    p = Polynomial(basis, np.array([0.5, 0.2, 0.9, 0.0, 0.1]))
+    coeffs.write_text(json.dumps(poly_to_dict(p)))
+    flags = ["--mc-samples", "2000"] if verb == "verify" else []
+    output = "report.json" if verb == "verify" else "plotdata.csv"
+
+    def run(name, *box):
+        return main([verb, "--coeffs", str(coeffs), *flags, *box, "--out", str(tmp_path / name)])
+
+    assert run("own") == 0 and run("equal", "--box=-0.5,1") == 0
+    assert (tmp_path / "equal" / output).read_bytes() == (tmp_path / "own" / output).read_bytes()
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a box the basis is not defined on")
+
+    for name in ("run_report", "eval_poly_grid"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert run("other", "--box=-3,3") == 2
+    assert capsys.readouterr().err == (
+        f"error: --box -3,3 differs from the Chebyshev basis box -0.5,1.0 of {coeffs}\n"
+    )
+
+
 @pytest.mark.parametrize("verb", ["plotdata", "verify"])
 @pytest.mark.parametrize(
     "content, message",

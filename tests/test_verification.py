@@ -365,9 +365,9 @@ def test_sobol_scan_over_the_grid_cap_fails_before_allocating():
     assert peak < 2**20
 
 
-def test_run_report_encloses_the_cells_once_for_both_screens(monkeypatch):
-    # run_report times the Monte Carlo's screen as a stage of its own: the
-    # screen that mc_volume would make, enclosed once
+def test_run_report_encloses_the_cells_once(monkeypatch):
+    # the Monte Carlo's screen is the one cell_enclosures call of a report;
+    # the scan encloses nothing
     calls = []
     real = verification.cell_enclosures
 
@@ -391,32 +391,22 @@ def test_run_report_encloses_the_cells_once_for_both_screens(monkeypatch):
 
 @pytest.mark.parametrize("dimension, degree, spec", [
     (3, 0, None),  # the default 73^3 scan; one exact cell
-    (4, 19, GridSpec(sample_count=3000, seed=5)),  # 20^4 coefficients: one unbounded cell
+    (4, 19, GridSpec(sample_count=3000, seed=5)),  # 20^4 coefficients: one undecided cell
 ])
-def test_one_cell_screens_scan_as_the_unscreened_scan(dimension, degree, spec):
+def test_one_cell_screen_and_the_scan_of_every_point(dimension, degree, spec):
     box = BoxDomain(lower=(-0.5,) * dimension, upper=(1.5,) * dimension)
     basis = make_basis(dimension, degree, "chebyshev", box)
     p = Polynomial(basis, np.random.default_rng(degree).normal(size=len(basis)))
-    screen = verification._screen(p, box, 10_000)
-    assert screen.cells == 1
+    cells, state = verification._screen(p, box, 10_000)
+    # the constant (0.126) is its own enclosure, below 1
+    assert (cells, state.dtype, state.tolist()) == (1, np.int8, [-1 if degree == 0 else 0])
     scan = nonnegativity_scan(p, box, spec)
     spec = spec or verification._scan_spec(p)
     assert (scan.min_value, scan.argmin, scan.points) == _every_point_scan(p, box, spec)
     if degree == 0:
-        # the constant is its own enclosure: every sample is decided
-        assert screen.lower[0] == screen.upper[0] == p.coeffs[0]
+        # every sample is decided
         volume = mc_volume(constant_poly(basis, 1.0), box, samples=10_000)
-        assert (volume.estimate, volume.evaluated) == (box.volume, 0)
-
-
-def test_a_screen_made_for_another_polynomial_is_refused():
-    box = BoxDomain.symmetric(3)
-    p, q = (Polynomial(make_basis(3, 2), np.full(10, c)) for c in (1.0, 2.0))
-    screen = verification._screen(p, box, 10_000)
-    for run in (lambda: mc_volume(q, box, samples=10_000, screen=screen),
-                lambda: mc_volume(p, BoxDomain.symmetric(3, 2.0), screen=screen)):
-        with pytest.raises(ValueError, match="cell screen was computed for another"):
-            run()
+        assert (volume.estimate, volume.cells, volume.evaluated) == (box.volume, 1, 0)
 
 
 def test_count_components_two_intervals():
@@ -559,6 +549,16 @@ def test_trace_report_requires_monomial():
         trace_report(Polynomial(cheb, np.zeros(3)), box)
 
 
+def test_run_report_checks_the_sample_count_before_counting_components(monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("components were counted before the sample count was checked")
+
+    monkeypatch.setattr(verification, "count_components", no_count)
+    with pytest.raises(ValueError, match=f"need at least {verification.MIN_MC_SAMPLES} samples"):
+        run_report(halfspace_poly(), BoxDomain.symmetric(2),
+                   mc_samples=verification.MIN_MC_SAMPLES - 1, resolution=64)
+
+
 def test_run_report_schema(figure_sweep):
     entry = figure_sweep[0]
     report = run_report(
@@ -580,8 +580,8 @@ def test_run_report_schema(figure_sweep):
 
 def test_run_report_logs_its_stages_at_debug_level(caplog):
     line = re.compile(
-        r"verify degree (\d+): moments \d+\.\d{3} s, screen \d+\.\d{3} s on (\d+) cells, "
-        r"monte carlo \d+\.\d{3} s on (\d+) samples \((\d+) evaluated\), scan \d+\.\d{3} s "
+        r"verify degree (\d+): moments \d+\.\d{3} s, monte carlo \d+\.\d{3} s on (\d+) samples "
+        r"in (\d+) cells \((\d+) evaluated\), scan \d+\.\d{3} s "
         r"on (a \d+\^\d+ grid|\d+ Sobol points), components \d+\.\d{3} s on (\d+) cells, "
         r"trace \d+\.\d{3} s"
     )
@@ -597,24 +597,22 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
     assert all(lines)
     fields = [m.groups() for m in lines]
     # the scan names its grid: nodes per axis, or Sobol points past 18-D
-    assert [(int(f[0]), int(f[2]), f[4], int(f[5])) for f in fields] == [
+    assert [(int(f[0]), int(f[1]), f[4], int(f[5])) for f in fields] == [
         (1, 10_000, "a 801^2 grid", 64 * 64),
         (2, 2_000, "a 8001^1 grid", 0),
         (0, 2_000, "a 73^3 grid", 64**3),
         (0, 2_000, "400000 Sobol points", 0),
     ]
-    assert [int(f[1]) for f in fields[:2]] == [
-        verification._screen(halfspace_poly(), square, 10_000).cells ** 2,
-        verification._screen(line_poly, segment, 2_000).cells,
-    ]
-    # the screen leaves only the samples near the boundary p = 1 to evaluate
-    assert [int(f[3]) for f in fields[:2]] == [
-        mc_volume(halfspace_poly(), square, samples=10_000).evaluated,
-        mc_volume(line_poly, segment, samples=2_000).evaluated,
+    # the Monte Carlo's cells, and the samples near the boundary p = 1 that
+    # they leave to evaluate
+    volumes = [mc_volume(halfspace_poly(), square, samples=10_000),
+               mc_volume(line_poly, segment, samples=2_000)]
+    assert [(int(f[2]), int(f[3])) for f in fields[:2]] == [
+        (v.cells, v.evaluated) for v in volumes
     ]
     assert 0 < int(fields[0][3]) < 10_000 // 10 and 0 < int(fields[1][3]) < 2_000 // 10
     # a constant's one cell decides every sample
-    assert [(int(f[1]), int(f[3])) for f in fields[2:]] == [(1, 0), (1, 0)]
+    assert [(int(f[2]), int(f[3])) for f in fields[2:]] == [(1, 0), (1, 0)]
     caplog.clear()
     run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
