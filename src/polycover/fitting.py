@@ -34,7 +34,7 @@ from .basis import (
 )
 from .domain import MAX_GRID_POINTS, BoxDomain, grid_axes, tensor_grid
 from .lp import (
-    DenseRows, LpOptions, LpProblem, SolveStats, StackedRows, _gamma, solve, solve_rows,
+    DenseRows, LpProblem, SolveStats, StackedRows, _gamma, solve, solve_rows,
 )
 from .moments import MomentVector, moment_vector
 
@@ -200,8 +200,8 @@ def _assemble(
     moments: MomentVector,
     coeff_bound: float | None,
 ) -> LpProblem:
-    """assemble, followed by the rows -bound <= v_i <= bound when coeff_bound
-    is set; A is allocated once with room for them."""
+    """assemble, followed by the rows +-v_i / coeff_bound >= -1 when
+    coeff_bound is set; A is allocated once with room for them."""
     if moments.basis is not basis and moments.basis != basis:
         raise ValueError("moment vector was computed for a different basis")
     k, rows, grid_count = len(basis), cloud.count + len(grid_points), len(grid_points)
@@ -209,7 +209,7 @@ def _assemble(
     A = np.empty((rows + bound_rows, k))
     eval_basis_many(basis, np.vstack([cloud.points, grid_points]), out=A[:rows])
     if bound_rows:
-        eye = np.eye(k)
+        eye = np.eye(k) / coeff_bound
         A[rows : rows + k], A[rows + k :] = eye, -eye
     b = _rhs(cloud.count, grid_count, k, coeff_bound)
     kinds = ("K",) * cloud.count + ("grid",) * grid_count + ("bound",) * bound_rows
@@ -218,11 +218,12 @@ def _assemble(
 
 def _rhs(cloud_count: int, grid_count: int, k: int, coeff_bound: float | None) -> np.ndarray:
     """b of the coefficient program: 1 on the cloud rows, 0 on the grid rows
-    and -coeff_bound on the 2k bound rows when a bound is set."""
+    and -1 on the 2k bound rows +-v_i / coeff_bound >= -1, scaled so that a
+    large bound widens no solver tolerance (they scale with |b|)."""
     bound_rows = 0 if coeff_bound is None else 2 * k
     b = np.concatenate([np.ones(cloud_count), np.zeros(grid_count + bound_rows)])
     if bound_rows:
-        b[cloud_count + grid_count :] = -coeff_bound
+        b[cloud_count + grid_count :] = -1.0
     return b
 
 
@@ -330,7 +331,7 @@ class _FitSetup:
 
     def problem(self, degree: int) -> tuple[PolyBasis, LpProblem]:
         """The coefficient program of one degree: cloud rows, grid rows, then
-        the rows -bound <= v_i <= bound when a coefficient bound is set."""
+        the rows +-v_i / bound >= -1 when a coefficient bound is set."""
         basis, moments = self._basis(degree)
         if self.coeff_bound is None:
             return basis, assemble(self.cloud, self.grid_points, basis, moments)
@@ -347,7 +348,7 @@ class _FitSetup:
         cloud = eval_basis_many(basis, self.cloud.points)
         parts = [DenseRows(cloud), _GridRows(basis, self.axes, self.grid_points, self.kept)]
         if self.coeff_bound is not None:
-            eye = np.eye(k)
+            eye = np.eye(k) / self.coeff_bound
             parts.append(DenseRows(np.vstack([eye, -eye])))
         b = _rhs(self.cloud.count, len(self.grid_points), k, self.coeff_bound)
         return basis, _RowProgram(moments.values.copy(), b, StackedRows(parts), cloud)
@@ -424,7 +425,7 @@ class FitResult:
         return self.objective
 
 
-def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> FitResult:
+def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
     """Build, solve and check one degree; writes one DEBUG line to the
     polycover logger with the row count and the seconds of each stage (build:
     the assembly of A, or the row source of a tensor grid)."""
@@ -432,9 +433,9 @@ def _fit_degree(setup: _FitSetup, degree: int, options: LpOptions | None) -> Fit
     basis, program = setup.program(degree)
     built = time.perf_counter()
     if isinstance(program, LpProblem):
-        solution, cloud = solve(program, options), program.A[: setup.cloud.count]
+        solution, cloud = solve(program), program.A[: setup.cloud.count]
     else:
-        solution = solve_rows(program.c, program.b, program.rows, options)
+        solution = solve_rows(program.c, program.b, program.rows)
         cloud = program.cloud
     solved = time.perf_counter()
     if solution.status == "optimal":
@@ -478,9 +479,9 @@ def fit(
     grid: GridSpec | None = None,
     inflate: float = 1.0,
     coeff_bound: float | None = None,
-    options: LpOptions | None = None,
 ) -> FitResult:
-    """Fit one polynomial of the given degree around the cloud.
+    """Fit one polynomial of the given degree around the cloud, solving its
+    LP to the fixed contract of polycover.lp (FEAS_TOL, OPT_TOL, MAX_ITERS).
 
     Args:
         cloud: points to cover; must lie inside the (inflated) box.
@@ -491,16 +492,15 @@ def fit(
         grid: where to enforce p >= 0; dimension-based default when None.
         inflate: scale factor applied to the box about its center before
             fitting, to push boundary effects away from the cloud.
-        coeff_bound: optional bound on the sup-norm of the coefficient
-            vector, as extra constraint rows.
-        options: solver tolerances and limits.
+        coeff_bound: optional bound beta on the sup-norm of the coefficient
+            vector, as the extra constraint rows +-v_i / beta >= -1.
 
     Raises:
         ValueError: cloud outside the box, or invalid parameters.
         UnboundedFitError, SolverFailedError, ContainmentError.
     """
     setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound)
-    return _fit_degree(setup, degree, options)
+    return _fit_degree(setup, degree)
 
 
 @dataclass(frozen=True)
@@ -520,9 +520,9 @@ def degree_sweep(
     grid: GridSpec | None = None,
     inflate: float = 1.0,
     coeff_bound: float | None = None,
-    options: LpOptions | None = None,
 ) -> list[SweepEntry]:
-    """Fit every degree on one shared grid, in ascending order.
+    """Fit every degree on one shared grid, in ascending order, each to the
+    contract that fit solves to.
 
     Because the degree-d basis is a prefix of the degree-d' basis for d < d'
     and the grid is shared, the optimal objective cannot increase with the
@@ -544,7 +544,7 @@ def degree_sweep(
         start = time.perf_counter()
         result, error = None, None
         try:
-            result = _fit_degree(setup, degree, options)
+            result = _fit_degree(setup, degree)
         except (FitError, ValueError) as exc:
             error = str(exc)
         if result is not None:

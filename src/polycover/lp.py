@@ -27,8 +27,8 @@ one rank-1 term per pivot; B is refactored and M reset at each phase start,
 every REFACTOR_EVERY pivots and before a phase ends, and at every pivot of
 phase 1 or when k < UPDATE_MIN_K.  Extended-precision refinement runs when
 a phase is about to finish; a phase ends only when a pricing over every row
-at the refined multipliers finds no entering row.  A run that never
-finishes ends at the iteration limit.
+at the refined multipliers finds no entering row.  A run fails when it
+reaches MAX_ITERS pivots.
 
 The engine sees the rows through a row source (DenseRows, StackedRows, or
 any object with their methods): dense rows by index, products of every row
@@ -40,7 +40,9 @@ into dense rows only its working sets, its basis and the certificate's
 candidate rows.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
-rechecked for feasibility and duality gap.  Unbounded problems return a
+rechecked for feasibility (to FEAS_TOL) and duality gap (to OPT_TOL), first
+at the engine's vertex and, if that fails, at the vertex of its final basis
+solved in extended precision.  Unbounded problems return a
 feasible point plus a ray along which the objective decreases forever.
 Inconsistent constraints surface as solver_failure with an explanatory
 message, since callers only distinguish the three listed statuses.  Every
@@ -66,19 +68,12 @@ _log = logging.getLogger("polycover")
 _ROW_PREFIXES = {"K": "K", "grid": "G", "bound": "B"}
 
 
-@dataclass(frozen=True)
-class LpOptions:
-    max_iters: int = 20_000
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        for name in ("feas_tol", "opt_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+# The solve contract, read when a solve runs: pivots per simplex run, the
+# feasibility tolerance relative to 1 + |b|_inf and the duality-gap
+# tolerance relative to 1 + |c.v|.
+MAX_ITERS = 20_000
+FEAS_TOL = 1e-9
+OPT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -277,20 +272,17 @@ class _DualSimplex:
     REFACTOR_EVERY = 64  # a fresh getrf at least every 64 pivots
     UPDATE_MIN_K = 48  # below it every pivot refactors: getrf is as cheap as an update
 
-    def __init__(
-        self, rows, rhs: np.ndarray, f: np.ndarray, options: LpOptions, stats: SolveStats,
-    ):
+    def __init__(self, rows, rhs: np.ndarray, f: np.ndarray, stats: SolveStats):
         self.source = rows  # a row source of shape (m, k); dual column j is row j
         self.rhs = rhs
         self.f = f
-        self.opt = options
         self.stats = stats
         self.m, self.k = self.source.shape
         self.sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.k)
         self.in_basis = np.zeros(self.m, dtype=bool)
         self.iterations = 0
-        self.phase1_tol = options.feas_tol * (1.0 + float(np.sum(np.abs(rhs))))
+        self.phase1_tol = FEAS_TOL * (1.0 + float(np.sum(np.abs(rhs))))
         self.unit = np.eye(self.k)  # e_p for the pivot rows of the Devex update
         self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (self.unit,))
         self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (self.unit,))
@@ -322,18 +314,11 @@ class _DualSimplex:
 
     def _work_row(self, pos: int) -> np.ndarray:
         """Row work[pos]: a dense working row, or taken from the source
-        when the working set is every row."""
-        if self.work_rows is None:
+        (and counted) when the working set is every row."""
+        if self.work_rows is self.source:
             self.stats.rows_built += 1
             return self.source.take(self.work[pos : pos + 1])[0]
-        return self.work_rows[pos]
-
-    def _products(self, Y: np.ndarray) -> np.ndarray:
-        """The working rows times a vector or a (k, 2) Y; the source's
-        pricing when the working set is every row."""
-        if self.work_rows is None:
-            return self.source.price(Y)
-        return self.work_rows @ Y if Y.ndim == 1 else _product(self.work_rows, Y)
+        return self.work_rows.A[pos]
 
     def _basis_matrix(self) -> np.ndarray:
         """Columns row j for basic j < m; sigma_i e_i for artificial m + i."""
@@ -400,15 +385,16 @@ class _DualSimplex:
         return x
 
     def _set_work(self, work: np.ndarray, cost_real: np.ndarray) -> None:
-        """Price the rows `work`, sorted by index, from now on: from their
-        dense rows, or through the source when they are every row."""
+        """Price the rows `work`, sorted by index, from now on through the
+        row source work_rows: their dense rows, or the source itself when
+        they are every row."""
         self.work = work
         self.in_work = np.zeros(self.m, dtype=bool)
         self.in_work[work] = True
         whole = work.size == self.m
-        self.work_rows = None if whole else self._rows(work)
+        self.work_rows = self.source if whole else DenseRows(self._rows(work))
         if not whole:
-            self.held, self.held_rows = work, self.work_rows
+            self.held, self.held_rows = work, self.work_rows.A
         self.work_cost = cost_real if whole else cost_real[work]
         self.weights = np.ones(work.size)
 
@@ -421,7 +407,7 @@ class _DualSimplex:
         if whole:
             self.stats.full_pricings += 1
         self.y_rho[:, 0] = y
-        product = self._products(self.y_rho)
+        product = self.work_rows.price(self.y_rho)
         reduced = self.work_cost - product[:, 0]
         if self.pending is not None:
             self._update_weights(product[:, 1])
@@ -507,8 +493,7 @@ class _DualSimplex:
         passive: list[int] = []  # the rows in the column order of Q R
         Q, R = np.eye(self.k), np.zeros((self.k, 0))
         x = np.zeros(0)
-        peak = self.source.max_abs() if self.work_rows is None else np.max(np.abs(self.work_rows))
-        tol = 1e-13 * float(np.linalg.norm(self.rhs) * peak)
+        tol = 1e-13 * float(np.linalg.norm(self.rhs) * self.work_rows.max_abs())
         reason, growths = "step limit", 0
         for _ in range(20 * self.k):
             p, r = len(passive), self.rhs
@@ -534,7 +519,7 @@ class _DualSimplex:
                     reason = ""
                     break
                 r = Q[:, p:] @ qtc[p:]
-            grad = self._products(r)
+            grad = self.work_rows.price(r)
             grad[self.in_basis[self.work]] = -math.inf
             pos = int(np.argmax(grad))
             if grad[pos] > tol:
@@ -640,10 +625,8 @@ class _DualSimplex:
                 self.stats.phase1_pivots += 1
             else:
                 self.stats.phase2_pivots += 1
-            if self.iterations >= self.opt.max_iters:
-                raise _EngineFailure(
-                    f"iteration limit {self.opt.max_iters} reached in phase {phase}"
-                )
+            if self.iterations >= MAX_ITERS:
+                raise _EngineFailure(f"iteration limit {MAX_ITERS} reached in phase {phase}")
 
     def run(self) -> _Outcome:
         self._crash()
@@ -747,29 +730,26 @@ def _check_finite(v: np.ndarray, lam: np.ndarray) -> None:
         raise _EngineFailure("non-finite vertex")
 
 
-def _check_ray(rows, c: np.ndarray, ray: np.ndarray, feas_tol: float) -> bool:
+def _check_ray(rows, c: np.ndarray, ray: np.ndarray) -> bool:
     scale = 1.0 + rows.max_abs()
     recession = float(np.min(rows.price(ray), initial=0.0))
     descent = float(c @ ray)
-    return recession >= -feas_tol * scale and descent < 0.0
+    return recession >= -FEAS_TOL * scale and descent < 0.0
 
 
-def solve(problem: LpProblem, options: LpOptions | None = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve the problem to the contract tolerances.
 
-    Optimal solutions satisfy  max(b - A v) <= feas_tol * (1 + |b|_inf)  and a
-    relative duality gap bound of opt_tol; violations are reported as
-    solver_failure rather than silently returned.
+    Optimal solutions satisfy  max(b - A v) <= FEAS_TOL * (1 + |b|_inf)  and
+    |c.v - b.lam| <= OPT_TOL * (1 + |c.v|); violations, and a simplex run
+    that reaches MAX_ITERS pivots, are reported as solver_failure.
     """
-    return solve_rows(problem.c, problem.b, DenseRows(problem.A), options)
+    return solve_rows(problem.c, problem.b, DenseRows(problem.A))
 
 
-def solve_rows(
-    c: np.ndarray, b: np.ndarray, rows, options: LpOptions | None = None
-) -> LpSolution:
+def solve_rows(c: np.ndarray, b: np.ndarray, rows) -> LpSolution:
     """solve for min c.v subject to A v >= b, with the rows of A given by
     the row source rows (see DenseRows), to the same contract."""
-    opt = options or LpOptions()
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
 
     if b.size == 0:
@@ -786,43 +766,40 @@ def solve_rows(
         )
 
     stats = SolveStats()
-    engine = _DualSimplex(rows, c, -b, opt, stats)
+    engine = _DualSimplex(rows, c, -b, stats)
     engines = [engine]  # every run counts toward the reported iterations
     try:
         outcome = engine.run()
 
         if outcome.kind == "optimal":
-            v = -outcome.y
-            lam = outcome.lam
-            _check_finite(v, lam)
-            objective = float(c @ v)
-            max_inf = _max_violation(rows, b, v)
-            gap = abs(objective - float(b @ lam))
-            if max_inf > opt.feas_tol * b_scale or gap > opt.opt_tol * (1.0 + abs(objective)):
-                v, lam = engine.vertex_ext()
+            # certify the engine's vertex; if it fails, the extended-precision one
+            v, lam = -outcome.y, outcome.lam
+            for retry in (True, False):
                 _check_finite(v, lam)
                 objective = float(c @ v)
                 max_inf = _max_violation(rows, b, v)
                 gap = abs(objective - float(b @ lam))
-            if max_inf > opt.feas_tol * b_scale:
-                raise _EngineFailure(
-                    f"solution violates feasibility: residual {max_inf:.3e}"
-                )
-            if gap > opt.opt_tol * (1.0 + abs(objective)):
-                raise _EngineFailure(f"duality gap {gap:.3e} exceeds tolerance")
-            return LpSolution(
-                status="optimal", v=v, objective=objective,
-                max_infeasibility=max_inf, iterations=engine.iterations, duals=lam,
-                stats=stats,
-            )
+                if max_inf > FEAS_TOL * b_scale:
+                    fault = f"solution violates feasibility: residual {max_inf:.3e}"
+                elif gap > OPT_TOL * (1.0 + abs(objective)):
+                    fault = f"duality gap {gap:.3e} exceeds tolerance"
+                else:
+                    return LpSolution(
+                        status="optimal", v=v, objective=objective,
+                        max_infeasibility=max_inf, iterations=engine.iterations, duals=lam,
+                        stats=stats,
+                    )
+                if not retry:
+                    raise _EngineFailure(fault)
+                v, lam = engine.vertex_ext()
 
         if outcome.kind == "dual_infeasible":
             ray = -outcome.y
             peak = float(np.max(np.abs(ray), initial=0.0))
-            if peak == 0.0 or not _check_ray(rows, c, ray / peak, opt.feas_tol):
+            if peak == 0.0 or not _check_ray(rows, c, ray / peak):
                 raise _EngineFailure("could not certify an unbounded direction")
             ray = ray / peak
-            probe = _DualSimplex(rows, np.zeros(c.size), -b, opt, stats)
+            probe = _DualSimplex(rows, np.zeros(c.size), -b, stats)
             engines.append(probe)
             probe_out = probe.run()
             if probe_out.kind == "dual_unbounded":
@@ -833,7 +810,7 @@ def solve_rows(
                 raise _EngineFailure("feasibility probe failed to converge")
             v = -probe_out.y
             max_inf = _max_violation(rows, b, v)
-            if max_inf > opt.feas_tol * b_scale:
+            if max_inf > FEAS_TOL * b_scale:
                 raise _EngineFailure(
                     f"probe produced an infeasible point: residual {max_inf:.3e}"
                 )

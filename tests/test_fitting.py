@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from polycover import (
     BoxDomain,
     GridSpec,
-    LpOptions,
     PointCloud,
     SolverFailedError,
     UnboundedFitError,
@@ -29,6 +28,7 @@ from polycover import (
     moment_vector,
     solve,
 )
+from polycover import lp
 from polycover.domain import grid_axes
 from polycover.fitting import MAX_GRID_POINTS, _prepare
 from polycover.lp import DenseRows, StackedRows, _max_violation, solve_rows
@@ -152,6 +152,18 @@ def test_coefficient_bound_restores_boundedness():
     assert np.max(np.abs(result.polynomial.coeffs)) <= 10.0 + 1e-9
 
 
+@pytest.mark.parametrize("bound", [10.0, 1e6, 1e9])
+def test_an_inactive_coefficient_bound_leaves_the_fit_unchanged(bound):
+    # the paper's line cloud at degree 4, where max |v_i| is 2.92; the
+    # solver's tolerances scale with |b|, so bound rows with rhs -bound let
+    # 1e6 return p = -1.2e-4 at a grid node and 1e9 miss a cloud point by 1
+    cloud, box = PointCloud(np.array([-0.5, 0.0, 0.25])), BoxDomain.symmetric(1)
+    plain = fit(cloud, box, 4)
+    bounded = fit(cloud, box, 4, coeff_bound=bound)
+    assert plain.w == bounded.w == 1.4287351602487985
+    assert solve(build_problem(cloud, box, 4, coeff_bound=bound)).max_infeasibility <= 2e-9
+
+
 def test_chebyshev_kind_reaches_the_monomial_optimum():
     # same LP in a different coordinate system
     cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
@@ -216,8 +228,9 @@ def test_build_problem_appends_bound_rows_to_the_assembled_program():
     np.testing.assert_array_equal(plain.A, assembled.A)
     np.testing.assert_array_equal(plain.b, assembled.b)
     np.testing.assert_array_equal(bounded.A[:3], plain.A)
-    np.testing.assert_array_equal(bounded.A[3:], np.vstack([np.eye(5), -np.eye(5)]))
-    np.testing.assert_array_equal(bounded.b[3:], np.full(10, -10.0))
+    # +-v_i / 10 >= -1: the bound scales the rows, not b
+    np.testing.assert_array_equal(bounded.A[3:], np.vstack([np.eye(5), -np.eye(5)]) / 10.0)
+    np.testing.assert_array_equal(bounded.b[3:], np.full(10, -1.0))
     assert bounded.row_kinds == plain.row_kinds + ("bound",) * 10
 
 
@@ -359,9 +372,9 @@ def test_bound_rows_are_written_into_A_not_stacked_under_it():
     # np.vstack of the bound rows under A peaked at 2.17 A.nbytes
     assert peak <= 1.25 * bounded.A.nbytes
     m, k = plain.A.shape
-    eye = np.eye(k)
+    eye = np.eye(k) / 50.0  # the rows +-v_i / 50 >= -1
     assert bounded.A.tobytes() == np.vstack([plain.A, eye, -eye]).tobytes()  # signed zeros too
-    assert bounded.b.tobytes() == np.concatenate([plain.b, np.full(2 * k, -50.0)]).tobytes()
+    assert bounded.b.tobytes() == np.concatenate([plain.b, np.full(2 * k, -1.0)]).tobytes()
     assert bounded.c.tobytes() == plain.c.tobytes()
 
 
@@ -427,7 +440,7 @@ def test_tensor_grid_program_matches_the_dense_program(case):
     assert program.b.tobytes() == problem.b.tobytes()
     assert program.c.tobytes() == problem.c.tobytes()
 
-    opt_tol = LpOptions().opt_tol
+    opt_tol = lp.OPT_TOL
     dense = solve(problem)
     tensor = solve_rows(program.c, program.b, program.rows)
     assert dense.status == tensor.status == "optimal", (dense.message, tensor.message)
@@ -542,15 +555,8 @@ def test_sweep_captures_per_degree_errors():
     assert "unbounded" in entries[1].error
 
 
-def test_solver_iteration_cap_surfaces_as_fit_error():
-    from polycover import LpOptions
-
+def test_solver_iteration_cap_surfaces_as_fit_error(monkeypatch):
+    monkeypatch.setattr(lp, "MAX_ITERS", 2)
     cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
     with pytest.raises(SolverFailedError, match="iteration limit"):
-        fit(
-            cloud,
-            BoxDomain.symmetric(1),
-            7,
-            grid=GridSpec(points_per_axis=501),
-            options=LpOptions(max_iters=2),
-        )
+        fit(cloud, BoxDomain.symmetric(1), 7, grid=GridSpec(points_per_axis=501))

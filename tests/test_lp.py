@@ -13,13 +13,13 @@ from scipy.optimize import linprog
 from polycover import (
     BoxDomain,
     GridSpec,
-    LpOptions,
     LpProblem,
     PointCloud,
     build_problem,
     export_mps,
     solve,
 )
+from polycover import lp
 from polycover.lp import (
     DenseRows, SolveStats, _DualSimplex, _EngineFailure, _max_violation, _Outcome, _residuals_ext,
 )
@@ -156,9 +156,10 @@ def test_no_rows_nonzero_cost_is_unbounded():
     assert float(np.array([0.0, 2.0]) @ sol.ray) < 0
 
 
-def test_iteration_limit_reports_failure():
+def test_iteration_limit_reports_failure(monkeypatch):
     problem = simple_problem()
-    sol = solve(problem, LpOptions(max_iters=1))
+    monkeypatch.setattr(lp, "MAX_ITERS", 1)
+    sol = solve(problem)
     assert sol.status == "solver_failure"
     assert sol.message == "iteration limit 1 reached in phase 1"
     assert sol.iterations == 1
@@ -261,11 +262,12 @@ def test_cluster_degree_5_lp_reaches_its_degenerate_optimum():
     assert sol.objective == pytest.approx(2.5049492389294734, rel=1e-9)
 
 
-def test_chebyshev_degree_14_cluster_lp_certifies():
+def test_chebyshev_degree_14_cluster_lp_certifies(monkeypatch):
     # the Chebyshev degree-14 cluster LP on a 51^2 grid: phase 1 starts on
     # a long degenerate stretch that pricing must leave well inside the
     # budget, and the Devex weights pass their cap and return to 1
-    sol = solve(cluster_problem(14, kind="chebyshev"), LpOptions(max_iters=5000))
+    monkeypatch.setattr(lp, "MAX_ITERS", 5000)
+    sol = solve(cluster_problem(14, kind="chebyshev"))
     assert sol.status == "optimal", sol.message
     assert sol.stats.devex_resets > 0
     # HiGHS gives 1.2695068344052323, the monomial basis 1.269506834405209
@@ -527,7 +529,7 @@ def test_duals_come_back_in_input_order(engine_runs):
 def test_singular_basis_fails_with_message():
     # two parallel rows as the basis: getrf leaves an exact zero pivot
     rows = np.array([[1.0, 2.0], [2.0, 4.0]])
-    engine = _DualSimplex(DenseRows(rows), np.ones(2), np.zeros(2), LpOptions(), SolveStats())
+    engine = _DualSimplex(DenseRows(rows), np.ones(2), np.zeros(2), SolveStats())
     engine.basis = np.array([0, 1])
     engine.B = engine._basis_matrix()
     engine._factor()
@@ -644,20 +646,81 @@ def test_non_finite_engine_vertex_fails_with_message(monkeypatch):
     assert sol.message == "non-finite vertex"
 
 
-@pytest.mark.parametrize(
-    "bad", [{"max_iters": 0}, {"feas_tol": -1e-9}, {"feas_tol": math.nan},
-            {"opt_tol": math.nan}, {"opt_tol": math.inf}],
-)
-def test_options_reject_invalid_values(bad):
-    # each of these used to reach the solver: max_iters=0 made a pivot,
-    # a negative feas_tol failed a bounded LP, and a nan tolerance
-    # silently skipped both certificate checks
-    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
-        LpOptions(**bad)
+def unbounded_problem():
+    # simple_problem with the objective negated: the ray (1, 1) descends forever
+    problem = simple_problem()
+    return LpProblem(c=-problem.c, A=problem.A, b=problem.b)
 
 
-def test_options_tighten_the_contract():
-    sol = solve(simple_problem(), LpOptions(feas_tol=1e-12, opt_tol=1e-10))
+def test_duality_gap_beyond_tolerance_fails_with_message(monkeypatch):
+    # doubled duals at the engine's vertex and at vertex_ext's: b.lam = 8
+    # against c.v = 4, so both certificates fail on the gap alone
+    reference = solve(simple_problem())
+    run, vertex_ext = _DualSimplex.run, _DualSimplex.vertex_ext
+
+    def doubled_run(self):
+        outcome = run(self)
+        return _Outcome(kind=outcome.kind, y=outcome.y, lam=2.0 * outcome.lam)
+
+    def doubled_vertex_ext(self):
+        v, lam = vertex_ext(self)
+        return v, 2.0 * lam
+
+    monkeypatch.setattr(_DualSimplex, "run", doubled_run)
+    monkeypatch.setattr(_DualSimplex, "vertex_ext", doubled_vertex_ext)
+    sol = solve(simple_problem())
+    assert sol.status == "solver_failure"
+    assert sol.message == "duality gap 4.000e+00 exceeds tolerance"
+    assert sol.iterations == reference.iterations
+    assert sol.stats.vertex_ext
+
+
+def test_uncertified_ray_fails_with_message(monkeypatch):
+    # the optimal vertex (1, 3) handed back as a ray: c.ray > 0 is no descent
+    reference = solve(simple_problem())
+    run = _DualSimplex.run
+
+    def ray_run(self):
+        return _Outcome(kind="dual_infeasible", y=run(self).y)
+
+    monkeypatch.setattr(_DualSimplex, "run", ray_run)
+    sol = solve(simple_problem())
+    assert sol.status == "solver_failure"
+    assert sol.message == "could not certify an unbounded direction"
+    assert sol.iterations == reference.iterations
+    assert not sol.stats.vertex_ext
+
+
+@pytest.mark.parametrize("probe_kind", ["dual_infeasible", "optimal"])
+def test_failed_feasibility_probe_fails_with_message(monkeypatch, probe_kind):
+    # the probe (rhs = 0) runs, then reports no optimum, or the point 0,
+    # which misses the row x + y >= 4 by 4
+    reference = solve(unbounded_problem())
+    assert reference.status == "unbounded"
+    run = _DualSimplex.run
+
+    def probe_run(self):
+        outcome = run(self)
+        if self.rhs.any():
+            return outcome
+        return _Outcome(kind=probe_kind, y=np.zeros(2))
+
+    monkeypatch.setattr(_DualSimplex, "run", probe_run)
+    sol = solve(unbounded_problem())
+    assert sol.status == "solver_failure"
+    assert sol.message == {
+        "dual_infeasible": "feasibility probe failed to converge",
+        "optimal": "probe produced an infeasible point: residual 4.000e+00",
+    }[probe_kind]
+    assert sol.iterations == reference.iterations  # both runs count
+    assert not sol.stats.vertex_ext
+
+
+def test_options_tighten_the_contract(monkeypatch):
+    # the certificate reads the contract constants when the solve runs
+    monkeypatch.setattr(lp, "FEAS_TOL", 1e-12)
+    monkeypatch.setattr(lp, "OPT_TOL", 1e-10)
+    sol = solve(simple_problem())
     assert sol.status == "optimal"
     assert sol.max_infeasibility <= 1e-12 * 5
 
@@ -811,7 +874,7 @@ def test_crash_leaves_status_and_objective_unchanged(monkeypatch):
     with_crash = [solve(problem) for problem in problems]
     assert sum(sol.stats.crash_basis for sol in with_crash) >= 10
     monkeypatch.setattr(_DualSimplex, "_crash", lambda self: None)
-    opt_tol = LpOptions().opt_tol
+    opt_tol = lp.OPT_TOL
     for problem, crashed in zip(problems, with_crash):
         plain = solve(problem)
         assert plain.stats.crash_rows == []
@@ -837,7 +900,7 @@ def test_crash_nnls_matches_scipy_nnls(caplog):
             lam[rng.choice(m, k, replace=False)] = rng.uniform(0.5, 2.0, k)
             c = rows.T @ lam
         # every cost is nonzero, so every row is a start row
-        engine = _DualSimplex(DenseRows(rows), c, np.ones(m), LpOptions(), SolveStats())
+        engine = _DualSimplex(DenseRows(rows), c, np.ones(m), SolveStats())
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polycover"):
             engine._crash()
