@@ -10,10 +10,14 @@ U(p), which is what makes the objective a useful surrogate.
 Nonnegativity is only enforced at grid points, so a fitted polynomial can dip
 slightly negative between them; the verification module measures this.
 
-On a tensor grid in two or more dimensions, fit never builds the grid rows
-of the program: the solver prices them by contracting the coefficients with
-per-axis tables of the basis and builds only the rows it works with.  The
-program is the one build_problem returns, row for row and bit for bit.
+fit, degree_sweep and build_problem (and so export-mps) take the program
+of a degree from one builder, and the solver reads its rows through the
+program's row source only.  On a 1-D or Sobol grid the cloud and grid rows
+are assemble's dense A.  On a tensor grid in two or more dimensions no A is
+built for a fit: the solver prices the grid rows by contracting the
+coefficients with per-axis tables of the basis and builds only the rows it
+works with; build_problem's A is built from the same source, row for row
+and bit for bit, when it is first read.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -33,9 +36,7 @@ from .basis import (
     BasisKind, PolyBasis, Polynomial, _basis_table, _contract, eval_basis_many, make_basis,
 )
 from .domain import MAX_GRID_POINTS, BoxDomain, grid_axes, tensor_grid
-from .lp import (
-    DenseRows, LpProblem, SolveStats, StackedRows, _gamma, solve, solve_rows,
-)
+from .lp import DenseRows, LpProblem, SolveStats, StackedRows, _gamma, solve
 from .moments import MomentVector, moment_vector
 
 _log = logging.getLogger("polycover")
@@ -190,47 +191,25 @@ def assemble(
 ) -> LpProblem:
     """Build the coefficient program: minimize the integral of p over the box
     subject to p >= 1 on the cloud and p >= 0 on the grid."""
-    return _assemble(cloud, grid_points, basis, moments, None)
-
-
-def _assemble(
-    cloud: PointCloud,
-    grid_points: np.ndarray,
-    basis: PolyBasis,
-    moments: MomentVector,
-    coeff_bound: float | None,
-) -> LpProblem:
-    """assemble, followed by the rows +-v_i / coeff_bound >= -1 when
-    coeff_bound is set; A is allocated once with room for them."""
     if moments.basis is not basis and moments.basis != basis:
         raise ValueError("moment vector was computed for a different basis")
-    k, rows, grid_count = len(basis), cloud.count + len(grid_points), len(grid_points)
-    bound_rows = 0 if coeff_bound is None else 2 * k
-    A = np.empty((rows + bound_rows, k))
-    eval_basis_many(basis, np.vstack([cloud.points, grid_points]), out=A[:rows])
-    if bound_rows:
-        eye = np.eye(k) / coeff_bound
-        A[rows : rows + k], A[rows + k :] = eye, -eye
-    b = _rhs(cloud.count, grid_count, k, coeff_bound)
-    kinds = ("K",) * cloud.count + ("grid",) * grid_count + ("bound",) * bound_rows
+    A = eval_basis_many(basis, np.vstack([cloud.points, grid_points]))
+    b, kinds = _rhs_kinds(cloud.count, len(grid_points), 0)
     return LpProblem(c=moments.values.copy(), A=A, b=b, row_kinds=kinds)
 
 
-def _rhs(cloud_count: int, grid_count: int, k: int, coeff_bound: float | None) -> np.ndarray:
-    """b of the coefficient program: 1 on the cloud rows, 0 on the grid rows
-    and -1 on the 2k bound rows +-v_i / coeff_bound >= -1, scaled so that a
-    large bound widens no solver tolerance (they scale with |b|)."""
-    bound_rows = 0 if coeff_bound is None else 2 * k
-    b = np.concatenate([np.ones(cloud_count), np.zeros(grid_count + bound_rows)])
-    if bound_rows:
-        b[cloud_count + grid_count :] = -1.0
-    return b
+def _rhs_kinds(cloud_count: int, grid_count: int, bound_rows: int) -> tuple[np.ndarray, tuple]:
+    """b and row_kinds of the coefficient program: 1 on the cloud rows, 0 on
+    the grid rows and -1 on the bound rows +-v_i / coeff_bound >= -1, scaled
+    so that a large bound widens no solver tolerance (they scale with |b|)."""
+    b = np.concatenate([np.ones(cloud_count), np.zeros(grid_count), np.full(bound_rows, -1.0)])
+    return b, ("K",) * cloud_count + ("grid",) * grid_count + ("bound",) * bound_rows
 
 
 class _GridRows:
     """Row source (see lp.DenseRows) of a basis at the nodes of a tensor
     grid, in tensor_grid's row-major order, less the nodes left out of the
-    program: the grid rows that _assemble fills.
+    program: the grid rows that assemble would fill.
 
     Each axis's table holds _basis_table's values, the factors that
     eval_basis_many multiplies, so take, which is eval_basis_many on the
@@ -249,8 +228,8 @@ class _GridRows:
         self.abs_tables = [np.abs(table) for table in self.tables]
         self.shape = (points.shape[0], len(basis))
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        return eval_basis_many(self.basis, self.points[idx])
+    def take(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return eval_basis_many(self.basis, self.points[idx], out=out)
 
     def _values(self, Y: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
         """Y's columns as dense coefficient arrays contracted with tables:
@@ -298,16 +277,6 @@ class _GridRows:
         return float(product.max())
 
 
-class _RowProgram(NamedTuple):
-    """min c.v subject to A v >= b, with A given by a row source whose
-    first rows, the cloud's, are held in cloud."""
-
-    c: np.ndarray
-    b: np.ndarray
-    rows: StackedRows
-    cloud: np.ndarray
-
-
 @dataclass(frozen=True)
 class _FitSetup:
     """Checked inputs shared by every degree: the cloud, the inflated box, the
@@ -329,29 +298,28 @@ class _FitSetup:
         basis = make_basis(self.cloud.dimension, degree, self.kind, basis_box)
         return basis, moment_vector(basis, self.box)
 
-    def problem(self, degree: int) -> tuple[PolyBasis, LpProblem]:
+    def program(self, degree: int) -> tuple[PolyBasis, LpProblem]:
         """The coefficient program of one degree: cloud rows, grid rows, then
-        the rows +-v_i / bound >= -1 when a coefficient bound is set."""
+        the rows +-v_i / bound >= -1 when a coefficient bound is set.  The
+        cloud and grid rows are assemble's dense A, or on a tensor grid in
+        two or more dimensions the cloud's dense rows over a _GridRows."""
         basis, moments = self._basis(degree)
-        if self.coeff_bound is None:
-            return basis, assemble(self.cloud, self.grid_points, basis, moments)
-        return basis, _assemble(self.cloud, self.grid_points, basis, moments, self.coeff_bound)
-
-    def program(self, degree: int) -> tuple[PolyBasis, LpProblem | _RowProgram]:
-        """The program fit solves: problem(degree), or on a tensor grid in
-        two or more dimensions the same program with its grid rows left to
-        a _GridRows."""
         if self.axes is None:
-            return self.problem(degree)
-        basis, moments = self._basis(degree)
-        k = len(basis)
-        cloud = eval_basis_many(basis, self.cloud.points)
-        parts = [DenseRows(cloud), _GridRows(basis, self.axes, self.grid_points, self.kept)]
+            problem = assemble(self.cloud, self.grid_points, basis, moments)
+            if self.coeff_bound is None:
+                return basis, problem
+            parts = [problem.rows]
+        else:
+            cloud = DenseRows(eval_basis_many(basis, self.cloud.points))
+            parts = [cloud, _GridRows(basis, self.axes, self.grid_points, self.kept)]
+        bound_rows = 0
         if self.coeff_bound is not None:
-            eye = np.eye(k) / self.coeff_bound
+            eye = np.eye(len(basis)) / self.coeff_bound
             parts.append(DenseRows(np.vstack([eye, -eye])))
-        b = _rhs(self.cloud.count, len(self.grid_points), k, self.coeff_bound)
-        return basis, _RowProgram(moments.values.copy(), b, StackedRows(parts), cloud)
+            bound_rows = 2 * len(basis)
+        b, kinds = _rhs_kinds(self.cloud.count, len(self.grid_points), bound_rows)
+        rows = StackedRows(parts)
+        return basis, LpProblem(moments.values.copy(), b=b, row_kinds=kinds, rows=rows)
 
 
 def _prepare(
@@ -399,7 +367,7 @@ def build_problem(
     coeff_bound: float | None = None,
 ) -> LpProblem:
     """The program that fit solves for the same arguments, left unsolved."""
-    return _prepare(cloud, box, kind, grid, inflate, coeff_bound).problem(degree)[1]
+    return _prepare(cloud, box, kind, grid, inflate, coeff_bound).program(degree)[1]
 
 
 @dataclass(frozen=True)
@@ -428,22 +396,20 @@ class FitResult:
 def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
     """Build, solve and check one degree; writes one DEBUG line to the
     polycover logger with the row count and the seconds of each stage (build:
-    the assembly of A, or the row source of a tensor grid)."""
+    setup.program, which assembles A on a 1-D or Sobol grid and sets up the
+    row source of a tensor grid).  problem.A is never read."""
     start = time.perf_counter()
-    basis, program = setup.program(degree)
+    basis, problem = setup.program(degree)
     built = time.perf_counter()
-    if isinstance(program, LpProblem):
-        solution, cloud = solve(program), program.A[: setup.cloud.count]
-    else:
-        solution = solve_rows(program.c, program.b, program.rows)
-        cloud = program.cloud
+    solution = solve(problem)
     solved = time.perf_counter()
     if solution.status == "optimal":
         polynomial = Polynomial(basis, solution.v)
+        cloud = problem.rows.take(np.arange(setup.cloud.count))
         margin = float(np.min(cloud @ polynomial.coeffs)) - 1.0
     _log.debug(
         "fit degree %d (%s): %d rows, build %.3f s, solve %.3f s, checks %.3f s",
-        degree, solution.status, program.b.size, built - start,
+        degree, solution.status, problem.num_rows, built - start,
         solved - built, time.perf_counter() - solved,
     )
     if solution.status == "unbounded":
@@ -465,7 +431,7 @@ def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
         containment_margin=margin,
         box=setup.box,
         lp_iterations=solution.iterations,
-        lp_rows=program.b.size,
+        lp_rows=problem.num_rows,
         lp_stats=solution.stats,
     )
 

@@ -33,11 +33,11 @@ reaches MAX_ITERS pivots.
 The engine sees the rows through a row source (DenseRows, StackedRows, or
 any object with their methods): dense rows by index, products of every row
 with one or two vectors, and the rounding bound and extremes that the
-certificates need.  solve hands it the dense A of an LpProblem; solve_rows
-takes any source, so a caller whose rows have structure, such as a basis
-evaluated on a tensor grid, never builds the full matrix.  The engine turns
-into dense rows only its working sets, its basis and the certificate's
-candidate rows.
+certificates need.  An LpProblem holds its rows as a source, a dense A or
+any other, and solve reads them through it alone, so a problem whose rows
+have structure, such as a basis evaluated on a tensor grid, is solved
+without the full matrix.  The engine turns into dense rows only its
+working sets, its basis and the certificate's candidate rows.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
 rechecked for feasibility (to FEAS_TOL) and duality gap (to OPT_TOL), first
@@ -76,41 +76,49 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class LpProblem:
     """min c.v subject to A v >= b, all v free.
+
+    The rows of A come as a row source, rows (see DenseRows), or as a dense
+    A, which is checked for shape and finite entries and held as
+    DenseRows(A).  problem.rows is the row source either way; problem.A is
+    the dense matrix, which for a row source is built on first access, each
+    of the source's blocks written straight into it.
 
     row_kinds tags each row with its provenance ("K", "grid", "bound", ...)
     for export naming and diagnostics; it has no effect on the solution.
     """
 
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    row_kinds: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float).reshape(-1)
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+    def __init__(self, c, A=None, b=None, row_kinds=(), *, rows=None):
+        if (A is None) == (rows is None) or b is None:
+            raise TypeError("LpProblem takes c, b and exactly one of A and rows")
+        c = np.asarray(c, dtype=float).reshape(-1)
+        b = np.asarray(b, dtype=float).reshape(-1)
         if c.size < 1:
             raise ValueError("objective must have at least one coefficient")
-        if A.ndim != 2:
-            raise ValueError("constraint matrix must be two dimensional")
-        if A.shape != (b.size, c.size):
+        if rows is None:
+            A = np.asarray(A, dtype=float)
+            if A.ndim != 2:
+                raise ValueError("constraint matrix must be two dimensional")
+            rows = DenseRows(A)
+        if rows.shape != (b.size, c.size):
             raise ValueError(
-                f"shape mismatch: A is {A.shape}, expected ({b.size}, {c.size})"
+                f"shape mismatch: A is {rows.shape}, expected ({b.size}, {c.size})"
             )
         for name, arr in (("c", c), ("A", A), ("b", b)):
-            if not np.all(np.isfinite(arr)):
+            if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        kinds = tuple(self.row_kinds) if self.row_kinds else ("row",) * b.size
+        kinds = tuple(row_kinds) if row_kinds else ("row",) * b.size
         if len(kinds) != b.size:
             raise ValueError("row_kinds length does not match the row count")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "row_kinds", kinds)
+        self.c, self.b, self.rows, self.row_kinds = c, b, rows, kinds
+        self._A = A
+
+    @property
+    def A(self) -> np.ndarray:
+        if self._A is None:
+            self._A = self.rows.take(np.arange(self.num_rows))
+        return self._A
 
     @property
     def num_rows(self) -> int:
@@ -141,9 +149,10 @@ def _gamma(n: int) -> float:
 class DenseRows:
     """A row source that holds every row of A.
 
-    A row source offers shape (m, k); take(idx), the dense rows idx;
-    price(Y), A Y for a vector or a (k, 2) matrix Y, in an array of its own
-    that the caller may overwrite; error(b, v), a bound e with
+    A row source offers shape (m, k); take(idx, out=None), the dense rows
+    idx, written into out when it is given; price(Y), A Y for a vector or a
+    (k, 2) matrix Y, in an array of its own that the caller may overwrite;
+    error(b, v), a bound e with
     |fl(b - price(v)) - (b - A v)| <= e / 2 row by row, evaluated in float64
     (the half left over covers e's own rounding and the extended-precision
     recheck); and max_abs(), max |A_ij|.
@@ -153,8 +162,9 @@ class DenseRows:
         self.A = A
         self.shape = A.shape
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        return self.A[idx]
+    def take(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # mode="clip" lets take write straight into out; no index is out of range
+        return np.take(self.A, idx, axis=0, out=out, mode="clip")
 
     def price(self, Y: np.ndarray) -> np.ndarray:
         return self.A @ Y if Y.ndim == 1 else _product(self.A, Y)
@@ -180,12 +190,19 @@ class StackedRows:
         self.offsets = np.cumsum([0] + [part.shape[0] for part in parts])
         self.shape = (int(self.offsets[-1]), parts[0].shape[1])
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        out = np.empty((idx.size, self.shape[1]))
+    def take(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each part's rows in place where they form one run of out's rows,
+        as when every row is taken; copied into out where they do not."""
+        out = np.empty((idx.size, self.shape[1])) if out is None else out
         owner = self.offsets.searchsorted(idx, side="right") - 1
         for j, part in enumerate(self.parts):
-            mine = owner == j
-            if mine.any():
+            mine = np.flatnonzero(owner == j)
+            if mine.size == 0:
+                continue
+            lo, hi = mine[0], mine[-1] + 1
+            if hi - lo == mine.size:
+                part.take(idx[lo:hi] - self.offsets[j], out=out[lo:hi])
+            else:
                 out[mine] = part.take(idx[mine] - self.offsets[j])
         return out
 
@@ -742,14 +759,10 @@ def solve(problem: LpProblem) -> LpSolution:
 
     Optimal solutions satisfy  max(b - A v) <= FEAS_TOL * (1 + |b|_inf)  and
     |c.v - b.lam| <= OPT_TOL * (1 + |c.v|); violations, and a simplex run
-    that reaches MAX_ITERS pivots, are reported as solver_failure.
+    that reaches MAX_ITERS pivots, are reported as solver_failure.  The
+    rows are read through problem.rows only; problem.A is never built.
     """
-    return solve_rows(problem.c, problem.b, DenseRows(problem.A))
-
-
-def solve_rows(c: np.ndarray, b: np.ndarray, rows) -> LpSolution:
-    """solve for min c.v subject to A v >= b, with the rows of A given by
-    the row source rows (see DenseRows), to the same contract."""
+    c, b, rows = problem.c, problem.b, problem.rows
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
 
     if b.size == 0:

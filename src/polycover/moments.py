@@ -77,7 +77,8 @@ def _axis_moment_tables(basis: PolyBasis, box: BoxDomain, degree: int) -> list[n
 
     For a chebyshev basis, the box must equal the basis box: the basis
     elements are defined through that box's affine map and their closed-form
-    integrals assume the same domain.
+    integrals assume the same domain.  An integral beyond the float range
+    raises ValueError.
     """
     if box.dimension != basis.dimension:
         raise ValueError("box dimension does not match basis")
@@ -87,10 +88,15 @@ def _axis_moment_tables(basis: PolyBasis, box: BoxDomain, degree: int) -> list[n
         moment = _axis_chebyshev_moment
     else:
         moment = _axis_monomial_moment
-    return [
-        np.array([moment(lo, up, j) for j in range(degree + 1)])
-        for lo, up in zip(box.lower, box.upper)
-    ]
+    axes = list(zip(box.lower, box.upper))
+    try:  # float ** raises OverflowError; a difference of huge powers gives inf
+        tables = [np.array([moment(lo, up, j) for j in range(degree + 1)]) for lo, up in axes]
+        if all(np.isfinite(table).all() for table in tables):
+            return tables
+    except OverflowError:
+        pass
+    text = " x ".join(f"[{lo!r}, {up!r}]" for lo, up in axes)
+    raise ValueError(f"the moments up to degree {degree} overflow on the box {text}")
 
 
 def moment_vector(basis: PolyBasis, box: BoxDomain) -> MomentVector:

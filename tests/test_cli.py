@@ -277,6 +277,25 @@ def test_export_mps_poses_the_program_that_fit_solves(tmp_path, flags):
     assert len(row_names) == 3 + 49 + len(bound_rows)
 
 
+@pytest.mark.parametrize("verb", ["fit", "export-mps", "sweep"])
+def test_overflowing_moments_are_a_bad_input(tmp_path, capsys, verb):
+    # 1000**111 is beyond float64: the moments, not a verification, fail
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.5,)])
+    degrees = ["--degrees", "2,110"] if verb == "sweep" else ["--degree", "110"]
+    code = main([verb, "--points", str(pts), *degrees, "--box=-1000,1000",
+                 "--out", str(tmp_path / "out")])
+    message = "the moments up to degree 110 overflow on the box [-1000.0, 1000.0]"
+    err = capsys.readouterr().err.splitlines()
+    if verb == "sweep":  # degree 110 fails alone
+        assert code == 0
+        assert err == [f"degree 110: failed ({message})"]
+        assert (tmp_path / "out" / "coeffs_d2.json").exists()
+    else:
+        assert code == 2
+        assert err == [f"error: {message}"]
+
+
 def test_export_mps_rejects_a_nonpositive_coeff_bound(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     write_points(pts, [(0.3,)])

@@ -28,10 +28,10 @@ from polycover import (
     moment_vector,
     solve,
 )
-from polycover import lp
+from polycover import fitting, lp
 from polycover.domain import grid_axes
 from polycover.fitting import MAX_GRID_POINTS, _prepare
-from polycover.lp import DenseRows, StackedRows, _max_violation, solve_rows
+from polycover.lp import DenseRows, LpProblem, StackedRows, _max_violation
 
 from conftest import cluster_point_array
 from oracles import read_mps
@@ -350,12 +350,12 @@ def test_build_problem_allocates_little_beyond_A():
     build_problem(*args, grid=spec)  # caches warm
     tracemalloc.start()
     try:
-        problem = build_problem(*args, grid=spec)
+        A = build_problem(*args, grid=spec).A
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # per-point tables, two row blocks and their vstack peaked at 2.26 A.nbytes
-    assert peak <= 1.25 * problem.A.nbytes
+    assert peak <= 1.25 * A.nbytes
 
 
 def test_bound_rows_are_written_into_A_not_stacked_under_it():
@@ -366,6 +366,7 @@ def test_bound_rows_are_written_into_A_not_stacked_under_it():
     tracemalloc.start()
     try:
         bounded = build_problem(*args, grid=spec, coeff_bound=50.0)
+        bounded.A
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,34 +423,53 @@ DIFFERENTIAL_CASES = {
 }
 
 
+def _dense_program(cloud, box, kind, spec, degree, bound):
+    """build_problem's program as a dense reference: assemble on the grid
+    less the nodes equal to a cloud point, the bound rows stacked by hand."""
+    grid = build_grid(box, spec)
+    on_cloud = (grid[:, None, :] == cloud.points[None, :, :]).all(axis=2).any(axis=1)
+    basis = make_basis(cloud.dimension, degree, kind, box if kind == "chebyshev" else None)
+    problem = assemble(cloud, grid[~on_cloud], basis, moment_vector(basis, box))
+    if bound is None:
+        return problem
+    eye = np.eye(len(basis)) / bound
+    return LpProblem(
+        c=problem.c,
+        A=np.vstack([problem.A, eye, -eye]),
+        b=np.concatenate([problem.b, np.full(2 * len(basis), -1.0)]),
+        row_kinds=problem.row_kinds + ("bound",) * (2 * len(basis)),
+    )
+
+
 @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
 def test_tensor_grid_program_matches_the_dense_program(case):
     points, kind, degree, per_axis, bound = DIFFERENTIAL_CASES[case]
     cloud = PointCloud(points())
     box = BoxDomain.symmetric(cloud.dimension)
     spec = GridSpec(points_per_axis=per_axis)
-    setup = _prepare(cloud, box, kind, spec, 1.0, bound)
+    reference = _dense_program(cloud, box, kind, spec, degree, bound)
     problem = build_problem(cloud, box, degree, kind=kind, grid=spec, coeff_bound=bound)
-    basis, program = setup.program(degree)
-    assert isinstance(program.rows, StackedRows)
+    assert isinstance(problem.rows, StackedRows)
     if case == "cloud_on_node":
         assert problem.num_rows == cloud.count + per_axis**2 - 2
-    # the rows, built on demand, are A's rows bit for bit
-    rows = program.rows.take(np.arange(problem.num_rows))
-    assert rows.tobytes() == problem.A.tobytes()
-    assert program.b.tobytes() == problem.b.tobytes()
-    assert program.c.tobytes() == problem.c.tobytes()
+    # the rows, built on demand in any order, are the dense rows bit for bit
+    some = np.random.default_rng(5).permutation(problem.num_rows)[:500]
+    assert problem.rows.take(some).tobytes() == reference.A[some].tobytes()
+    assert problem.A.tobytes() == reference.A.tobytes()
+    assert problem.b.tobytes() == reference.b.tobytes()
+    assert problem.c.tobytes() == reference.c.tobytes()
+    assert problem.row_kinds == reference.row_kinds
 
     opt_tol = lp.OPT_TOL
-    dense = solve(problem)
-    tensor = solve_rows(program.c, program.b, program.rows)
+    dense = solve(reference)
+    tensor = solve(problem)
     assert dense.status == tensor.status == "optimal", (dense.message, tensor.message)
     assert abs(tensor.objective - dense.objective) <= opt_tol * (1.0 + abs(dense.objective))
     np.testing.assert_allclose(tensor.duals, dense.duals, rtol=0.0, atol=opt_tol)
     result = fit(cloud, box, degree, kind=kind, grid=spec, coeff_bound=bound)
     assert result.objective == tensor.objective
-    assert result.lp_rows == problem.num_rows
-    dense_margin = float(np.min(problem.A[: cloud.count] @ dense.v)) - 1.0
+    assert result.lp_rows == reference.num_rows
+    dense_margin = float(np.min(reference.A[: cloud.count] @ dense.v)) - 1.0
     assert abs(result.containment_margin - dense_margin) <= opt_tol
     if bound is not None:
         assert np.max(np.abs(result.polynomial.coeffs)) <= bound * (1.0 + 1e-9)
@@ -460,26 +480,35 @@ def test_tensor_grid_program_certifies_the_dense_program_ray():
     # from the artificials through the contraction, and the ray check reads
     # the source's max |A| and products
     cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
-    setup = _prepare(cloud, box, "monomial", GridSpec(points_per_axis=21), 1.0, None)
-    _, problem = setup.problem(14)
-    _, program = setup.program(14)
-    assert program.rows.max_abs() == DenseRows(problem.A).max_abs()
-    dense = solve(problem)
-    tensor = solve_rows(program.c, program.b, program.rows)
+    spec = GridSpec(points_per_axis=21)
+    reference = _dense_program(cloud, box, "monomial", spec, 14, None)
+    problem = build_problem(cloud, box, 14, grid=spec)
+    assert problem.rows.max_abs() == DenseRows(reference.A).max_abs()
+    dense = solve(reference)
+    tensor = solve(problem)
     assert dense.status == tensor.status == "unbounded"
     assert tensor.stats.phase1_pivots > 0
-    assert float(problem.c @ tensor.ray) < 0.0
-    assert float(np.min(problem.A @ tensor.ray)) >= -1e-9 * (1.0 + np.max(np.abs(problem.A)))
+    assert float(reference.c @ tensor.ray) < 0.0
+    A = reference.A
+    assert float(np.min(A @ tensor.ray)) >= -1e-9 * (1.0 + np.max(np.abs(A)))
 
 
 def test_exported_program_is_the_one_the_tensor_grid_fit_solves():
-    cloud, box = PointCloud(_on_node_cloud()), BoxDomain.symmetric(2)
-    spec = GridSpec(points_per_axis=31)
-    c, A, b, _, _ = read_mps(export_mps(build_problem(cloud, box, 6, grid=spec, coeff_bound=20.0)))
-    _, program = _prepare(cloud, box, "monomial", spec, 1.0, 20.0).program(6)
-    np.testing.assert_array_equal(A, program.rows.take(np.arange(program.b.size)))
-    np.testing.assert_array_equal(b, program.b)
-    np.testing.assert_array_equal(c, program.c)
+    # a tensor grid, a line grid and a Sobol sample, each with a bound
+    inputs = [
+        (_on_node_cloud(), "monomial", GridSpec(points_per_axis=31), 20.0),
+        (np.array([-0.5, 0.0, 0.25]), "monomial", GridSpec(points_per_axis=41), 20.0),
+        (_cloud_3d(), "chebyshev", GridSpec(sample_count=500, seed=3), 20.0),
+    ]
+    for points, kind, spec, bound in inputs:
+        cloud = PointCloud(points)
+        box = BoxDomain.symmetric(cloud.dimension)
+        exported = build_problem(cloud, box, 6, kind=kind, grid=spec, coeff_bound=bound)
+        c, A, b, _, _ = read_mps(export_mps(exported))
+        program = _prepare(cloud, box, kind, spec, 1.0, bound).program(6)[1]
+        np.testing.assert_array_equal(A, program.rows.take(np.arange(program.num_rows)))
+        np.testing.assert_array_equal(b, program.b)
+        np.testing.assert_array_equal(c, program.c)
 
 
 @functools.cache
@@ -488,10 +517,9 @@ def _violation_programs():
     spec = GridSpec(points_per_axis=31)
     programs = []
     for kind, bound in (("monomial", None), ("chebyshev", 25.0)):
-        setup = _prepare(cloud, box, kind, spec, 1.0, bound)
-        _, problem = setup.problem(7)
-        _, program = setup.program(7)
-        programs.append((problem, program, solve(problem).v))
+        reference = _dense_program(cloud, box, kind, spec, 7, bound)
+        problem = build_problem(cloud, box, 7, kind=kind, grid=spec, coeff_bound=bound)
+        programs.append((reference, problem, solve(reference).v))
     return programs
 
 
@@ -503,11 +531,47 @@ def _violation_programs():
     near_optimum=st.booleans(),
 )
 def test_tensor_grid_max_violation_is_the_dense_one_bit_for_bit(which, seed, scale, near_optimum):
-    problem, program, optimum = _violation_programs()[which]
+    reference, problem, optimum = _violation_programs()[which]
     step = np.random.default_rng(seed).normal(size=problem.num_cols) * scale
     v = optimum + step if near_optimum else step
-    dense = _max_violation(DenseRows(problem.A), problem.b, v)
-    assert _max_violation(program.rows, program.b, v) == dense
+    dense = _max_violation(DenseRows(reference.A), reference.b, v)
+    assert _max_violation(problem.rows, problem.b, v) == dense
+
+
+# (points, grid): a line grid, a Sobol sample and a tensor grid
+PROGRAM_FORMS = {
+    "line": (lambda: np.array([-0.5, 0.0, 0.25]), GridSpec(points_per_axis=101)),
+    "sobol": (_cloud_3d, GridSpec(sample_count=2000, seed=1)),
+    "tensor": (cluster_point_array, GridSpec(points_per_axis=41)),
+}
+
+
+@pytest.mark.parametrize("bound", [None, 30.0], ids=["free", "coeff_bound"])
+@pytest.mark.parametrize("form", PROGRAM_FORMS)
+def test_fit_solves_through_lp_solve_and_never_reads_A(monkeypatch, form, bound):
+    # the margin comes from the cloud's rows of the row source; on W2 an A
+    # would add 37 MiB to the cluster sweep's peak
+    points, spec = PROGRAM_FORMS[form]
+    cloud = PointCloud(points())
+    box = BoxDomain.symmetric(cloud.dimension)
+    solved = []
+
+    def recorded(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    def unread(problem):
+        raise AssertionError("problem.A was read")
+
+    monkeypatch.setattr(fitting, "solve", recorded)
+    monkeypatch.setattr(LpProblem, "A", property(unread))
+    result = fit(cloud, box, 3, grid=spec, coeff_bound=bound)
+    entries = degree_sweep(cloud, box, [1, 3], grid=spec, coeff_bound=bound)
+    assert [problem.num_rows for problem in solved] == [
+        result.lp_rows, entries[0].result.lp_rows, entries[1].result.lp_rows
+    ]
+    assert isinstance(solved[0].rows, StackedRows) == (form == "tensor" or bound is not None)
+    assert entries[1].result.objective == result.objective
 
 
 def test_every_fit_writes_one_debug_line(caplog):

@@ -21,7 +21,8 @@ from polycover import (
 )
 from polycover import lp
 from polycover.lp import (
-    DenseRows, SolveStats, _DualSimplex, _EngineFailure, _max_violation, _Outcome, _residuals_ext,
+    DenseRows, SolveStats, StackedRows, _DualSimplex, _EngineFailure, _max_violation, _Outcome,
+    _residuals_ext,
 )
 
 from conftest import cluster_point_array
@@ -734,6 +735,24 @@ def test_problem_validation():
         LpProblem(c=np.ones(1), A=np.ones((2, 1)), b=np.ones(2), row_kinds=("K",))
     with pytest.raises(ValueError):
         LpProblem(c=np.zeros(0), A=np.zeros((0, 0)), b=np.zeros(0))
+    rows = DenseRows(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LpProblem(c=np.ones(3), b=np.ones(3), rows=rows)
+    with pytest.raises(TypeError, match="exactly one of A and rows"):
+        LpProblem(c=np.ones(2), A=np.ones((3, 2)), b=np.ones(3), rows=rows)
+    with pytest.raises(TypeError, match="exactly one of A and rows"):
+        LpProblem(c=np.ones(2), b=np.ones(3))
+
+
+def test_problem_over_a_row_source_builds_A_once_on_first_read():
+    A = np.arange(12.0).reshape(6, 2)
+    rows = StackedRows([DenseRows(A[:2]), DenseRows(A[2:5]), DenseRows(A[5:])])
+    problem = LpProblem(c=np.ones(2), b=np.zeros(6), rows=rows)
+    assert problem.rows is rows and problem.row_kinds == ("row",) * 6
+    assert problem.A.tobytes() == A.tobytes()
+    assert problem.A is problem.A
+    dense = LpProblem(c=np.ones(2), A=A, b=np.zeros(6))
+    assert isinstance(dense.rows, DenseRows) and dense.A is dense.rows.A
 
 
 def test_mps_export_round_trips_exactly():
