@@ -344,10 +344,16 @@ def _prepare(
         raise ValueError("point cloud is not contained in the box")
     spec = grid if grid is not None else default_grid_spec(cloud.dimension)
     grid_points = build_grid(box_eff, spec)
+    # nodes equal to a cloud point byte for byte (-0.0 is not 0.0): axis by axis, a
+    # search of the cloud's sorted bit patterns narrows them; then whole rows compare
+    points = np.ascontiguousarray(cloud.points)
+    idx = np.arange(len(grid_points))
+    for axis, keys in enumerate(np.sort(points.view(np.int64), axis=0).T):
+        column = grid_points[idx, axis].view(np.int64)
+        idx = idx[keys[np.minimum(keys.searchsorted(column), keys.size - 1)] == column]
     point = np.dtype((np.void, grid_points.itemsize * cloud.dimension))  # compares bytes
-    on_cloud = np.isin(
-        grid_points.view(point).ravel(), np.ascontiguousarray(cloud.points).view(point).ravel()
-    )
+    on_cloud = np.zeros(len(grid_points), dtype=bool)
+    on_cloud[idx] = np.isin(grid_points[idx].view(point).ravel(), points.view(point).ravel())
     axes = kept = None
     if spec.points_per_axis is not None and cloud.dimension >= 2:
         # in 1-D the one axis table is the grid's row block, and dense rows cost no more

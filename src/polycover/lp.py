@@ -25,8 +25,10 @@ use the LU factors (LAPACK getrf) of the basis B0 at the last
 refactorization and a dense eta product M with B^-1 = M B0^-1, updated by
 one rank-1 term per pivot; B is refactored and M reset at each phase start,
 every REFACTOR_EVERY pivots and before a phase ends, and at every pivot of
-phase 1 or when k < UPDATE_MIN_K.  Extended-precision refinement runs when
-a phase is about to finish; a phase ends only when a pricing over every row
+phase 1 or when k < UPDATE_MIN_K.  A pivot solves with B twice, for B^-1 a_q
+and B^-T e_p; the basic values and multipliers are solved after a getrf and
+else follow from those two.  Extended-precision refinement runs when a
+phase is about to finish; a phase ends only when a pricing over every row
 at the refined multipliers finds no entering row.  A run fails when it
 reaches MAX_ITERS pivots.
 
@@ -40,9 +42,9 @@ without the full matrix.  The engine turns into dense rows only its
 working sets, its basis and the certificate's candidate rows.
 
 Outcomes carry certificates.  Optimal solutions return row duals and are
-rechecked for feasibility (to FEAS_TOL) and duality gap (to OPT_TOL), first
-at the engine's vertex and, if that fails, at the vertex of its final basis
-solved in extended precision.  Unbounded problems return a
+rechecked for feasibility (to FEAS_TOL), duality gap and stationarity (to
+OPT_TOL), first at the engine's vertex and, if that fails, at the vertex of
+its final basis solved in extended precision.  Unbounded problems return a
 feasible point plus a ray along which the objective decreases forever.
 Inconsistent constraints surface as solver_failure with an explanatory
 message, since callers only distinguish the three listed statuses.  Every
@@ -229,10 +231,11 @@ class SolveStats:
     every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
     factorizations of a basis matrix, factor_updates the pivots folded into
-    the eta product instead, devex_resets the times the Devex weights
-    returned to 1 after one passed DEVEX_CAP.  rows_built counts the rows
-    the engine took from its row source as dense rows; a row kept from one
-    working set to the next is counted once.
+    the eta product instead, basis_solves the solves with LU factors,
+    devex_resets the times the Devex weights returned to 1 after one passed
+    DEVEX_CAP.  rows_built counts the rows the engine took from its row
+    source as dense rows; a row kept from one working set to the next is
+    counted once.  stationarity_defect is that of the last vertex checked.
     """
 
     phase1_pivots: int = 0
@@ -242,12 +245,14 @@ class SolveStats:
     pricing_s: float = 0.0
     factorizations: int = 0
     factor_updates: int = 0
+    basis_solves: int = 0
     refined_solves: int = 0
     devex_resets: int = 0
     vertex_ext: bool = False
     crash_rows: list[int] = field(default_factory=list)
     crash_basis: bool = False
     rows_built: int = 0
+    stationarity_defect: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,8 @@ class _Outcome:
     kind: str  # "optimal" | "dual_infeasible" | "dual_unbounded"
     y: np.ndarray | None = None
     lam: np.ndarray | None = None
+    levels: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    clipped: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 class _DualSimplex:
@@ -352,31 +359,30 @@ class _DualSimplex:
         self.etas = 0
         self.stats.factorizations += 1
 
-    def _update(self, d: np.ndarray, p: int, phase: int) -> None:
+    def _update(self, d: np.ndarray, p: int, phase: int) -> bool:
         """Account for a pivot whose entering column a has d = B^-1 a and
         replaced position p: B_new^-1 = (I - (d - e_p) e_p^T / d_p) B^-1.
         Refactors instead every REFACTOR_EVERY pivots, at small k and in
         phase 1, which prices every row per pivot: there a getrf costs
         little beside pricing, and eta updates changed its degenerate paths
         from the artificials, on the 3-D Chebyshev degree-8 LP (k = 165)
-        from 1901 to 3660 pivots."""
+        from 1901 to 3660 pivots.  Returns whether the pivot went into M."""
         if phase == 1 or self.k < self.UPDATE_MIN_K or self.etas + 1 >= self.REFACTOR_EVERY:
             self._factor()
-            return
+            return False
         if self.etas == 0:
             self.eta[:] = self.unit
         self.ger(-1.0, (d - self.unit[p]) / d[p], self.eta[p].copy(), a=self.eta, overwrite_a=True)
         self.etas += 1
         self.stats.factor_updates += 1
+        return True
 
     def _apply(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        """B^-1 rhs (B^-T rhs with trans) as M B0^-1 rhs (B0^-T M^T rhs)."""
-        lu, piv = self.lu
-        if not self.etas:
-            return self.getrs(lu, piv, rhs, trans=trans)[0]
-        if trans:
-            return self.getrs(lu, piv, rhs @ self.eta, trans=1)[0]
-        return self.eta @ self.getrs(lu, piv, rhs)[0]
+        """B^-1 rhs as M B0^-1 rhs, or B0^-T rhs with trans: B^-T rhs when
+        M = I, as at every solve for y, and B^-T e_p for rhs = M^T e_p."""
+        self.stats.basis_solves += 1
+        x = self.getrs(*self.lu, rhs, trans=trans)[0]
+        return self.eta @ x if self.etas and not trans else x
 
     def _solve(self, rhs: np.ndarray, trans: int, refine: bool) -> np.ndarray:
         """Solve with the factors of B; with refine, plus iterative
@@ -413,6 +419,7 @@ class _DualSimplex:
         if not whole:
             self.held, self.held_rows = work, self.work_rows.A
         self.work_cost = cost_real if whole else cost_real[work]
+        self.work_basic = self.in_basis[work]  # in_basis, aligned with work
         self.weights = np.ones(work.size)
 
     def _price(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
@@ -428,7 +435,7 @@ class _DualSimplex:
         reduced = self.work_cost - product[:, 0]
         if self.pending is not None:
             self._update_weights(product[:, 1])
-        reduced[self.in_basis if whole else self.in_basis[self.work]] = math.inf
+        reduced[self.work_basic] = math.inf
         candidates = (reduced < -price_tol).nonzero()[0]
         entering = -1
         if candidates.size:
@@ -553,9 +560,9 @@ class _DualSimplex:
                 break
         if not reason:
             basis = np.sort(np.array(passive))
-            lu, piv, _ = self.getrf(self._rows(basis).T)
-            self.stats.factorizations += 1
-            x = self.getrs(lu, piv, self.rhs)[0]
+            self.B = self._rows(basis).T
+            self._factor()
+            x = self._apply(self.rhs, 0)
             if not np.all(x >= -self.phase1_tol):
                 reason = f"basis solve gives x_min {float(np.min(x)):.3e}"
         verdict = f"declined ({reason})" if reason else "taken"
@@ -569,7 +576,9 @@ class _DualSimplex:
     def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Iterate until the phase objective is optimal; returns (x_B, y, obj),
         solved with refinement and priced once more over every row before
-        the phase ends."""
+        the phase ends.  x_B = B^-1 rhs and y = B^-T c_B are solved after a
+        getrf; after a pivot folded into M they follow from its d and rho:
+        x_B -= theta d, x_B[p] = theta = x_B[p] / d_p; y += r_q / d_p rho."""
         # costs of the real columns, then of the artificials
         if phase == 1:
             cost = np.concatenate([np.zeros(self.m), np.ones(self.k)])
@@ -584,36 +593,37 @@ class _DualSimplex:
         price_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost_real), initial=0.0)))
         self.B = self._basis_matrix()
         pivots, pricings = self.iterations, self.stats.full_pricings
-        resets = self.stats.devex_resets
+        resets, solves = self.stats.devex_resets, self.stats.basis_solves
         factors, updates = self.stats.factorizations, self.stats.factor_updates
         self._factor()
-        refine = False
+        refine, fresh = False, True  # fresh: solve for x_B and y, not carry them
 
         while True:
-            x_basic = self._solve(self.rhs, 0, refine)
-            cost_basic = cost[self.basis]
-            y = self._solve(cost_basic, 1, refine)
-            obj = float(cost_basic @ x_basic)
+            if fresh:
+                x_basic = self._solve(self.rhs, 0, refine)
+                y = self._solve(cost[self.basis], 1, refine)
 
             entering = -1
-            if phase == 2 or obj > self.phase1_tol:
+            if phase == 2 or float(cost[self.basis] @ x_basic) > self.phase1_tol:
                 entering = self._price(cost_real, y, price_tol)
             if entering < 0:
                 if refine:
                     _log.debug(
                         "phase %d ended: %d pivots, %d working rows, %d full pricings, "
-                        "%d factorizations, %d factor updates, %d devex resets", phase,
+                        "%d factorizations, %d factor updates, %d basis solves, "
+                        "%d devex resets", phase,
                         self.iterations - pivots, self.work.size,
                         self.stats.full_pricings - pricings,
                         self.stats.factorizations - factors,
                         self.stats.factor_updates - updates,
+                        self.stats.basis_solves - solves,
                         self.stats.devex_resets - resets,
                     )
-                    return x_basic, y, obj
+                    return x_basic, y, float(cost[self.basis] @ x_basic)
                 # the phase-end solves and pricing use fresh factors
                 if self.etas:
                     self._factor()
-                refine = True
+                refine = fresh = True
                 continue
             refine = False
 
@@ -627,15 +637,22 @@ class _DualSimplex:
                 raise _UnboundedDual()
 
             leaving = self.basis[leave_pos]
-            self.y_rho[:, 1] = self._apply(self.unit[leave_pos], 1)
+            # rho = B^-T e_p = B0^-T M^T e_p, and M^T e_p is row p of M
+            self.y_rho[:, 1] = self._apply((self.eta if self.etas else self.unit)[leave_pos], 1)
             w_q = self.weights[pos]
             self.pending = (d[leave_pos], w_q, leaving)
             if leaving < self.m:
                 self.in_basis[leaving] = False
+                self.work_basic[self.work.searchsorted(leaving)] = False
             self.basis[leave_pos] = entering
-            self.in_basis[entering] = True
+            self.in_basis[entering] = self.work_basic[pos] = True
             self.B[:, leave_pos] = row
-            self._update(d, leave_pos, phase)
+            fresh = not self._update(d, leave_pos, phase)
+            if not fresh:
+                theta = x_basic[leave_pos] / d[leave_pos]
+                x_basic -= theta * d
+                x_basic[leave_pos] = theta
+                y += (cost_real[entering] - row @ y) / d[leave_pos] * self.y_rho[:, 1]
 
             self.iterations += 1
             if phase == 1:
@@ -654,23 +671,26 @@ class _DualSimplex:
             x_basic, y2, _ = self._run_phase(2)
         except _UnboundedDual:
             return _Outcome(kind="dual_unbounded")
-        return _Outcome(kind="optimal", y=y2, lam=self._multipliers(x_basic))
+        return self._optimum(x_basic, y2)
 
-    def _multipliers(self, x_basic: np.ndarray) -> np.ndarray:
-        lam = np.zeros(self.m)
+    def _optimum(self, x_basic: np.ndarray, y: np.ndarray) -> _Outcome:
+        """The optimal outcome at x_B: lam is x_B on the real rows, clipped at
+        0; levels (the basic artificials' x_B) and clipped are what it leaves out."""
         real = self.basis < self.m
-        lam[self.basis[real]] = np.maximum(x_basic[real], 0.0)
-        return lam
+        x_real = x_basic[real]
+        lam = np.zeros(self.m)
+        lam[self.basis[real]] = np.maximum(x_real, 0.0)
+        return _Outcome("optimal", y, lam, levels=x_basic[~real], clipped=x_real[x_real < 0.0])
 
-    def vertex_ext(self) -> tuple[np.ndarray, np.ndarray]:
-        """The final basis's primal vertex v and multipliers, solved in
-        extended precision; leftover artificials pin their v_i at zero."""
+    def vertex_ext(self) -> _Outcome:
+        """The final basis's outcome, v = -y and x_B solved in extended
+        precision; leftover artificials pin their v_i at zero."""
         self.stats.vertex_ext = True
         B = self._basis_matrix()
         b_basic = np.concatenate([-self.f, np.zeros(self.k)])[self.basis]
         v = _gauss_solve_ext(B.T, b_basic).astype(float)
         x_basic = _gauss_solve_ext(B, self.rhs).astype(float)
-        return v, self._multipliers(x_basic)
+        return self._optimum(x_basic, -v)
 
 
 class _UnboundedDual(Exception):
@@ -758,9 +778,14 @@ def solve(problem: LpProblem) -> LpSolution:
     """Solve the problem to the contract tolerances.
 
     Optimal solutions satisfy  max(b - A v) <= FEAS_TOL * (1 + |b|_inf)  and
-    |c.v - b.lam| <= OPT_TOL * (1 + |c.v|); violations, and a simplex run
-    that reaches MAX_ITERS pivots, are reported as solver_failure.  The
-    rows are read through problem.rows only; problem.A is never built.
+    |c.v - b.lam| <= OPT_TOL * (1 + |c.v|), and the stationarity defect
+    (what lam leaves out of A^T lam = c: basic artificials' levels and
+    clipped x_B entries, summed) times max(1, |v|_1) is within OPT_TOL *
+    (1 + |c.v|).  That is a screen, not a proof: another feasible v' can
+    have a far larger |v'|_1 (30 times v's on the degree-32 monomial line
+    LP).  Violations, and a simplex run that reaches MAX_ITERS pivots, are
+    reported as solver_failure.  The rows are read through problem.rows
+    only; problem.A is never built.
     """
     c, b, rows = problem.c, problem.b, problem.rows
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
@@ -786,16 +811,21 @@ def solve(problem: LpProblem) -> LpSolution:
 
         if outcome.kind == "optimal":
             # certify the engine's vertex; if it fails, the extended-precision one
-            v, lam = -outcome.y, outcome.lam
             for retry in (True, False):
+                v, lam = -outcome.y, outcome.lam
                 _check_finite(v, lam)
                 objective = float(c @ v)
                 max_inf = _max_violation(rows, b, v)
                 gap = abs(objective - float(b @ lam))
+                defect = stats.stationarity_defect = float(
+                    np.sum(np.abs(outcome.levels)) + np.sum(np.abs(outcome.clipped)))
                 if max_inf > FEAS_TOL * b_scale:
                     fault = f"solution violates feasibility: residual {max_inf:.3e}"
                 elif gap > OPT_TOL * (1.0 + abs(objective)):
                     fault = f"duality gap {gap:.3e} exceeds tolerance"
+                elif defect * max(1.0, float(np.sum(np.abs(v)))) > OPT_TOL * (1.0 + abs(objective)):
+                    fault = (f"stationarity defect {defect:.3e} exceeds tolerance "
+                             f"({outcome.levels.size} basic artificials)")
                 else:
                     return LpSolution(
                         status="optimal", v=v, objective=objective,
@@ -804,7 +834,7 @@ def solve(problem: LpProblem) -> LpSolution:
                     )
                 if not retry:
                     raise _EngineFailure(fault)
-                v, lam = engine.vertex_ext()
+                outcome = engine.vertex_ext()
 
         if outcome.kind == "dual_infeasible":
             ray = -outcome.y

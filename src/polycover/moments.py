@@ -10,6 +10,7 @@ times the Jacobian (u - l) / 2 per axis.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -72,13 +73,15 @@ class MomentVector:
         return len(self.values)
 
 
-def _axis_moment_tables(basis: PolyBasis, box: BoxDomain, degree: int) -> list[np.ndarray]:
-    """Per axis, the integrals of the 1-D basis elements of degree 0..degree.
+def _axis_moment_product(basis: PolyBasis, box: BoxDomain, degree: int, factor) -> np.ndarray:
+    """The product over the axes of factor(table, exponents): table holds
+    the integrals of the axis's 1-D basis elements of degree 0..degree, and
+    exponents the basis's exponents along the axis.
 
     For a chebyshev basis, the box must equal the basis box: the basis
     elements are defined through that box's affine map and their closed-form
-    integrals assume the same domain.  An integral beyond the float range
-    raises ValueError.
+    integrals assume the same domain.  An integral or a product beyond the
+    float range raises ValueError.
     """
     if box.dimension != basis.dimension:
         raise ValueError("box dimension does not match basis")
@@ -89,10 +92,14 @@ def _axis_moment_tables(basis: PolyBasis, box: BoxDomain, degree: int) -> list[n
     else:
         moment = _axis_monomial_moment
     axes = list(zip(box.lower, box.upper))
+    exps = basis.exponent_array
     try:  # float ** raises OverflowError; a difference of huge powers gives inf
         tables = [np.array([moment(lo, up, j) for j in range(degree + 1)]) for lo, up in axes]
-        if all(np.isfinite(table).all() for table in tables):
-            return tables
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0, fail below
+            factors = (factor(table, exps[:, d]) for d, table in enumerate(tables))
+            product = functools.reduce(np.multiply, factors)
+        if np.isfinite(product).all():
+            return product
     except OverflowError:
         pass
     text = " x ".join(f"[{lo!r}, {up!r}]" for lo, up in axes)
@@ -102,10 +109,7 @@ def _axis_moment_tables(basis: PolyBasis, box: BoxDomain, degree: int) -> list[n
 def moment_vector(basis: PolyBasis, box: BoxDomain) -> MomentVector:
     """Integral of every basis element over the box: per basis element, the
     product over the axes of the 1-D integrals."""
-    exps = basis.exponent_array
-    values = np.ones(len(basis))
-    for d, table in enumerate(_axis_moment_tables(basis, box, basis.degree)):
-        values *= table[exps[:, d]]
+    values = _axis_moment_product(basis, box, basis.degree, lambda table, exps: table[exps])
     return MomentVector(basis=basis, box=box, values=values)
 
 
@@ -133,15 +137,14 @@ def moment_matrix(basis: PolyBasis, box: BoxDomain, warn_threshold: float = COND
     ill conditioned quickly as the degree grows; the chebyshev kind stays
     well conditioned much longer.
     """
-    exps = basis.exponent_array
-    entries = np.ones((len(basis), len(basis)))
-    for d, table in enumerate(_axis_moment_tables(basis, box, 2 * basis.degree)):
-        a = exps[:, d][:, None]
-        b = exps[:, d][None, :]
-        axis = table[a + b]
+
+    def axis(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        a, b = exps[:, None], exps[None, :]
         if basis.kind == "chebyshev":
-            axis = 0.5 * (axis + table[np.abs(a - b)])
-        entries *= axis
+            return 0.5 * (table[a + b] + table[np.abs(a - b)])
+        return table[a + b]
+
+    entries = _axis_moment_product(basis, box, 2 * basis.degree, axis)
 
     cond = float(np.linalg.cond(entries))
     if cond > warn_threshold:

@@ -296,6 +296,26 @@ def test_overflowing_moments_are_a_bad_input(tmp_path, capsys, verb):
         assert err == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("verb", ["fit", "sweep"])
+def test_overflowing_moment_products_are_a_bad_input(tmp_path, capsys, recwarn, verb):
+    # each axis's moments are finite (at most 2e300 / 3), their product is not
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.5, 0.5)])
+    degrees = ["--degrees", "2"] if verb == "sweep" else ["--degree", "2"]
+    code = main([verb, "--points", str(pts), *degrees, "--box=-1e100,1e100;-1e100,1e100",
+                 "--out", str(tmp_path / "out")])
+    message = ("the moments up to degree 2 overflow on the box "
+               "[-1e+100, 1e+100] x [-1e+100, 1e+100]")
+    err = capsys.readouterr().err.splitlines()
+    assert not recwarn.list
+    if verb == "sweep":  # the one degree fails, so no degree was fitted
+        assert code == 3
+        assert err == [f"degree 2: failed ({message})"]
+    else:
+        assert code == 2
+        assert err == [f"error: {message}"]
+
+
 def test_export_mps_rejects_a_nonpositive_coeff_bound(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     write_points(pts, [(0.3,)])

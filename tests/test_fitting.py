@@ -253,6 +253,33 @@ def test_grid_nodes_on_cloud_points_are_left_out():
     assert result.objective == pytest.approx(full.objective, rel=1e-9)
 
 
+@pytest.mark.parametrize("case, left_out", [
+    ("cluster", 0), ("nodes", 4), ("signed-zero", 1), ("one-axis", 0),
+])
+def test_grid_nodes_left_out_are_those_equal_to_a_cloud_point_byte_for_byte(case, left_out):
+    box, spec = BoxDomain.symmetric(2), GridSpec(points_per_axis=21)
+    grid = build_grid(box, spec)  # grid[10] = (-1.0, 0.0)
+    x, y = grid[47]
+    points = {
+        "cluster": cluster_point_array(),
+        "nodes": np.vstack([cluster_point_array(), grid[[0, 17, 220, 440]]]),
+        # -0.0 == 0.0 as floats, but the rows differ in their bytes
+        "signed-zero": np.array([[-1.0, -0.0], [-0.0, -1.0], [-1.0, 0.0]]),
+        # grid[47] matches on each axis, but through two different points
+        "one-axis": np.array([[x, 0.123], [0.456, y], [x, y + 0.01]]),
+    }[case]
+    cloud = PointCloud(points)
+    row = np.dtype((np.void, grid.itemsize * 2))
+    expected = np.isin(grid.view(row).ravel(), np.ascontiguousarray(cloud.points).view(row).ravel())
+    assert np.count_nonzero(expected) == left_out
+    setup = _prepare(cloud, box, "monomial", spec, 1.0, None)
+    np.testing.assert_array_equal(setup.grid_points, grid[~expected])
+    if left_out:
+        np.testing.assert_array_equal(setup.kept, np.flatnonzero(~expected))
+    else:
+        assert setup.kept is None
+
+
 def test_negative_degree_is_an_error():
     with pytest.raises(ValueError, match="degree"):
         fit(PointCloud(np.array([0.0])), BoxDomain.symmetric(1), -1)

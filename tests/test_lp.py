@@ -568,6 +568,7 @@ def test_phase_ends_log_their_factorizations_and_eta_updates(caplog, no_crash):
     assert len(phases) == 2
     assert sum(p["factorizations"] for p in phases) == sol.stats.factorizations
     assert sum(p["factor updates"] for p in phases) == sol.stats.factor_updates > 0
+    assert sum(p["basis solves"] for p in phases) == sol.stats.basis_solves
     first, second = phases
     # phase 1 refactors at every pivot; phase 2 makes a getrf or an eta
     # update per pivot, and a getrf to start
@@ -600,26 +601,63 @@ def test_eta_updates_leave_the_solution_bitwise_unchanged(problem, monkeypatch):
     assert updated.duals.tobytes() == reference.duals.tobytes()
 
 
+def _backward_error(B, rhs, x):
+    # normwise backward error of x as a solution of B x = rhs, in units of eps
+    residual = np.abs(_residuals_ext(B, rhs, x))
+    scale = np.abs(B) @ np.abs(x) + np.abs(rhs)
+    return float(residual.max() / scale.max()) / np.finfo(float).eps
+
+
 def test_primal_residual_stays_small_between_refactorizations(w2_degree_9, monkeypatch):
-    # normwise backward error of every unrefined x_B = B^-1 rhs, in units of
-    # eps; without the periodic getrf it grows past 100
+    # the backward error of x_B = B^-1 rhs at every ratio test, carried from
+    # the last pivot whenever M holds etas; 2.9 eps measured, and without the
+    # periodic getrf it grows past 100
     errors = []
-    solve_basis = _DualSimplex._solve
+    ratio_test = _DualSimplex._ratio_test
 
-    def recording_solve(self, rhs, trans, refine):
-        x = solve_basis(self, rhs, trans, refine)
-        if rhs is self.rhs and not refine:
-            residual = np.abs(_residuals_ext(self.B, rhs, x))
-            scale = np.abs(self.B) @ np.abs(x) + np.abs(rhs)
-            errors.append((float(residual.max() / scale.max()) / np.finfo(float).eps, self.etas))
-        return x
+    def recording_ratio_test(self, d, x_basic, phase):
+        errors.append((_backward_error(self.B, self.rhs, x_basic), self.etas))
+        return ratio_test(self, d, x_basic, phase)
 
-    monkeypatch.setattr(_DualSimplex, "_solve", recording_solve)
+    monkeypatch.setattr(_DualSimplex, "_ratio_test", recording_ratio_test)
     sol = solve(w2_degree_9)
     assert sol.status == "optimal", sol.message
-    assert len(errors) > sol.iterations
+    assert len(errors) == sol.iterations
     assert max(etas for _, etas in errors) == _DualSimplex.REFACTOR_EVERY - 1
     assert max(error for error, _ in errors) <= 16.0
+
+
+def test_dual_residual_stays_small_between_refactorizations(w2_degree_9, monkeypatch):
+    # the backward error of y = B^-T c_B at every pricing, carried from the
+    # last pivot whenever M holds etas: 31.7 eps measured (159 eps at degree
+    # 14), against 0.53 eps for the solves on fresh factors
+    errors = []
+    price = _DualSimplex._price
+
+    def recording_price(self, cost_real, y, price_tol):
+        cost_basic = np.concatenate([cost_real, np.zeros(self.k)])[self.basis]
+        errors.append((_backward_error(self.B.T, cost_basic, y), self.etas))
+        return price(self, cost_real, y, price_tol)
+
+    monkeypatch.setattr(_DualSimplex, "_price", recording_price)
+    sol = solve(w2_degree_9)
+    assert sol.status == "optimal", sol.message
+    assert sol.stats.phase1_pivots == 0  # every pricing is phase 2's, where artificials cost 0
+    assert len(errors) > sol.iterations
+    assert max(etas for _, etas in errors) == _DualSimplex.REFACTOR_EVERY - 1
+    assert max(error for error, etas in errors if etas == 0) <= 9.0
+    assert max(error for error, _ in errors) <= 64.0
+
+
+def test_eta_updated_pivots_solve_with_the_basis_twice(w2_degree_9):
+    # d = B^-1 a_q and rho = B^-T e_p at each of the 563 pivots, and x_B and
+    # y solved only on fresh factors: 1154 solves, where solving x_B and y
+    # at every pivot too made 4 per pivot
+    sol = solve(w2_degree_9)
+    assert sol.status == "optimal", sol.message
+    stats = sol.stats
+    assert stats.factor_updates > 0.9 * sol.iterations
+    assert 2 * sol.iterations < stats.basis_solves <= 2 * sol.iterations + 3 * stats.factorizations
 
 
 def test_small_bases_refactor_at_every_pivot(no_crash):
@@ -664,8 +702,8 @@ def test_duality_gap_beyond_tolerance_fails_with_message(monkeypatch):
         return _Outcome(kind=outcome.kind, y=outcome.y, lam=2.0 * outcome.lam)
 
     def doubled_vertex_ext(self):
-        v, lam = vertex_ext(self)
-        return v, 2.0 * lam
+        outcome = vertex_ext(self)
+        return _Outcome(kind=outcome.kind, y=outcome.y, lam=2.0 * outcome.lam)
 
     monkeypatch.setattr(_DualSimplex, "run", doubled_run)
     monkeypatch.setattr(_DualSimplex, "vertex_ext", doubled_vertex_ext)
@@ -950,6 +988,22 @@ def test_line_census_certifies_every_order_basis_and_degree():
                 objectives.append(sol.objective)
             # orders[0] is the canonical order
             np.testing.assert_allclose(objectives, objectives[0], rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("degree, order", [
+    *((degree, order) for degree in (32, 33) for order in itertools.permutations((-0.5, 0.0, 0.25))),
+    (31, (0.25, -0.5, 0.0)), (31, (0.25, 0.0, -0.5)),
+])
+def test_artificials_left_basic_fail_the_stationarity_screen(degree, order):
+    # these monomial line LPs end with 1 or 2 artificials basic at levels below
+    # phase1_tol; they pin coefficients at 0 and gave objectives 9.1e-4 to
+    # 9.5 % above the optimum, with residual and gap inside the contract
+    sol = solve(line_problem(order, degree))
+    assert sol.status == "solver_failure"
+    artificials = 1 if degree == 31 else 2
+    assert sol.message == (f"stationarity defect {sol.stats.stationarity_defect:.3e} exceeds "
+                           f"tolerance ({artificials} basic artificials)")
+    assert sol.stats.stationarity_defect > 0.0 and sol.stats.vertex_ext
 
 
 def test_monomial_tail_fails_no_new_degree_and_order():
