@@ -145,15 +145,12 @@ def eval_basis_many(
 ) -> np.ndarray:
     """Evaluate every basis element at every point.
 
-    Each axis's 1-D values (powers by ``**``, or _axis_table's Chebyshev
-    recurrence) are tabulated once per distinct coordinate, told apart by
-    bit pattern so that -0.0 and 0.0 keep their own rows; a 201^2 tensor
-    grid has 201 distinct coordinates per axis.  The result is filled in
-    blocks of _BLOCK_POINTS rows: gather each axis's table rows for the
-    block, then the columns of the basis exponents, and multiply the axes
-    in order.
-    Every entry is the product of the same float64 factors as tabulating
-    per point would give, so the values do not depend on the grouping.
+    The result is filled in blocks of _BLOCK_POINTS rows: tabulate each
+    axis's 1-D values at the block's coordinates (powers by ``**``, or
+    _axis_table's Chebyshev recurrence), gather the columns of the basis
+    exponents, and multiply the axes in order.  Every entry is the product
+    of float64 factors computed point by point, so the values do not depend
+    on the block a point is in.
 
     Args:
         basis: the basis to evaluate.
@@ -173,21 +170,15 @@ def eval_basis_many(
             f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
         )
     exps = basis.exponent_array
-    tables, rows = [], []
-    for d in range(basis.dimension):
-        bits, inverse = np.unique(pts[:, d].view(np.int64), return_inverse=True)
-        tables.append(_basis_table(basis, d, bits.view(np.float64)))
-        rows.append(inverse)
     values = np.empty((pts.shape[0], len(basis))) if out is None else out
     if values.shape != (pts.shape[0], len(basis)):
         raise ValueError(f"out has shape {out.shape}, expected {(pts.shape[0], len(basis))}")
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
-        block = slice(start, start + _BLOCK_POINTS)
-        out = values[block]
+        block, out = pts[start : start + _BLOCK_POINTS], values[start : start + _BLOCK_POINTS]
         # mode="clip" lets take write straight into out; no index is out of range
-        np.take(tables[0][rows[0][block]], exps[:, 0], axis=1, out=out, mode="clip")
+        np.take(_basis_table(basis, 0, block[:, 0]), exps[:, 0], axis=1, out=out, mode="clip")
         for d in range(1, basis.dimension):
-            out *= tables[d][rows[d][block]][:, exps[:, d]]
+            out *= _basis_table(basis, d, block[:, d])[:, exps[:, d]]
     return values[0] if single else values
 
 

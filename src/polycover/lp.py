@@ -9,14 +9,15 @@ the dual problem
 whose basis matrices stay k x k.  A crash first solves A^T lam = c, lam >= 0
 as nonnegative least squares (Lawson-Hanson) on rows that it grows from
 phase 2's start rows, however few; if that yields a feasible basis of k
-rows, phase 1 starts there and ends without a pivot.  Otherwise phase 1
-introduces one artificial column per equality row; artificials left over at
+rows within MAX_ITERS steps, phase 2 starts there.  When c = 0 the basis of
+artificial columns, one per equality row, is feasible and phase 2 starts
+there.  Otherwise phase 1 starts from the artificials; those left over at
 zero level are pinned there during phase 2.  Pricing uses Devex reference
 weights (Harris 1973) with smallest-index tie breaking; the weights are 1
 when a phase starts and when a row joins the working set, and all return to
 1 when one passes 1e6.
 Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
-every 64th zero-rhs row and the rows basic after phase 1); when it prices
+every 64th zero-rhs row and the rows of its start basis); when it prices
 out, one pricing over every row adds the 4k most violated rows (k columns).
 A new primal row is a new dual column, so the basis stays feasible, and a
 row that never enters gets dual 0.  Rows are solved as given, in the
@@ -148,6 +149,13 @@ def _gamma(n: int) -> float:
     return 2.0 * n * u / (1.0 - n * u)
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x|_2, by hypot where the plain sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    return norm if math.isfinite(norm) else float(np.hypot.reduce(x))
+
+
 class DenseRows:
     """A row source that holds every row of A.
 
@@ -226,8 +234,8 @@ class SolveStats:
     crash_rows and work_rows list the size of the crash's candidate set and
     of phase 2's working set when each starts and after each growth
     (crash_rows is empty only when c = 0, as in the feasibility probe,
-    where no crash is tried); crash_basis says whether
-    phase 1 started from the crash basis.  full_pricings counts passes over
+    where no crash is tried); crash_basis says whether the crash basis was
+    taken, so that phase 1 did not run.  full_pricings counts passes over
     every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
     factorizations of a basis matrix, factor_updates the pivots folded into
@@ -283,7 +291,7 @@ class _Outcome:
 
 class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
-    phase 1 starts from an NNLS crash basis when _crash finds one, and
+    phase 1 runs only when _crash finds no feasible basis, and
     phase 2 prices a working set of rows, sorted by index, and grows it.
     Both phases price by Devex weights kept aligned with the working set.
     The rows come from a row source; a working set of fewer than every row
@@ -304,7 +312,6 @@ class _DualSimplex:
         self.m, self.k = self.source.shape
         self.sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.k)
-        self.in_basis = np.zeros(self.m, dtype=bool)
         self.iterations = 0
         self.phase1_tol = FEAS_TOL * (1.0 + float(np.sum(np.abs(rhs))))
         self.unit = np.eye(self.k)  # e_p for the pivot rows of the Devex update
@@ -412,14 +419,12 @@ class _DualSimplex:
         row source work_rows: their dense rows, or the source itself when
         they are every row."""
         self.work = work
-        self.in_work = np.zeros(self.m, dtype=bool)
-        self.in_work[work] = True
         whole = work.size == self.m
         self.work_rows = self.source if whole else DenseRows(self._rows(work))
         if not whole:
             self.held, self.held_rows = work, self.work_rows.A
         self.work_cost = cost_real if whole else cost_real[work]
-        self.work_basic = self.in_basis[work]  # in_basis, aligned with work
+        self.work_basic = np.isin(work, self.basis)
         self.weights = np.ones(work.size)
 
     def _price(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
@@ -469,7 +474,7 @@ class _DualSimplex:
         self.stats.full_pricings += 1
         reduced = self.source.price(y)
         np.subtract(cost_real, reduced, out=reduced)
-        reduced[self.in_work] = math.inf
+        reduced[self.work] = math.inf
         new = np.flatnonzero(reduced < -price_tol)
         if new.size == 0:
             return -1
@@ -499,27 +504,28 @@ class _DualSimplex:
         tie = positive[ratios <= float(ratios.min()) * (1.0 + 1e-9) + 1e-300]
         return int(tie[self.basis[tie].argmin()])
 
-    def _crash(self) -> None:
-        """Start phase 1 from a basis of real rows when NNLS finds one.
+    def _crash(self) -> bool:
+        """Find a feasible basis of real rows by NNLS in place of phase 1;
+        returns whether phase 1 can be skipped.
 
         Lawson-Hanson NNLS for sum lam_j rows_j = rhs, lam >= 0 on a working
         set of the start rows, with QR factors of the passive rows updated a
-        column at a time.  Where it stops at a residual r != 0, _grow adds
-        the rows with the largest gradient rows @ r > 0, so the start set
-        needs no minimum size.  The basis is taken if it has k rows and
-        B x = rhs gives x >= -phase1_tol.
+        column at a time, for at most MAX_ITERS steps.  Where it stops at a
+        residual r != 0, _grow adds the rows with the largest gradient
+        rows @ r > 0, so the start set needs no minimum size.  The basis is
+        taken if it has k rows and B x = rhs gives x >= -phase1_tol.
         """
         if not np.any(self.rhs):
-            return  # rhs = 0, which the artificials solve
+            return True  # rhs = 0: the artificial basis is feasible
         zero = np.zeros(self.m)
         self._set_work(self.start, zero)
         self.stats.crash_rows.append(self.start.size)
         passive: list[int] = []  # the rows in the column order of Q R
         Q, R = np.eye(self.k), np.zeros((self.k, 0))
         x = np.zeros(0)
-        tol = 1e-13 * float(np.linalg.norm(self.rhs) * self.work_rows.max_abs())
+        tol = 1e-13 * (_norm(self.rhs) * self.work_rows.max_abs())
         reason, growths = "step limit", 0
-        for _ in range(20 * self.k):
+        for _ in range(MAX_ITERS):
             p, r = len(passive), self.rhs
             if p:
                 qtc = Q.T @ self.rhs
@@ -535,7 +541,7 @@ class _DualSimplex:
                     x[neg[ratios <= ratios.min()]] = 0.0
                     for j in np.flatnonzero(x <= 0.0)[::-1]:
                         Q, R = scipy.linalg.qr_delete(Q, R, j, 1, "col", check_finite=False)
-                        self.in_basis[passive.pop(j)] = False
+                        passive.pop(j)
                     x = x[x > 0.0]
                     continue
                 x = z
@@ -544,19 +550,18 @@ class _DualSimplex:
                     break
                 r = Q[:, p:] @ qtc[p:]
             grad = self.work_rows.price(r)
-            grad[self.in_basis[self.work]] = -math.inf
+            grad[self.work.searchsorted(passive)] = -math.inf
             pos = int(np.argmax(grad))
             if grad[pos] > tol:
                 row = int(self.work[pos])
                 column = self._work_row(pos)
                 Q, R = scipy.linalg.qr_insert(Q, R, column, p, "col", check_finite=False)
                 passive.append(row)
-                self.in_basis[row] = True
                 x = np.append(x, 0.0)
             elif self._grow(zero, r, tol, self.stats.crash_rows) >= 0:
                 growths += 1
             else:
-                reason = f"residual {float(np.linalg.norm(r)):.3e} on {p} rows"
+                reason = f"residual {_norm(r):.3e} on {p} rows"
                 break
         if not reason:
             basis = np.sort(np.array(passive))
@@ -568,10 +573,10 @@ class _DualSimplex:
         verdict = f"declined ({reason})" if reason else "taken"
         _log.debug("crash %s: %d rows, %d growths", verdict, self.work.size, growths)
         if reason:
-            self.in_basis[:] = False
-            return
+            return False
         self.stats.crash_basis = True
         self.basis = basis
+        return True
 
     def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Iterate until the phase objective is optimal; returns (x_B, y, obj),
@@ -642,10 +647,9 @@ class _DualSimplex:
             w_q = self.weights[pos]
             self.pending = (d[leave_pos], w_q, leaving)
             if leaving < self.m:
-                self.in_basis[leaving] = False
                 self.work_basic[self.work.searchsorted(leaving)] = False
             self.basis[leave_pos] = entering
-            self.in_basis[entering] = self.work_basic[pos] = True
+            self.work_basic[pos] = True
             self.B[:, leave_pos] = row
             fresh = not self._update(d, leave_pos, phase)
             if not fresh:
@@ -663,10 +667,10 @@ class _DualSimplex:
                 raise _EngineFailure(f"iteration limit {MAX_ITERS} reached in phase {phase}")
 
     def run(self) -> _Outcome:
-        self._crash()
-        x_basic, y1, w1 = self._run_phase(1)
-        if w1 > self.phase1_tol:
-            return _Outcome(kind="dual_infeasible", y=y1)
+        if not self._crash():
+            _, y1, w1 = self._run_phase(1)
+            if w1 > self.phase1_tol:
+                return _Outcome(kind="dual_infeasible", y=y1)
         try:
             x_basic, y2, _ = self._run_phase(2)
         except _UnboundedDual:

@@ -180,6 +180,22 @@ def test_sweep_with_no_successful_degree_exits_3(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_sweep_in_4_d_leaves_the_components_field_empty(tmp_path):
+    # components are counted in dimensions 1 to 3 only
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.5,) * 4, (-0.5,) * 4])
+    out = tmp_path / "out"
+    code = main(["sweep", "--points", str(pts), "--degrees", "1,2", "--grid", "5",
+                 "--out", str(out)])
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for line, degree in zip(lines[1:], ("1", "2")):
+        fields = line.split(",")
+        assert fields[0] == degree and fields[2] == ""
+    assert lines[1].startswith("1,16.0,,")  # p = 1 covers the whole box
+
+
 def test_plotdata_tabulates_a_saved_polynomial(tmp_path):
     coeffs = tmp_path / "coeffs.json"
     poly = poly_from_dict(
@@ -222,6 +238,14 @@ def test_plotdata_tabulates_a_saved_polynomial(tmp_path):
         assert [x0, x1] == [repr(float(c)) for c in point]
         assert abs(float(value) - expected) <= tolerance
         assert int(flag) == int(float(value) >= 1.0)
+
+
+def test_plotdata_refuses_4_d_coefficients(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(4, 1), 1.0))))
+    code = main(["plotdata", "--coeffs", str(coeffs), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: plot data supports dimensions 1 to 3 only\n"
 
 
 def test_export_mps_writes_a_parsable_program(tmp_path):
@@ -752,6 +776,21 @@ def test_config_must_be_a_json_object(tmp_path):
          "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [None, "{degree: 3}"], ids=["missing", "invalid-json"])
+def test_an_unreadable_config_exits_2(tmp_path, capsys, text):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.3,)])
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    code = main(["fit", "--points", str(pts), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load config {config}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_values_take_the_flag_types(tmp_path):

@@ -79,6 +79,19 @@ def test_objective_never_exceeds_box_volume():
         assert result.w <= box.volume + 1e-9
 
 
+def test_a_box_past_1e154_fits_without_overflow(caplog):
+    # |c| = 4e200: the sum of squares in the crash's norms of c and of its
+    # residual overflows, while the norms themselves do not
+    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="polycover"):
+        warnings.simplefilter("error")
+        result = fit(PointCloud(np.array([[0.5, 0.5]])),
+                     BoxDomain((-1e100, -1e100), (1e100, 1e100)), 1,
+                     grid=GridSpec(points_per_axis=21))
+    assert result.objective == 4e200
+    lines = [r.getMessage() for r in caplog.records if r.name == "polycover"]
+    assert lines[0].startswith("crash declined (residual 4.000e+200 on 0 rows): ")
+
+
 def test_containment_margin_is_reported_and_honored():
     result = fit(
         PointCloud(np.array([-0.5, 0.0, 0.25])),
