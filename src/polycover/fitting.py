@@ -33,7 +33,8 @@ import numpy as np
 import scipy
 
 from .basis import (
-    BasisKind, PolyBasis, Polynomial, _basis_table, _contract, eval_basis_many, make_basis,
+    _BLOCK_POINTS, BasisKind, PolyBasis, Polynomial, _basis_table, _contract, eval_basis_many,
+    make_basis,
 )
 from .domain import MAX_GRID_POINTS, BoxDomain, grid_axes, tensor_grid
 from .lp import DenseRows, LpProblem, SolveStats, StackedRows, _gamma, solve
@@ -212,24 +213,35 @@ class _GridRows:
     program: the grid rows that assemble would fill.
 
     Each axis's table holds _basis_table's values, the factors that
-    eval_basis_many multiplies, so take, which is eval_basis_many on the
-    chosen nodes, gives A's rows bit for bit.  price contracts the dense
-    coefficient array of each column of Y with the tables axis by axis, as
-    eval_poly_grid does; no row is formed.
+    eval_basis_many multiplies, so take, which gathers each row's factors
+    from the tables and multiplies them in eval_basis_many's order, gives
+    A's rows bit for bit.  price contracts the dense coefficient array of
+    each column of Y with the tables axis by axis, as eval_poly_grid does;
+    no row is formed.
     """
 
-    def __init__(self, basis: PolyBasis, axes: list[np.ndarray], points: np.ndarray,
-                 kept: np.ndarray | None):
+    def __init__(self, basis: PolyBasis, axes: list[np.ndarray], kept: np.ndarray | None):
         self.basis = basis
-        self.points = points  # the node of each row
         self.kept = kept  # the node index of each row; None when no node is left out
         self.tables = [np.ascontiguousarray(_basis_table(basis, axis, x).T)
                        for axis, x in enumerate(axes)]
         self.abs_tables = [np.abs(table) for table in self.tables]
-        self.shape = (points.shape[0], len(basis))
+        nodes = math.prod(len(x) for x in axes) if kept is None else len(kept)
+        self.shape = (nodes, len(basis))
 
     def take(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return eval_basis_many(self.basis, self.points[idx], out=out)
+        nodes = idx if self.kept is None else self.kept[idx]
+        counts = [table.shape[1] for table in self.tables]
+        exps = self.basis.exponent_array
+        values = np.empty((len(nodes), len(self.basis))) if out is None else out
+        for start in range(0, len(nodes), _BLOCK_POINTS):
+            block = values[start : start + _BLOCK_POINTS]
+            per_axis = np.unravel_index(nodes[start : start + _BLOCK_POINTS], counts)
+            # mode="clip" lets take write straight into block; no index is out of range
+            np.take(self.tables[0].T[per_axis[0]], exps[:, 0], axis=1, out=block, mode="clip")
+            for axis in range(1, self.basis.dimension):
+                block *= self.tables[axis].T[per_axis[axis]][:, exps[:, axis]]
+        return values
 
     def _values(self, Y: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
         """Y's columns as dense coefficient arrays contracted with tables:
@@ -311,7 +323,7 @@ class _FitSetup:
             parts = [problem.rows]
         else:
             cloud = DenseRows(eval_basis_many(basis, self.cloud.points))
-            parts = [cloud, _GridRows(basis, self.axes, self.grid_points, self.kept)]
+            parts = [cloud, _GridRows(basis, self.axes, self.kept)]
         bound_rows = 0
         if self.coeff_bound is not None:
             eye = np.eye(len(basis)) / self.coeff_bound

@@ -13,7 +13,9 @@ tensor grid that holds the box's faces, edges and corners;
 only where no tensor grid of the scan's size fits p does it evaluate a
 quasi-random sample instead.  The component count describes the topology of
 U(p) (exactly in 1-D, from the real roots of p - 1; on a pixel grid in 2-D
-and 3-D), and the trace report recomputes w through a Gram-matrix route as
+and 3-D, by runs of cells joined where they overlap and merged by
+union-find, in numpy, with the counts of scipy.ndimage.label's face
+adjacency), and the trace report recomputes w through a Gram-matrix route as
 a cross-check on the moment pipeline.  Tensor grids (the scan, the pixel
 grids) are evaluated axis by axis through eval_poly_grid, scattered points
 (the Monte Carlo samples, a quasi-random scan) through eval_poly_many.
@@ -27,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 from numpy.polynomial import chebyshev
 
 from .basis import (
@@ -277,6 +278,54 @@ def _count_intervals(p: Polynomial, box: BoxDomain) -> int:
     return int(np.count_nonzero(np.diff(inside, prepend=0) == 1))
 
 
+def _face_components(mask: np.ndarray) -> int:
+    """Number of face-connected components of the True cells of a mask of
+    two or more dimensions.
+
+    The lines along the last axis are laid end to end in one flat array,
+    each followed by a False cell, so every run of True cells [start, end)
+    stays on its line and the runs come out sorted.  A run joins each run
+    it overlaps on the next line along every other axis: in the flat
+    layout that line lies a fixed step further on, and the runs that
+    overlap the shifted run are one index range of the sorted runs.  The
+    joined runs are merged by union-find: each larger root is hooked onto
+    the smaller, and pointer jumping then points every run at its root,
+    until every joined pair shares a root (He, Chao and Suzuki 2008;
+    Shiloach and Vishkin 1982).  The count is the number of roots.
+    """
+    *outer, length = mask.shape
+    lines, width = math.prod(outer), length + 1
+    # a False cell before the first line, so every run starts on a transition
+    flat = np.zeros(lines * width + 1, dtype=bool)
+    flat[1:].reshape(lines, width)[:, :length] = mask.reshape(lines, length)
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    line = starts // width
+    first_runs, second_runs = [], []
+    stride = 1
+    for size in reversed(outer):
+        # the runs whose line has a next line along this axis
+        has_next = np.flatnonzero(line // stride % size < size - 1)
+        shift = stride * width
+        first = np.searchsorted(ends, starts[has_next] + shift, side="right")
+        counts = np.searchsorted(starts, ends[has_next] + shift) - first
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        first_runs.append(np.repeat(has_next, counts))
+        second_runs.append(np.repeat(first, counts) + offsets)
+        stride *= size
+    u, v = np.concatenate(first_runs), np.concatenate(second_runs)
+    root = np.arange(starts.size)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    return int(np.count_nonzero(root == np.arange(starts.size)))
+
+
 def count_components(
     p: Polynomial, box: BoxDomain, resolution: int | None = None
 ) -> int:
@@ -290,7 +339,10 @@ def count_components(
     In dimensions 2 and 3 the count is of face-connected components on a
     grid of cell centres, resolution cells per axis, at most MAX_GRID_POINTS
     cells in all; components thinner than a cell can escape it, so raise
-    the resolution when the set has fine structure.
+    the resolution when the set has fine structure.  _face_components makes
+    that count from the runs of cells along the last axis, joined where they
+    overlap on neighbouring lines and merged by union-find; it is the count
+    of scipy.ndimage.label under its default (face) structure.
     """
     n = box.dimension
     if p.dimension != n:
@@ -303,9 +355,7 @@ def count_components(
     h = box.widths / resolution
     axes = grid_axes(box.lower_array + h / 2.0, box.upper_array - h / 2.0, resolution,
                      "component grid")
-    mask = eval_poly_grid(p, axes) >= 1.0
-    _, count = scipy.ndimage.label(mask)
-    return int(count)
+    return _face_components(eval_poly_grid(p, axes) >= 1.0)
 
 
 @dataclass(frozen=True)

@@ -952,6 +952,18 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_import_leaves_scipy_ndimage_unloaded():
+    # the 2-D and 3-D component count is numpy's own, so no CLI process pays
+    # for importing scipy.ndimage
+    src = str(Path(polycover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, polycover.cli\nprint('scipy.ndimage' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_quasirandom_grid_over_the_cap_exits_2(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     write_points(pts, [(0.1, -0.2, 0.3)])

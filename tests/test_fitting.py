@@ -21,6 +21,7 @@ from polycover import (
     build_problem,
     default_grid_spec,
     degree_sweep,
+    eval_basis_many,
     eval_poly_many,
     export_mps,
     fit,
@@ -29,7 +30,7 @@ from polycover import (
     solve,
 )
 from polycover import fitting, lp
-from polycover.domain import grid_axes
+from polycover.domain import grid_axes, tensor_grid
 from polycover.fitting import MAX_GRID_POINTS, _prepare
 from polycover.lp import DenseRows, LpProblem, StackedRows, _max_violation
 
@@ -479,6 +480,27 @@ def _dense_program(cloud, box, kind, spec, degree, bound):
         b=np.concatenate([problem.b, np.full(2 * len(basis), -1.0)]),
         row_kinds=problem.row_kinds + ("bound",) * (2 * len(basis)),
     )
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("n, per_axis, degree", [(2, 41, 9), (3, 9, 5)])
+@pytest.mark.parametrize("left_out", [False, True])
+def test_grid_rows_take_is_eval_basis_many_bit_for_bit(kind, n, per_axis, degree, left_out):
+    box = BoxDomain(lower=(-1.3, -0.2, -2.0)[:n], upper=(0.7, 1.9, 1.0)[:n])
+    basis = make_basis(n, degree, kind, box if kind == "chebyshev" else None)
+    nodes = tensor_grid(box.lower, box.upper, per_axis)
+    rng = np.random.default_rng(n + 2 * left_out)
+    kept = np.sort(rng.permutation(len(nodes))[: len(nodes) // 2]) if left_out else None
+    rows = fitting._GridRows(basis, grid_axes(box.lower, box.upper, per_axis), kept)
+    points = nodes if kept is None else nodes[kept]
+    assert rows.shape == (len(points), len(basis))
+    # more rows than one evaluation block, with repeats, in any order
+    idx = rng.integers(0, len(points), 5000)
+    expected = eval_basis_many(basis, points[idx])
+    assert rows.take(idx).tobytes() == expected.tobytes()
+    out = np.empty_like(expected)
+    assert rows.take(idx, out=out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycover import (
     BoxDomain,
@@ -482,6 +484,40 @@ def test_count_components_agrees_with_bfs_oracle():
         points = _cell_centres(box, resolution)
         mask = (eval_poly_many(p, points) >= 1.0).reshape(resolution, resolution)
         assert count_components(p, box, resolution) == bfs_component_count(mask)
+
+
+@given(
+    shape=st.lists(st.integers(1, 16), min_size=2, max_size=3),
+    density=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=200)
+def test_face_components_agrees_with_bfs_oracle(shape, density, seed):
+    mask = np.random.default_rng(seed).random(shape) < density
+    assert verification._face_components(mask) == bfs_component_count(mask)
+
+
+def test_face_components_edge_cases():
+    for shape in [(1, 1), (7, 1), (1, 9), (5, 6), (4, 1, 3), (3, 4, 5)]:
+        assert verification._face_components(np.zeros(shape, dtype=bool)) == 0
+        assert verification._face_components(np.ones(shape, dtype=bool)) == 1
+    # cells that touch only at a corner are apart under face adjacency
+    assert verification._face_components(np.eye(2, dtype=bool)) == 2
+    cube = np.zeros((2, 2, 2), dtype=bool)
+    cube[0, 0, 0] = cube[1, 1, 1] = True
+    assert verification._face_components(cube) == 2
+    # a run ending a line does not join a run starting the next line
+    lines = np.zeros((2, 4), dtype=bool)
+    lines[0, 2:] = lines[1, :2] = True
+    assert verification._face_components(lines) == 2
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (64, 64, 64)])
+def test_face_components_agrees_with_scipy_label_on_noise(shape):
+    import scipy.ndimage  # the reference; the package itself does not import it
+
+    mask = np.random.default_rng(21).random(shape) < 0.5
+    assert verification._face_components(mask) == scipy.ndimage.label(mask)[1]
 
 
 def test_count_components_3d_corners():
