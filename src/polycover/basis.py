@@ -8,6 +8,10 @@ prefix of every higher-degree basis, which the fitting layer relies on.
 
 Chebyshev basis elements are evaluated through the affine map of the attached
 box onto [-1, 1]^n, so a Chebyshev basis always carries its box.
+
+Every value comes from per-axis tables of the 1-D basis functions; one
+kernel, _axis_product, multiplies their factors at the basis exponents for
+the basis matrix, the fitting layer's tensor-grid rows and the bounds.
 """
 
 from __future__ import annotations
@@ -140,23 +144,31 @@ def _basis_table(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
     return _axis_table(basis, axis, x, np.empty((basis.degree + 1, x.size))).T
 
 
-def eval_basis_many(
-    basis: PolyBasis, points: np.ndarray, out: np.ndarray | None = None
+def _axis_product(
+    factors: list[np.ndarray], exps: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
+    """The product over axes i of factors[i][..., exps[:, i]], multiplied in
+    axis order, into out when it is given: the one such product, so arrays
+    built from the same factors have the same bits."""
+    # mode="clip" lets take write straight into out; no index is out of range
+    product = np.take(factors[0], exps[:, 0], axis=-1, out=out, mode="clip")
+    for axis in range(1, len(factors)):
+        product *= factors[axis][..., exps[:, axis]]
+    return product
+
+
+def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
     """Evaluate every basis element at every point.
 
     The result is filled in blocks of _BLOCK_POINTS rows: tabulate each
     axis's 1-D values at the block's coordinates (powers by ``**``, or
-    _axis_table's Chebyshev recurrence), gather the columns of the basis
-    exponents, and multiply the axes in order.  Every entry is the product
-    of float64 factors computed point by point, so the values do not depend
-    on the block a point is in.
+    _axis_table's Chebyshev recurrence) and multiply them by _axis_product.
+    Every entry is the product of float64 factors computed point by point,
+    so the values do not depend on the block a point is in.
 
     Args:
         basis: the basis to evaluate.
         points: array of shape (N, n) or (n,) for a single point.
-        out: optional C-contiguous float array of shape (N, len(basis)) to
-            fill instead of a new one.
 
     Returns:
         Array of shape (N, len(basis)) with one column per basis element.
@@ -169,16 +181,11 @@ def eval_basis_many(
         raise ValueError(
             f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
         )
-    exps = basis.exponent_array
-    values = np.empty((pts.shape[0], len(basis))) if out is None else out
-    if values.shape != (pts.shape[0], len(basis)):
-        raise ValueError(f"out has shape {out.shape}, expected {(pts.shape[0], len(basis))}")
+    values = np.empty((pts.shape[0], len(basis)))
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
-        block, out = pts[start : start + _BLOCK_POINTS], values[start : start + _BLOCK_POINTS]
-        # mode="clip" lets take write straight into out; no index is out of range
-        np.take(_basis_table(basis, 0, block[:, 0]), exps[:, 0], axis=1, out=out, mode="clip")
-        for d in range(1, basis.dimension):
-            out *= _basis_table(basis, d, block[:, d])[:, exps[:, d]]
+        block = pts[start : start + _BLOCK_POINTS]
+        factors = [_basis_table(basis, axis, block[:, axis]) for axis in range(basis.dimension)]
+        _axis_product(factors, basis.exponent_array, out=values[start : start + _BLOCK_POINTS])
     return values[0] if single else values
 
 
@@ -338,10 +345,11 @@ def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
     return out[:count]
 
 
-def _dense_coeffs(p: Polynomial) -> np.ndarray:
-    """The coefficients in a dense (d + 1)^n array, indexed by exponent."""
-    values = np.zeros((p.degree + 1,) * p.dimension)
-    values[tuple(p.basis.exponent_array.T)] = p.coeffs
+def _dense_coeffs(basis: PolyBasis, coeffs: np.ndarray) -> np.ndarray:
+    """The coefficients in a dense (d + 1)^n array indexed by exponent,
+    followed by the trailing axes of coeffs (one per column of a matrix)."""
+    values = np.zeros((basis.degree + 1,) * basis.dimension + coeffs.shape[1:])
+    values[tuple(basis.exponent_array.T)] = coeffs
     return values
 
 
@@ -364,7 +372,7 @@ def eval_poly_grid(p: Polynomial, axes: list[np.ndarray]) -> np.ndarray:
         raise ValueError(f"got {len(axes)} axes, basis has dimension {basis.dimension}")
     tables = [_axis_table(basis, axis, x, np.empty((basis.degree + 1, len(x))))
               for axis, x in enumerate(axes)]
-    return _contract(_dense_coeffs(p), tables)
+    return _contract(_dense_coeffs(basis, p.coeffs), tables)
 
 
 def _shift_table(kind: BasisKind, degree: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,8 +472,7 @@ def cell_enclosures(
             z = z0 * (1.0 + 13.0 * unit) + 25.0 * kappa * unit
             majorants.append(np.cosh(np.arange(d + 1) * np.arccosh(z)))
             excess += d * d * (15.0 * z + 25.0 * kappa)
-    exps = basis.exponent_array
-    bound = np.abs(p.coeffs) * np.prod([m[exps[:, i]] for i, m in enumerate(majorants)], axis=0)
+    bound = np.abs(p.coeffs) * _axis_product(majorants, basis.exponent_array)
     depth = excess + n + d + len(basis) + n * (d + 1) + (d + 1) ** n + 6
     margin = 2.0 * unit * depth * float(np.sum(bound)) if depth * unit <= 2.0**-20 else math.inf
 
@@ -474,7 +481,7 @@ def cell_enclosures(
     per_block = min(per_block, total)
     lower, upper = np.empty(total), np.empty(total)
     grid, powers = (cells,) * n, tuple(range(1, 2 * n, 2))
-    dense = _dense_coeffs(p)
+    dense = _dense_coeffs(basis, p.coeffs)
     for start in range(0, total, per_block):
         # an aligned power-of-two run of cells: a product of index ranges
         first = np.unravel_index(start, grid)

@@ -33,8 +33,8 @@ import numpy as np
 import scipy
 
 from .basis import (
-    _BLOCK_POINTS, BasisKind, PolyBasis, Polynomial, _basis_table, _contract, eval_basis_many,
-    make_basis,
+    _BLOCK_POINTS, BasisKind, PolyBasis, Polynomial, _axis_product, _basis_table, _contract,
+    _dense_coeffs, eval_basis_many, make_basis,
 )
 from .domain import MAX_GRID_POINTS, BoxDomain, grid_axes, tensor_grid
 from .lp import DenseRows, LpProblem, SolveStats, StackedRows, _gamma, solve
@@ -213,11 +213,11 @@ class _GridRows:
     program: the grid rows that assemble would fill.
 
     Each axis's table holds _basis_table's values, the factors that
-    eval_basis_many multiplies, so take, which gathers each row's factors
-    from the tables and multiplies them in eval_basis_many's order, gives
-    A's rows bit for bit.  price contracts the dense coefficient array of
-    each column of Y with the tables axis by axis, as eval_poly_grid does;
-    no row is formed.
+    eval_basis_many multiplies; take gathers each row's factors from the
+    tables and multiplies them by the same _axis_product, so it gives A's
+    rows bit for bit by construction.  price contracts the dense
+    coefficient array of each column of Y with the tables axis by axis, as
+    eval_poly_grid does; no row is formed.
     """
 
     def __init__(self, basis: PolyBasis, axes: list[np.ndarray], kept: np.ndarray | None):
@@ -235,20 +235,15 @@ class _GridRows:
         exps = self.basis.exponent_array
         values = np.empty((len(nodes), len(self.basis))) if out is None else out
         for start in range(0, len(nodes), _BLOCK_POINTS):
-            block = values[start : start + _BLOCK_POINTS]
             per_axis = np.unravel_index(nodes[start : start + _BLOCK_POINTS], counts)
-            # mode="clip" lets take write straight into block; no index is out of range
-            np.take(self.tables[0].T[per_axis[0]], exps[:, 0], axis=1, out=block, mode="clip")
-            for axis in range(1, self.basis.dimension):
-                block *= self.tables[axis].T[per_axis[axis]][:, exps[:, axis]]
+            factors = [table.T[i] for table, i in zip(self.tables, per_axis)]
+            _axis_product(factors, exps, out=values[start : start + _BLOCK_POINTS])
         return values
 
     def _values(self, Y: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
         """Y's columns as dense coefficient arrays contracted with tables:
         one row per grid row, one column per column of Y."""
-        dense = np.zeros((self.basis.degree + 1,) * self.basis.dimension + Y.shape[1:])
-        dense[tuple(self.basis.exponent_array.T)] = Y
-        values = _contract(dense, tables).reshape(Y.shape[1:] + (-1,)).T
+        values = _contract(_dense_coeffs(self.basis, Y), tables).reshape(Y.shape[1:] + (-1,)).T
         return values if self.kept is None else values[self.kept]
 
     def price(self, Y: np.ndarray) -> np.ndarray:
@@ -279,14 +274,10 @@ class _GridRows:
 
     def max_abs(self) -> float:
         """max |A_ij| over every node, left out or not (a node left out
-        repeats a cloud row): the per-axis peaks multiplied in
-        eval_basis_many's order, since rounding is monotone."""
+        repeats a cloud row): the per-axis peaks multiplied by take's
+        _axis_product, since rounding is monotone."""
         peaks = [table.max(axis=1) for table in self.abs_tables]
-        exps = self.basis.exponent_array
-        product = peaks[0][exps[:, 0]]
-        for axis in range(1, self.basis.dimension):
-            product = product * peaks[axis][exps[:, axis]]
-        return float(product.max())
+        return float(_axis_product(peaks, self.basis.exponent_array).max())
 
 
 @dataclass(frozen=True)

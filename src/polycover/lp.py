@@ -242,8 +242,9 @@ class SolveStats:
     the eta product instead, basis_solves the solves with LU factors,
     devex_resets the times the Devex weights returned to 1 after one passed
     DEVEX_CAP.  rows_built counts the rows the engine took from its row
-    source as dense rows; a row kept from one working set to the next is
-    counted once.  stationarity_defect is that of the last vertex checked.
+    source as dense rows; a row kept from one dense working set to the next
+    is counted once (phase 1's set is every row, so phase 2's start rows are
+    taken again).  stationarity_defect is that of the last vertex checked.
     """
 
     phase1_pivots: int = 0
@@ -295,7 +296,7 @@ class _DualSimplex:
     phase 2 prices a working set of rows, sorted by index, and grows it.
     Both phases price by Devex weights kept aligned with the working set.
     The rows come from a row source; a working set of fewer than every row
-    keeps its rows dense, and the rows of the last such set are reused
+    keeps its rows dense, and the rows of the current such set are reused
     before any is taken from the source again."""
 
     START_STRIDE = 64  # every 64th zero-cost row starts in the working set
@@ -318,8 +319,7 @@ class _DualSimplex:
         self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (self.unit,))
         self.trtrs = scipy.linalg.get_lapack_funcs("trtrs", (self.unit,))
         self.ger = scipy.linalg.get_blas_funcs("ger", (self.unit,))
-        # the last working set with dense rows, and those rows
-        self.held, self.held_rows = np.zeros(0, dtype=np.int64), np.empty((0, self.k))
+        self.work_rows = self.source  # no dense working set yet
         # M with B^-1 = M B0^-1, B0 factored in lu; Fortran order lets ger update it in place
         self.eta = np.empty((self.k, self.k), order="F")
         self.etas = 0  # eta updates folded into M since the last getrf; 0 means M = I
@@ -329,15 +329,15 @@ class _DualSimplex:
         self.start = np.union1d(np.flatnonzero(f != 0.0), zero[:: self.START_STRIDE])
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
-        """Dense rows idx: copied where the last dense working set holds
-        them, taken from the source (and counted) where it does not."""
-        pos = np.minimum(self.held.searchsorted(idx), self.held.size - 1)
-        missing = self.held[pos] != idx if self.held.size else np.ones(idx.size, dtype=bool)
-        if missing.all():
+        """Dense rows idx: copied where the dense working set holds them,
+        taken from the source (and counted) where it does not or is every row."""
+        if self.work_rows is self.source:
             self.stats.rows_built += idx.size
             return self.source.take(idx)
+        pos = np.minimum(self.work.searchsorted(idx), self.work.size - 1)
+        missing = self.work[pos] != idx
         # mode="clip" lets take write straight into out, with no temporary
-        out = np.take(self.held_rows, pos, axis=0, out=np.empty((idx.size, self.k)), mode="clip")
+        out = np.take(self.work_rows.A, pos, axis=0, out=np.empty((idx.size, self.k)), mode="clip")
         if missing.any():
             self.stats.rows_built += int(np.count_nonzero(missing))
             out[missing] = self.source.take(idx[missing])
@@ -417,12 +417,10 @@ class _DualSimplex:
     def _set_work(self, work: np.ndarray, cost_real: np.ndarray) -> None:
         """Price the rows `work`, sorted by index, from now on through the
         row source work_rows: their dense rows, or the source itself when
-        they are every row."""
-        self.work = work
+        they are every row; _rows copies them from the old set."""
         whole = work.size == self.m
         self.work_rows = self.source if whole else DenseRows(self._rows(work))
-        if not whole:
-            self.held, self.held_rows = work, self.work_rows.A
+        self.work = work
         self.work_cost = cost_real if whole else cost_real[work]
         self.work_basic = np.isin(work, self.basis)
         self.weights = np.ones(work.size)

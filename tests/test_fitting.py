@@ -501,6 +501,8 @@ def test_grid_rows_take_is_eval_basis_many_bit_for_bit(kind, n, per_axis, degree
     out = np.empty_like(expected)
     assert rows.take(idx, out=out) is out
     assert out.tobytes() == expected.tobytes()
+    # the peak over every node, left out or not
+    assert rows.max_abs() == DenseRows(eval_basis_many(basis, nodes)).max_abs()
 
 
 @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
