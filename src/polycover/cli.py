@@ -304,7 +304,8 @@ FLAGS: dict[str, dict] = {
     "seed": dict(type=int, help="seed for sampling (default 0)"),
     "inflate": dict(type=float, help="box inflation factor (default 1)"),
     "coeff-bound": dict(type=float, help="sup-norm bound on coefficients"),
-    "mc-samples": dict(type=int, help="Monte Carlo sample count"),
+    "mc-samples": dict(type=int, help="Monte Carlo samples over the whole box, a density: "
+                       "only those in cells the screen leaves undecided are drawn"),
     "resolution": dict(
         type=int,
         help="component-count cells per axis, at least 64; checked in 1-D to 3-D but used "

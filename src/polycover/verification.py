@@ -2,9 +2,10 @@
 
 Volume is estimated by Monte Carlo with a counter-based generator, so runs
 with equal seeds agree bit for bit regardless of chunking.  mc_volume first
-bounds p rigorously on a grid of cells, its own screen: the bounds decide
-most samples, p is evaluated only at those in cells whose bounds straddle
-1, and the count is the one that evaluating every sample gives.  When
+bounds p rigorously on a grid of cells, its own screen: the cells where the
+bounds decide p >= 1 count by their exact volume, and points are drawn only
+in the cells whose bounds straddle 1, as many as a uniform sample of the
+requested size would put there (stratified sampling).  When
 p >= 0 holds on all of B, Markov's bound gives vol U(p) <= integral of p
 over B;  the integral is the fit objective w, so w should exceed the
 estimated volume up to sampling noise.  The nonnegativity scan probes how
@@ -48,8 +49,9 @@ from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
 MIN_MC_SAMPLES = 1000
-# Monte Carlo samples drawn and screened at a time
-MC_CHUNK_SAMPLES = 65_536
+# Monte Carlo points drawn and evaluated at a time; larger chunks raise the
+# peak RSS of a fit and run no faster
+MC_CHUNK_SAMPLES = 8192
 # Roots of p - 1 with imaginary parts up to this size, in the coordinates that
 # map the box onto [-1, 1], still split the box in the exact 1-D count.
 ROOT_IMAG_TOL = 1e-3
@@ -61,11 +63,14 @@ _log = logging.getLogger("polycover")
 class VolumeEstimate:
     estimate: float
     standard_error: float
+    # the requested sample count, a density: the points a uniform sample of
+    # the whole box would hold
     samples: int
     seed: int
-    # cells of the screen in all, and the samples whose cell did not decide
-    # them, so p was evaluated
+    # cells of the screen in all, those it left undecided, and the points
+    # drawn in them, at each of which p was evaluated
     cells: int
+    undecided: int
     evaluated: int
 
 
@@ -76,11 +81,12 @@ def check_mc_samples(samples: int) -> None:
 
 
 def _screen(p: Polynomial, box: BoxDomain, samples: int) -> tuple[int, np.ndarray]:
-    """The cell screen for `samples` points: its cells per axis, a power of
-    two, and one int8 per cell, row-major in the axis order: 1 where p >= 1
-    on the whole cell, -1 where p < 1, 0 where undecided, decided by the
-    cell's enclosure widened by cell_enclosures' margin E.  About 4096 cells
-    in all; fewer where their enclosures' multiply-adds, (d + 1)^(n + 1) per
+    """The cell screen for a density of `samples` points: its cells per
+    axis, a power of two, and one int8 per cell, row-major in the axis
+    order: 1 where p >= 1 on the whole cell, -1 where p < 1, 0 where
+    undecided (mc_volume draws points only there), decided by the cell's
+    enclosure widened by cell_enclosures' margin E.  About 4096 cells in
+    all; fewer where their enclosures' multiply-adds, (d + 1)^(n + 1) per
     cell, would pass twice the len(basis) per sample of evaluating every
     sample (as matrix products they run several times faster); one
     undecided cell where a cell's (d + 1)^n coefficients would not fit in an
@@ -103,13 +109,16 @@ def _screen(p: Polynomial, box: BoxDomain, samples: int) -> tuple[int, np.ndarra
 def mc_volume(
     p: Polynomial, box: BoxDomain, samples: int = 1_000_000, seed: int = 0
 ) -> VolumeEstimate:
-    """Monte Carlo estimate of vol {x in B : p(x) >= 1}.
-
-    The samples are screened by cell enclosures of p (_screen): a sample in
-    a cell where p - 1 keeps its sign, rounding included, counts by its
-    cell, and only the samples in the other cells are built and evaluated,
-    so the count is that of evaluating p at every sample.
-    The standard error is the binomial one, vol(B) * sqrt(q(1-q)/N); it goes
+    """Monte Carlo estimate of vol {x in B : p(x) >= 1}, stratified by the
+    C^n cells of _screen: the I where p >= 1 count by their volume, and
+    N = ceil(samples * U / C^n) points, as many as `samples` uniform
+    samples of B would put there, are drawn in the U undecided ones.  A
+    point is one row of Philox draws: u_0 picks open cell floor(u_0 * U),
+    the rest place it at (corner + u) / C before box.scale_unit, so chunks
+    do not change the stream; with U = 1 there is no pick, so an
+    unscreened run (C = 1) draws plain uniform samples.  The estimate is
+    vol(B) * (I + U * q) / C^n for q = hits / N, exact when U = 0, with the
+    binomial standard error vol(B) * (U / C^n) * sqrt(q(1-q)/N).  It goes
     to zero only like 1/sqrt(N), so treat small gaps as noise.
     """
     check_mc_samples(samples)
@@ -117,30 +126,27 @@ def mc_volume(
     if p.dimension != n:
         raise ValueError("polynomial and box dimensions differ")
     cells, state = _screen(p, box, samples)
+    total = cells**n
+    open_cells = np.flatnonzero(state == 0)
+    undecided = open_cells.size
+    corners = np.transpose(np.unravel_index(open_cells, (cells,) * n))
+    pick = int(undecided > 1)
+    drawn = -(-samples * undecided // total)
     rng = np.random.Generator(np.random.Philox(seed))
-    hits = evaluated = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(MC_CHUNK_SAMPLES, remaining)
-        draws = rng.random((m, n))
-        # cells is a power of two, so u * cells is exact and its floor the cell
-        cell = np.zeros(m, dtype=np.int32)
-        for axis in range(n):
-            cell *= cells
-            cell += (draws[:, axis] * cells).astype(np.int32)
-        decided = state[cell]
-        del cell  # freed before the next chunk is drawn, or it raises the peak RSS
-        hits += int(np.count_nonzero(decided == 1))
-        points = box.scale_unit(np.compress(decided == 0, draws, axis=0))
-        hits += int(np.count_nonzero(eval_poly_many(p, points) >= 1.0))
-        evaluated += points.shape[0]
-        remaining -= m
-    fraction = hits / samples
+    hits = 0
+    for start in range(0, drawn, MC_CHUNK_SAMPLES):
+        draws = rng.random((min(MC_CHUNK_SAMPLES, drawn - start), n + pick))
+        unit = draws[:, pick:]
+        # cells is a power of two, so dividing by it is exact
+        unit += corners[(draws[:, 0] * undecided).astype(np.intp)] if pick else corners[0]
+        unit /= cells
+        hits += int(np.count_nonzero(eval_poly_many(p, box.scale_unit(unit)) >= 1.0))
+    q = hits / max(drawn, 1)
     volume = box.volume
-    stderr = volume * math.sqrt(fraction * (1.0 - fraction) / samples)
     return VolumeEstimate(
-        estimate=volume * fraction, standard_error=stderr, samples=samples, seed=seed,
-        cells=cells**n, evaluated=evaluated,
+        estimate=volume * (np.count_nonzero(state == 1) + undecided * q) / total,
+        standard_error=volume * (undecided / total) * math.sqrt(q * (1.0 - q) / max(drawn, 1)),
+        samples=samples, seed=seed, cells=total, undecided=undecided, evaluated=drawn,
     )
 
 
@@ -436,8 +442,8 @@ def run_report(
 
     Writes one DEBUG line to the polycover logger with the seconds of each
     stage and the points it evaluated: for the Monte Carlo stage, which
-    includes its cell screen, the samples drawn, the screen's cells and the
-    samples they left to evaluate; for the scan, its grid.  The component
+    includes its cell screen, the points drawn and evaluated, in how many of
+    the screen's cells; for the scan, its grid.  The component
     count reports 0 cells where it labels no grid: the exact 1-D count, and
     above 3-D, where it is skipped like the trace in a Chebyshev basis.
     """
@@ -461,10 +467,10 @@ def run_report(
     trace = trace_report(p, box).trace_pm if p.basis.kind == "monomial" else None
     cells = resolution**n if 2 <= n <= 3 else 0
     _log.debug(
-        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples in %d cells "
-        "(%d evaluated), scan %.3f s on %s, components %.3f s on %d cells, trace %.3f s",
-        p.degree, moments_done - components_done, mc_done - moments_done, volume.samples,
-        volume.cells, volume.evaluated, scan_done - mc_done, scan_grid,
+        "verify degree %d: moments %.3f s, monte carlo %.3f s on %d samples drawn in %d of "
+        "%d cells, scan %.3f s on %s, components %.3f s on %d cells, trace %.3f s",
+        p.degree, moments_done - components_done, mc_done - moments_done, volume.evaluated,
+        volume.undecided, volume.cells, scan_done - mc_done, scan_grid,
         components_done - start, cells, time.perf_counter() - scan_done,
     )
     return VerificationReport(

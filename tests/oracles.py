@@ -226,3 +226,51 @@ def mc_integral(values: np.ndarray, box_volume: float):
     mean = float(np.mean(values))
     sem = float(np.std(values, ddof=1) / math.sqrt(values.size))
     return box_volume * mean, box_volume * sem
+
+
+def stratified_mc_points(box, cells, state, samples, seed, chunk=1 << 18):
+    """The points mc_volume draws, in chunks: with C = cells per axis and U
+    cells of state 0, N = ceil(samples * U / C^n) rows of n + 1 Philox
+    draws (n when U = 1), column 0 picking the open cell, the rest placing
+    the point at (corner + u) / C, mapped onto the box as lower + u * widths.
+    cells = 1 with state [0] gives plain uniform samples of the box."""
+    n = box.dimension
+    open_cells = np.flatnonzero(np.asarray(state).ravel() == 0)
+    undecided = len(open_cells)
+    drawn = -(-samples * undecided // cells**n)
+    pick = 1 if undecided > 1 else 0
+    rng = np.random.Generator(np.random.Philox(seed))
+    for start in range(0, drawn, chunk):
+        rows = rng.random((min(chunk, drawn - start), n + pick))
+        index = np.floor(rows[:, 0] * undecided).astype(np.int64) if pick else 0
+        assert np.all(index < undecided), "a pick past the last open cell"
+        cell = open_cells[index] * np.ones(len(rows), dtype=np.int64)
+        corner = np.empty((len(rows), n))
+        for axis in reversed(range(n)):  # the last axis varies fastest
+            corner[:, axis] = cell % cells
+            cell = cell // cells
+        yield box.lower_array + (corner + rows[:, pick:]) / cells * box.widths
+
+
+def stratified_mc_volume(p, box, cells, state, samples, seed):
+    """mc_volume's estimate and standard error, p evaluated at every point
+    stratified_mc_points draws: vol(B) * (I + U * h/N) / C^n for h hits
+    among N points, I cells of state 1 and U of state 0, and standard error
+    vol(B) * (U / C^n) * sqrt(q(1-q)/N) with q = h/N.  cells = 1 with
+    state [0] is the plain estimate of evaluating every sample.  Returns
+    (estimate, standard error, N)."""
+    from polycover import eval_poly_many
+
+    total = cells**box.dimension
+    state = np.asarray(state).ravel()
+    inside, undecided = int(np.sum(state == 1)), int(np.sum(state == 0))
+    hits = drawn = 0
+    for points in stratified_mc_points(box, cells, state, samples, seed):
+        hits += int(np.count_nonzero(eval_poly_many(p, points) >= 1.0))
+        drawn += len(points)
+    if drawn == 0:
+        return box.volume * inside / total, 0.0, 0
+    q = hits / drawn
+    estimate = box.volume * (inside + undecided * q) / total
+    stderr = box.volume * (undecided / total) * math.sqrt(q * (1.0 - q) / drawn)
+    return estimate, stderr, drawn

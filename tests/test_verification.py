@@ -30,7 +30,7 @@ from polycover import verification
 from polycover.basis import constant_poly
 from polycover.domain import MAX_GRID_POINTS, tensor_grid
 
-from oracles import bfs_component_count
+from oracles import bfs_component_count, stratified_mc_points, stratified_mc_volume
 
 
 def halfspace_poly():
@@ -76,16 +76,26 @@ def test_mc_volume_chunking_does_not_change_the_estimate(monkeypatch):
         assert small_chunks.estimate == one_chunk.estimate
 
 
-def test_mc_volume_estimate_is_pinned_at_seed_0(monkeypatch):
-    # the points are built in place in each chunk; they must stay the bits
-    # of lower + u * widths, which gave this estimate (75,218 hits)
-    monkeypatch.setattr(verification, "MC_CHUNK_SAMPLES", 100_000)
+def test_mc_volume_estimate_is_pinned_at_seed_0():
+    # 814 of the 4096 cells count by their volume, and 31,788 points are
+    # drawn in the 434 undecided ones, built in place as lower + u * widths
+    # from u = (corner + draw) / 16.  When every one of the 300,001 samples
+    # was drawn in the whole box, the estimate was 0.783518221605928 (75,218
+    # hits, standard error 0.002472911592730496), which the plain oracle
+    # still gives; it moved because the points are now other draws, placed
+    # only where the screen leaves p undecided
     box = BoxDomain(lower=(-1.0, -0.5, 0.25), upper=(1.5, 2.0, 0.75))
     basis = make_basis(3, 2, "monomial")
     p = Polynomial(basis, np.linspace(0.1, 1.0, len(basis)) * (-1.0) ** np.arange(len(basis)))
     est = mc_volume(p, box, samples=300_001, seed=0)
-    assert est.estimate == 0.783518221605928
-    assert est.standard_error == 0.002472911592730496
+    assert (est.cells, est.undecided, est.evaluated) == (4096, 434, 31_788)
+    assert est.estimate == 0.7828719303625041
+    assert est.standard_error == 0.0009283433370694733
+    cells, state = verification._screen(p, box, 300_001)
+    assert stratified_mc_volume(p, box, cells, state, 300_001, 0)[:2] == (
+        est.estimate, est.standard_error)
+    assert stratified_mc_volume(p, box, 1, [0], 300_001, 0)[:2] == (
+        0.783518221605928, 0.002472911592730496)
 
 
 def test_mc_standard_error_shrinks_with_samples():
@@ -133,22 +143,36 @@ def _screen_families():
                 yield p, box, seed
 
 
-def test_screened_mc_volume_counts_what_evaluating_every_sample_counts():
+def test_mc_volume_is_the_stratified_oracle_bit_for_bit():
+    # every drawn point is evaluated, so the estimate is that of the oracle,
+    # which draws the same rows all at once; the pick of a cell must stay
+    # below U where u_0 * U is exact (U a power of two) and where it rounds
+    open_counts = set()
     screened = 0
     for p, box, seed in _screen_families():
         samples = 20_000 + seed % 1000
         est = mc_volume(p, box, samples=samples, seed=seed)
-        hits = np.count_nonzero(eval_poly_many(p, _mc_samples(box, samples, seed)) >= 1.0)
-        assert est.estimate == box.volume * (hits / samples), (p.basis.kind, p.dimension, p.degree)
-        assert 0 <= est.evaluated <= samples
+        cells, state = verification._screen(p, box, samples)
+        inside, undecided = int(np.sum(state == 1)), int(np.sum(state == 0))
+        assert (est.cells, est.undecided) == (cells**p.dimension, undecided)
+        assert stratified_mc_volume(p, box, cells, state, samples, seed) == (
+            est.estimate, est.standard_error, est.evaluated), (p.basis.kind, p.dimension, p.degree)
+        # the decided cells bracket the estimate exactly
+        bracket = box.volume * np.array([inside, inside + undecided]) / est.cells
+        assert bracket[0] <= est.estimate <= bracket[1]
+        open_counts.add(undecided)
         screened += est.evaluated < samples // 2
-    assert screened >= 10  # the screen decides most samples of most families
+    assert screened >= 10  # the screen decides most cells of most families
+    assert any(u > 1 and u & (u - 1) == 0 for u in open_counts)
+    assert any(u > 1 and u % 2 == 1 for u in open_counts)
 
 
-def _touching_one(p, points, rng):
+def _touching_one(p, points):
     """p with its constant term shifted so that its computed value at one of
-    the points is exactly 1.0, and that point's position."""
-    for i in rng.permutation(len(points))[:50]:
+    the points is exactly 1.0, and that point's position; the points where
+    p is nearest 1 are tried first, so the shift is small."""
+    values = eval_poly_many(p, points)
+    for i in np.argsort(np.abs(values - 1.0))[:50]:
         coeffs = p.coeffs.copy()
         for step in range(40):
             value = eval_poly_many(Polynomial(p.basis, coeffs), points[i : i + 1])[0]
@@ -161,18 +185,100 @@ def _touching_one(p, points, rng):
     raise AssertionError("no shift of the constant term makes p exactly 1 at a point")
 
 
-def test_screened_mc_volume_counts_a_sample_where_p_is_exactly_one():
-    rng = np.random.default_rng(22)
+def _drawn_points(p, box, samples, seed):
+    """The points mc_volume draws for p, and its screen."""
+    cells, state = verification._screen(p, box, samples)
+    chunks = list(stratified_mc_points(box, cells, state, samples, seed))
+    points = np.concatenate(chunks) if chunks else np.empty((0, box.dimension))
+    return points, (cells, state.tolist())
+
+
+def test_mc_volume_counts_a_drawn_point_where_p_is_exactly_one():
+    samples = 5_000
     for p, box, seed in _screen_families():
-        samples = 5_000
-        points = _mc_samples(box, samples, seed)
+        if p.degree == 0:
+            continue  # nothing is drawn
         # p of order 1, so that the spacing of its values near 1 is 1's
-        p = Polynomial(p.basis, p.coeffs / np.max(np.abs(eval_poly_many(p, points))))
-        p, i = _touching_one(p, points, rng)
-        values = eval_poly_many(p, points)
+        p = Polynomial(p.basis, p.coeffs / np.max(np.abs(eval_poly_many(
+            p, _mc_samples(box, samples, seed)))))
+        # shifting p moves its screen, and so the points drawn: shift until
+        # the screen stays
+        points, screen = _drawn_points(p, box, samples, seed)
+        for _ in range(6):
+            touching, i = _touching_one(p, points if len(points) else
+                                        _mc_samples(box, samples, seed))
+            moved = _drawn_points(touching, box, samples, seed)
+            if moved[1] == screen:
+                break
+            p, (points, screen) = touching, moved
+        else:
+            raise AssertionError("the screen moved at every shift")
+        values = eval_poly_many(touching, points)
         assert values[i] == 1.0
-        est = mc_volume(p, box, samples=samples, seed=seed)
-        assert est.estimate == box.volume * (np.count_nonzero(values >= 1.0) / samples)
+        hits = np.count_nonzero(values >= 1.0)
+        est = mc_volume(touching, box, samples=samples, seed=seed)
+        inside, undecided = screen[1].count(1), screen[1].count(0)
+        assert est.evaluated == len(points)
+        assert est.estimate == box.volume * (inside + undecided * (hits / len(points))) / est.cells
+
+
+@pytest.mark.parametrize("dimension, coeffs", [
+    (2, (3.0, 0.5, -0.25, 0.125, 0.5, 0.25)),  # p >= 1.375 on the box
+    (3, (0.5, 0.1, -0.1, 0.1, 0.0, 0.1, 0.0, 0.0, 0.0, -0.1)),  # p <= 0.9 on the box
+])
+def test_mc_volume_of_a_p_whose_screen_decides_every_cell_evaluates_nothing(
+    dimension, coeffs, monkeypatch
+):
+    def no_evaluation(*args):
+        raise AssertionError("p was evaluated")
+
+    box = BoxDomain(lower=(-1.0, 0.5, -0.25)[:dimension], upper=(0.5, 2.0, 1.0)[:dimension])
+    p = Polynomial(make_basis(dimension, 2, "chebyshev", box), np.array(coeffs))
+    cells, state = verification._screen(p, box, 100_000)
+    monkeypatch.setattr(verification, "eval_poly_many", no_evaluation)
+    est = mc_volume(p, box, samples=100_000, seed=4)
+    assert cells > 1 and not np.any(state == 0)
+    inside = int(np.sum(state == 1))
+    assert inside in (0, cells**dimension)
+    assert (est.estimate, est.standard_error) == (box.volume * inside / cells**dimension, 0.0)
+    assert (est.undecided, est.evaluated) == (0, 0)
+
+
+@pytest.mark.parametrize("family", [(2, "chebyshev", 7), (3, "monomial", 6)])
+def test_stratified_mc_volume_is_unbiased_and_no_noisier_than_plain(family):
+    # the mean of 20 seeded estimates against a 4M-sample plain estimate,
+    # which evaluates every sample, within 4 combined standard errors
+    p, box, _ = next(f for f in _screen_families()
+                     if (f[0].dimension, f[0].basis.kind, f[0].degree) == family)
+    samples = 100_000
+    runs = [mc_volume(p, box, samples=samples, seed=seed) for seed in range(20)]
+    plain, plain_stderr, _ = stratified_mc_volume(p, box, 1, [0], 4_000_000, 99)
+    mean = np.mean([r.estimate for r in runs])
+    stderrs = np.array([r.standard_error for r in runs])
+    combined = math.sqrt(np.mean(stderrs**2) / len(runs) + plain_stderr**2)
+    assert abs(mean - plain) <= 4.0 * combined
+    # the plain estimator's standard error at the same sample count
+    fraction = plain / box.volume
+    assert np.mean(stderrs) <= box.volume * math.sqrt(fraction * (1.0 - fraction) / samples)
+
+
+def test_mc_volume_peak_memory_on_a_2d_degree_9_fit():
+    # a 2-D degree-9 p at 1M samples, like the cluster fit's Monte Carlo:
+    # the loop that drew every sample in the box, 65,536 at a time, peaked
+    # at 2.20 MB, and the screen alone peaks at 1.84 MB; chunks of 16,384
+    # points or more would pass the bound
+    rng = np.random.default_rng(5)
+    box = BoxDomain.symmetric(2)
+    p = Polynomial(make_basis(2, 9), 0.3 * rng.normal(size=55))
+    p.coeffs[0] += 1.0 - np.median(eval_poly_many(p, rng.uniform(-1.0, 1.0, (1000, 2))))
+    tracemalloc.start()
+    try:
+        est = mc_volume(p, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 20_000 < est.evaluated < est.samples // 20
+    assert peak < 2.2e6
 
 
 def test_mc_volume_evaluates_every_sample_where_a_cell_would_not_fit_a_block():
@@ -617,7 +723,7 @@ def test_run_report_schema(figure_sweep):
 def test_run_report_logs_its_stages_at_debug_level(caplog):
     line = re.compile(
         r"verify degree (\d+): moments \d+\.\d{3} s, monte carlo \d+\.\d{3} s on (\d+) samples "
-        r"in (\d+) cells \((\d+) evaluated\), scan \d+\.\d{3} s "
+        r"drawn in (\d+) of (\d+) cells, scan \d+\.\d{3} s "
         r"on (a \d+\^\d+ grid|\d+ Sobol points), components \d+\.\d{3} s on (\d+) cells, "
         r"trace \d+\.\d{3} s"
     )
@@ -633,22 +739,22 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
     assert all(lines)
     fields = [m.groups() for m in lines]
     # the scan names its grid: nodes per axis, or Sobol points past 18-D
-    assert [(int(f[0]), int(f[1]), f[4], int(f[5])) for f in fields] == [
-        (1, 10_000, "a 801^2 grid", 64 * 64),
-        (2, 2_000, "a 8001^1 grid", 0),
-        (0, 2_000, "a 73^3 grid", 64**3),
-        (0, 2_000, "400000 Sobol points", 0),
+    assert [(int(f[0]), f[4], int(f[5])) for f in fields] == [
+        (1, "a 801^2 grid", 64 * 64),
+        (2, "a 8001^1 grid", 0),
+        (0, "a 73^3 grid", 64**3),
+        (0, "400000 Sobol points", 0),
     ]
-    # the Monte Carlo's cells, and the samples near the boundary p = 1 that
-    # they leave to evaluate
+    # the Monte Carlo's points, drawn only in the cells near the boundary
+    # p = 1 that the screen leaves undecided
     volumes = [mc_volume(halfspace_poly(), square, samples=10_000),
                mc_volume(line_poly, segment, samples=2_000)]
-    assert [(int(f[2]), int(f[3])) for f in fields[:2]] == [
-        (v.cells, v.evaluated) for v in volumes
+    assert [(int(f[1]), int(f[2]), int(f[3])) for f in fields[:2]] == [
+        (v.evaluated, v.undecided, v.cells) for v in volumes
     ]
-    assert 0 < int(fields[0][3]) < 10_000 // 10 and 0 < int(fields[1][3]) < 2_000 // 10
-    # a constant's one cell decides every sample
-    assert [(int(f[2]), int(f[3])) for f in fields[2:]] == [(1, 0), (1, 0)]
+    assert 0 < int(fields[0][1]) < 10_000 // 10 and 0 < int(fields[1][1]) < 2_000 // 10
+    # a constant's one cell is decided, so nothing is drawn
+    assert [(int(f[1]), int(f[2]), int(f[3])) for f in fields[2:]] == [(0, 0, 1), (0, 0, 1)]
     caplog.clear()
     run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
