@@ -404,12 +404,11 @@ def cell_enclosures(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Bounds of p on each cell of the box split into `cells` equal cells
     per axis, a power of two.  Returns lower, upper (one entry per cell,
-    row-major in the axis order) and a margin E such that every point
-    x = lower + u * widths built in place from a u in [0, 1)^n with
-    floor(u * cells) naming the cell has
-    fl(lower - E) <= eval_poly_many(p, x) <= fl(upper + E).  Such points
-    are mc_volume's samples, built from its uniform draws, so comparing the
-    rounded bounds with 1 is sound.
+    row-major in the axis order) and a margin E such that every float point
+    x of a closed cell, or within the excursion below of one, has
+    fl(lower - E) <= eval_poly_many(p, x) <= fl(upper + E).  _screen decides
+    cells by these rounded bounds, so every point of a decided cell that
+    eval_poly_many evaluates, on its faces too, lies on the decided side.
 
     On cell k of axis i, phi_j's variable v (x, or the Chebyshev map of x)
     runs over [a_k - b_k, a_k + b_k], so v = a_k + b_k s with s in [-1, 1],
@@ -421,11 +420,11 @@ def cell_enclosures(
     The cells are enclosed in blocks of at most _ENCLOSURE_BLOCK entries.
 
     The margin bounds rounding, with u = 2^-53.  Let z_i bound |v| on every
-    cell and at every sample (for Chebyshev, max(1, |a_k|) + b_k, [-1, 1]
+    cell and at every such point (for Chebyshev, max(1, |a_k|) + b_k, [-1, 1]
     grown by half a cell, plus the excursion and the map's rounding below),
     m_ij = max |phi_j| on [-z_i, z_i] (z^j, or T_j(z) = cosh(j acosh z)) and
     M = sum_alpha |c_alpha| prod_i m_{i,alpha_i}, which bounds
-    sum |c_alpha phi_alpha| at the samples and sum_beta |q_beta|, since the
+    sum |c_alpha phi_alpha| at those points and sum_beta |q_beta|, since the
     absolute s-coefficients of phi_j(a + b s) sum to at most m_ij.  With
     R_i = max |coordinate| of the box (and the basis box) and, for
     Chebyshev, kappa_i = R_i / (basis box width), each table entry is off by
@@ -433,8 +432,9 @@ def cell_enclosures(
     - eval_poly_many's running products, j - 1 roundings;
     - _shift_table's, 2 per step;
     - the excursion: x, the cell edges, a and b are each a few roundings
-      from their exact values, so a sample lies within 12.1 z_i u of its
-      enclosed cell, and |d/dx x^j| <= j m_ij / z_i;
+      from their exact values, so a point box.lower + u * box.widths built
+      in place lies within 12.1 z_i u of the closed cell holding its exact
+      value, and |d/dx x^j| <= j m_ij / z_i;
     so a_i = 16 d.  For Chebyshev (times j^2 <= d^2): the map's rounding,
     |t^ - t| <= (3.01 z + 2.01 kappa) u, times |T_j'| <= j^2 m_ij; the
     recurrence's rounding, whose errors propagate by U_{k-j} <=

@@ -213,20 +213,20 @@ class _GridRows:
     program: the grid rows that assemble would fill.
 
     Each axis's table holds _basis_table's values, the factors that
-    eval_basis_many multiplies; take gathers each row's factors from the
-    tables and multiplies them by the same _axis_product, so it gives A's
-    rows bit for bit by construction.  price contracts the dense
-    coefficient array of each column of Y with the tables axis by axis, as
-    eval_poly_grid does; no row is formed.
+    eval_basis_many multiplies (or is given, say as columns of those); take
+    gathers each row's factors from the tables and multiplies them by the
+    same _axis_product, so it gives A's rows bit for bit by construction.
+    price contracts the dense coefficient array of each column of Y with
+    the tables axis by axis, as eval_poly_grid does; no row is formed.
     """
 
-    def __init__(self, basis: PolyBasis, axes: list[np.ndarray], kept: np.ndarray | None):
+    def __init__(self, basis: PolyBasis, axes: list | None, kept: np.ndarray | None, tables=None):
         self.basis = basis
         self.kept = kept  # the node index of each row; None when no node is left out
-        self.tables = [np.ascontiguousarray(_basis_table(basis, axis, x).T)
-                       for axis, x in enumerate(axes)]
+        self.tables = tables or [np.ascontiguousarray(_basis_table(basis, axis, x).T)
+                                 for axis, x in enumerate(axes)]
         self.abs_tables = [np.abs(table) for table in self.tables]
-        nodes = math.prod(len(x) for x in axes) if kept is None else len(kept)
+        nodes = math.prod(table.shape[1] for table in self.tables) if kept is None else len(kept)
         self.shape = (nodes, len(basis))
 
     def take(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -384,7 +384,7 @@ class FitResult:
     """One certified fit.  grid_size counts the grid nodes where p >= 0 was
     enforced; nodes equal to a cloud point are not among them.
     containment_margin is min p over the cloud minus 1.  lp_stats holds the
-    solve's work counters; no output file carries them."""
+    work counters of the solve on the fit's grid; no output file carries them."""
 
     polynomial: Polynomial
     objective: float
@@ -402,15 +402,61 @@ class FitResult:
         return self.objective
 
 
+def _coarse_levels(setup: _FitSetup, problem: LpProblem):
+    """Yield grid continuation's coarse levels (Hettich and Kortanek, SIAM
+    Review 35, 1993), coarsest first, as (label, program, rows): the rows
+    `rows` of problem, bit for bit, each level's among the next's.  A level
+    keeps the cloud and 4k grid points or more: a Sobol grid's first
+    quarter, sixteenth, ... (a view of problem's A), or a tensor grid's
+    every s-th node per axis, s = 2, 4, ..., keeping max(d + 2, d^2 / 8)
+    intervals or more, since polynomials bounded at N equispaced nodes
+    grow like exp(c d^2 / N) between them (Coppersmith and Rivlin, 1992).
+    Fits in 1-D, with a coefficient bound or of k < 64 have no levels."""
+    k, cloud = problem.num_cols, setup.cloud.count
+    if k < 64 or setup.coeff_bound is not None or setup.cloud.dimension == 1:
+        return
+    steps = [2**j for j in range(30, 0, -1)]  # 2**30 exceeds any grid's point count
+    if setup.axes is None:
+        for size in (problem.num_rows - cloud) // np.array(steps) ** 2:
+            if size >= 4 * k:
+                rows, source = np.arange(cloud + size), DenseRows(problem.rows.A[: cloud + size])
+                yield f"{size} points", LpProblem(problem.c, b=problem.b[rows], rows=source), rows
+        return
+    cloud_rows, grid = problem.rows.parts
+    d, counts = grid.basis.degree, [table.shape[1] for table in grid.tables]
+    for step in steps:
+        spans = [(count - 1) / step for count in counts]
+        if (math.prod(span + 1 for span in spans) < 4 * k
+                or not all(span.is_integer() and span >= max(d + 2, d * d / 8) for span in spans)):
+            continue
+        nodes = np.ravel_multi_index(np.ix_(*(np.arange(0, c, step) for c in counts)), counts).ravel()
+        kept = None if grid.kept is None else np.flatnonzero(np.isin(nodes, grid.kept))
+        if kept is not None:  # the level's nodes left in problem, and their grid rows
+            nodes = grid.kept.searchsorted(nodes[kept])
+        rows = np.concatenate([np.arange(cloud), cloud + nodes])
+        tables = [np.ascontiguousarray(table[:, ::step]) for table in grid.tables]
+        source = StackedRows([cloud_rows, _GridRows(grid.basis, None, kept, tables)])
+        label = "x".join(str(table.shape[1]) for table in tables) + " grid"
+        yield label, LpProblem(problem.c, b=problem.b[rows], rows=source), rows
+
+
 def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
-    """Build, solve and check one degree; writes one DEBUG line to the
-    polycover logger with the row count and the seconds of each stage (build:
-    setup.program, which assembles A on a 1-D or Sobol grid and sets up the
-    row source of a tensor grid).  problem.A is never read."""
+    """Build, solve and check one degree, after the coarse levels, each from
+    the last one's optimal basis; writes one DEBUG line per level and one
+    with the row count and the seconds of each stage (build: setup.program,
+    which assembles A on a 1-D or Sobol grid and sets up the row source of a
+    tensor grid; solve: the levels too).  problem.A is never read."""
     start = time.perf_counter()
     basis, problem = setup.program(degree)
     built = time.perf_counter()
-    solution = solve(problem)
+    optimal = None  # the last coarse level's optimal basis, as rows of problem
+    for label, level, rows in _coarse_levels(setup, problem):
+        solution = solve(level, start=None if optimal is None else rows.searchsorted(optimal))
+        _log.debug("level %s (%s): %d rows, %d pivots, start basis %s", label, solution.status,
+                   level.num_rows, solution.iterations, "taken" if solution.stats.start_basis else "not taken")
+        optimal = None if solution.basis is None else rows[solution.basis]
+    level = solution = rows = None  # drop the last coarse program before the fine solve
+    solution = solve(problem, start=optimal)
     solved = time.perf_counter()
     if solution.status == "optimal":
         polynomial = Polynomial(basis, solution.v)

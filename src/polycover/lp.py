@@ -6,16 +6,17 @@ the dual problem
 
     min (-b).lam   subject to   A^T lam = c,   lam >= 0,
 
-whose basis matrices stay k x k.  A crash first solves A^T lam = c, lam >= 0
-as nonnegative least squares (Lawson-Hanson) on rows that it grows from
-phase 2's start rows, however few; if that yields a feasible basis of k
-rows within MAX_ITERS steps, phase 2 starts there.  When c = 0 the basis of
-artificial columns, one per equality row, is feasible and phase 2 starts
-there.  Otherwise phase 1 starts from the artificials; those left over at
-zero level are pinned there during phase 2.  Pricing uses Devex reference
-weights (Harris 1973) with smallest-index tie breaking; the weights are 1
-when a phase starts and when a row joins the working set, and all return to
-1 when one passes 1e6.
+whose basis matrices stay k x k.  Phase 2 starts from the caller's start
+basis if it is k distinct rows with a feasible basis solve.  Else a crash
+solves A^T lam = c, lam >= 0 as nonnegative least squares (Lawson-Hanson) on
+rows that it grows from phase 2's start rows, however few; if that yields a
+feasible basis of k rows within MAX_ITERS steps, phase 2 starts there.  When
+c = 0 the basis of artificial columns, one per equality row, is feasible and
+phase 2 starts there.  Otherwise phase 1 starts from the artificials; those
+left over at zero level are pinned there during phase 2.  Pricing uses Devex
+reference weights (Harris 1973) with smallest-index tie breaking; the weights
+are 1 when a phase starts and when a row joins the working set, and all
+return to 1 when one passes 1e6.
 Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
 every 64th zero-rhs row and the rows of its start basis); when it prices
 out, one pricing over every row adds the 4k most violated rows (k columns).
@@ -233,8 +234,9 @@ class SolveStats:
 
     crash_rows and work_rows list the size of the crash's candidate set and
     of phase 2's working set when each starts and after each growth
-    (crash_rows is empty only when c = 0, as in the feasibility probe,
-    where no crash is tried); crash_basis says whether the crash basis was
+    (crash_rows is empty only when a start basis is taken or c = 0, as in
+    the feasibility probe, where no crash is tried); start_basis and
+    crash_basis say whether the caller's start basis or the crash basis was
     taken, so that phase 1 did not run.  full_pricings counts passes over
     every row: one per phase-1 pivot and one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
@@ -260,6 +262,7 @@ class SolveStats:
     vertex_ext: bool = False
     crash_rows: list[int] = field(default_factory=list)
     crash_basis: bool = False
+    start_basis: bool = False
     rows_built: int = 0
     stationarity_defect: float = 0.0
 
@@ -275,6 +278,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     message: str = ""
     stats: SolveStats = field(default_factory=SolveStats)
+    basis: np.ndarray | None = None  # when optimal, the final basis's real rows, sorted
 
 
 class _EngineFailure(Exception):
@@ -305,8 +309,9 @@ class _DualSimplex:
     REFACTOR_EVERY = 64  # a fresh getrf at least every 64 pivots
     UPDATE_MIN_K = 48  # below it every pivot refactors: getrf is as cheap as an update
 
-    def __init__(self, rows, rhs: np.ndarray, f: np.ndarray, stats: SolveStats):
+    def __init__(self, rows, rhs: np.ndarray, f: np.ndarray, stats: SolveStats, warm=None):
         self.source = rows  # a row source of shape (m, k); dual column j is row j
+        self.warm = warm  # the caller's start basis rows, or None
         self.rhs = rhs
         self.f = f
         self.stats = stats
@@ -502,6 +507,18 @@ class _DualSimplex:
         tie = positive[ratios <= float(ratios.min()) * (1.0 + 1e-9) + 1e-300]
         return int(tie[self.basis[tie].argmin()])
 
+    def _take(self, rows: np.ndarray) -> str:
+        """Make the rows, sorted, the basis if B x = rhs gives x >=
+        -phase1_tol; returns "" if so, else why not."""
+        basis = np.sort(rows)
+        self.B = self._rows(basis).T
+        self._factor()
+        x = self._apply(self.rhs, 0)
+        if not np.all(x >= -self.phase1_tol):
+            return f"basis solve gives x_min {float(np.min(x)):.3e}"
+        self.basis = basis
+        return ""
+
     def _crash(self) -> bool:
         """Find a feasible basis of real rows by NNLS in place of phase 1;
         returns whether phase 1 can be skipped.
@@ -511,7 +528,7 @@ class _DualSimplex:
         column at a time, for at most MAX_ITERS steps.  Where it stops at a
         residual r != 0, _grow adds the rows with the largest gradient
         rows @ r > 0, so the start set needs no minimum size.  The basis is
-        taken if it has k rows and B x = rhs gives x >= -phase1_tol.
+        taken if it has k rows and _take accepts them.
         """
         if not np.any(self.rhs):
             return True  # rhs = 0: the artificial basis is feasible
@@ -562,19 +579,11 @@ class _DualSimplex:
                 reason = f"residual {_norm(r):.3e} on {p} rows"
                 break
         if not reason:
-            basis = np.sort(np.array(passive))
-            self.B = self._rows(basis).T
-            self._factor()
-            x = self._apply(self.rhs, 0)
-            if not np.all(x >= -self.phase1_tol):
-                reason = f"basis solve gives x_min {float(np.min(x)):.3e}"
+            reason = self._take(np.array(passive))
         verdict = f"declined ({reason})" if reason else "taken"
         _log.debug("crash %s: %d rows, %d growths", verdict, self.work.size, growths)
-        if reason:
-            return False
-        self.stats.crash_basis = True
-        self.basis = basis
-        return True
+        self.stats.crash_basis = not reason
+        return self.stats.crash_basis
 
     def _run_phase(self, phase: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Iterate until the phase objective is optimal; returns (x_B, y, obj),
@@ -665,7 +674,10 @@ class _DualSimplex:
                 raise _EngineFailure(f"iteration limit {MAX_ITERS} reached in phase {phase}")
 
     def run(self) -> _Outcome:
-        if not self._crash():
+        start = np.unique(self.warm if self.warm is not None else [])
+        self.stats.start_basis = bool(start.size == self.k and 0 <= start[0] and start[-1] < self.m
+                                      and not self._take(start))
+        if not self.stats.start_basis and not self._crash():
             _, y1, w1 = self._run_phase(1)
             if w1 > self.phase1_tol:
                 return _Outcome(kind="dual_infeasible", y=y1)
@@ -776,8 +788,9 @@ def _check_ray(rows, c: np.ndarray, ray: np.ndarray) -> bool:
     return recession >= -FEAS_TOL * scale and descent < 0.0
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Solve the problem to the contract tolerances.
+def solve(problem: LpProblem, start: np.ndarray | None = None) -> LpSolution:
+    """Solve the problem to the contract tolerances, from the start basis
+    rows start (an optimal basis of a row subset, say) if they make one.
 
     Optimal solutions satisfy  max(b - A v) <= FEAS_TOL * (1 + |b|_inf)  and
     |c.v - b.lam| <= OPT_TOL * (1 + |c.v|), and the stationarity defect
@@ -806,7 +819,7 @@ def solve(problem: LpProblem) -> LpSolution:
         )
 
     stats = SolveStats()
-    engine = _DualSimplex(rows, c, -b, stats)
+    engine = _DualSimplex(rows, c, -b, stats, start)
     engines = [engine]  # every run counts toward the reported iterations
     try:
         outcome = engine.run()
@@ -832,7 +845,7 @@ def solve(problem: LpProblem) -> LpSolution:
                     return LpSolution(
                         status="optimal", v=v, objective=objective,
                         max_infeasibility=max_inf, iterations=engine.iterations, duals=lam,
-                        stats=stats,
+                        stats=stats, basis=np.sort(engine.basis[engine.basis < engine.m]),
                     )
                 if not retry:
                     raise _EngineFailure(fault)

@@ -144,7 +144,7 @@ def mc_volume(
     q = hits / max(drawn, 1)
     volume = box.volume
     return VolumeEstimate(
-        estimate=volume * (np.count_nonzero(state == 1) + undecided * q) / total,
+        estimate=volume * (int(np.count_nonzero(state == 1)) + undecided * q) / total,
         standard_error=volume * (undecided / total) * math.sqrt(q * (1.0 - q) / max(drawn, 1)),
         samples=samples, seed=seed, cells=total, undecided=undecided, evaluated=drawn,
     )

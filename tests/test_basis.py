@@ -256,8 +256,9 @@ def test_eval_poly_many_chunks_agree_with_direct_loop():
 def test_eval_poly_many_of_a_lone_point_is_bitwise_its_value_in_a_block(
     dimension, degree, kind
 ):
-    # mc_volume evaluates whatever subset of its samples the cell screen
-    # leaves, so a value must not depend on its block: a lone point once took
+    # a value must not depend on the block it is evaluated in: mc_volume's
+    # chunk sizes follow the number of cells its screen leaves undecided, and
+    # the scan and the CLI evaluate other subsets; a lone point once took
     # numpy's matrix-vector path, and from 16 coefficients per row on, a
     # block's last columns past a multiple of 8 took other BLAS kernels
     rng = np.random.default_rng(20 + dimension + degree)

@@ -107,6 +107,25 @@ def test_fit_writes_coefficients_and_report(tmp_path):
     assert report["w"] == pytest.approx(44.0 / 27.0, rel=1e-3)
 
 
+def test_fit_and_verify_print_the_mc_volume_as_a_float(tmp_path, capsys):
+    # the printed value is report.json's, as a plain float repr (not np.float64(...))
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(-0.5,), (0.0,), (0.25,)])
+    checks = ["--mc-samples", "2000", "--resolution", "64"]
+    assert main(["fit", "--points", str(pts), "--degree", "2", "--grid", "101", *checks,
+                 "--out", str(tmp_path / "fit")]) == 0
+    fitted = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--coeffs", str(tmp_path / "fit" / "coeffs.json"), "--points", str(pts),
+                 *checks, "--out", str(tmp_path / "verify")]) == 0
+    verified = capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    assert (tmp_path / "verify" / "report.json").read_text() == (tmp_path / "fit" / "report.json").read_text()
+    volume = report["mc_volume"]
+    assert type(volume) is float and volume > 0.0
+    assert fitted[1] == f"mc volume = {volume!r} (stderr {report['mc_stderr']!r})"
+    assert verified[0] == f"w = {report['w']!r}, mc volume = {volume!r}"
+
+
 def test_fit_on_a_too_coarse_grid_exits_3(tmp_path):
     pts = tmp_path / "pts.csv"
     write_points(pts, [(0.0,)])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import logging
 import math
@@ -610,6 +611,10 @@ PROGRAM_FORMS = {
 }
 
 
+# degrees with k >= 64 in 2-D (66 columns) and 3-D (84)
+CONTINUED_DEGREES = {"line": 12, "sobol": 6, "tensor": 10}
+
+
 @pytest.mark.parametrize("bound", [None, 30.0], ids=["free", "coeff_bound"])
 @pytest.mark.parametrize("form", PROGRAM_FORMS)
 def test_fit_solves_through_lp_solve_and_never_reads_A(monkeypatch, form, bound):
@@ -620,9 +625,9 @@ def test_fit_solves_through_lp_solve_and_never_reads_A(monkeypatch, form, bound)
     box = BoxDomain.symmetric(cloud.dimension)
     solved = []
 
-    def recorded(problem):
+    def recorded(problem, start=None):
         solved.append(problem)
-        return solve(problem)
+        return solve(problem, start=start)
 
     def unread(problem):
         raise AssertionError("problem.A was read")
@@ -636,6 +641,114 @@ def test_fit_solves_through_lp_solve_and_never_reads_A(monkeypatch, form, bound)
     ]
     assert isinstance(solved[0].rows, StackedRows) == (form == "tensor" or bound is not None)
     assert entries[1].result.objective == result.objective
+    # at k >= 64 the tensor and Sobol fits solve one coarse level first, through
+    # solve and without reading its A either; the line and bounded fits stay cold
+    solved.clear()
+    continued = fit(cloud, box, CONTINUED_DEGREES[form], grid=spec, coeff_bound=bound)
+    levels = 0 if form == "line" or bound is not None else 1
+    assert [problem.num_rows for problem in solved][levels:] == [continued.lp_rows]
+    assert len(solved) == levels + 1 and continued.lp_stats.start_basis == (levels == 1)
+
+
+def _node_cloud_33() -> np.ndarray:
+    # the cluster cloud plus a node of the 33^2 grid that its 17^2 level
+    # keeps (even indices) and one that it does not
+    axis = grid_axes((-1.0, -1.0), (1.0, 1.0), 33)[0]
+    return np.vstack([cluster_point_array(), [[axis[4], axis[20]], [axis[15], axis[15]]]])
+
+
+# (points, kind, degree, grid, the labels of the levels, coarsest first)
+LEVEL_CASES = {
+    "2d_on_nodes": (_node_cloud_33, "monomial", 10, GridSpec(points_per_axis=33), ["17x17 grid"]),
+    "3d_tensor": (_cloud_3d, "chebyshev", 6, GridSpec(points_per_axis=33),
+                  ["9x9x9 grid", "17x17x17 grid"]),
+    "sobol": (_cloud_3d, "chebyshev", 6, GridSpec(sample_count=8000, seed=1),
+              ["500 points", "2000 points"]),
+}
+
+
+@pytest.mark.parametrize("case", LEVEL_CASES)
+def test_coarse_levels_are_rows_of_the_program_bit_for_bit(case):
+    points, kind, degree, spec, labels = LEVEL_CASES[case]
+    cloud = PointCloud(points())
+    setup = _prepare(cloud, BoxDomain.symmetric(cloud.dimension), kind, spec, 1.0, None)
+    problem = setup.program(degree)[1]
+    levels = list(fitting._coarse_levels(setup, problem))
+    assert [label for label, _, _ in levels] == labels
+    for _, level, rows in levels:
+        assert np.all(np.diff(rows) > 0) and rows[-1] < problem.num_rows
+        assert np.array_equal(rows[: cloud.count], np.arange(cloud.count))
+        taken = level.rows.take(np.arange(level.num_rows))
+        assert taken.tobytes() == problem.rows.take(rows).tobytes()
+        assert level.b.tobytes() == problem.b[rows].tobytes()
+        assert level.c.tobytes() == problem.c.tobytes()
+    for (_, _, coarse), (_, _, fine) in zip(levels, levels[1:]):
+        assert np.isin(coarse, fine).all()
+    if case == "2d_on_nodes":
+        # the 17^2 level leaves out the one kept node on the cloud
+        assert problem.rows.parts[1].kept is not None
+        assert levels[0][1].rows.parts[1].kept is not None
+        assert (problem.num_rows, levels[0][1].num_rows) == (102 + 33**2 - 2, 102 + 17**2 - 1)
+
+
+def _sobol_3d_points() -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(7))
+    clusters = [rng.normal(centre, 0.15, size=(20, 3))
+                for centre in ([-0.45, -0.3, -0.35], [0.4, 0.45, 0.3])]
+    return np.clip(np.vstack(clusters), -0.9, 0.9)
+
+
+def test_continued_fits_certify_the_cold_optimum(cluster_sweep):
+    # W2 at degree 14 (26^2, 51^2 and 101^2 levels) and the 3-D Chebyshev
+    # degree-6 fit on 20,000 Sobol points (1250 and 5000)
+    (w2,) = [entry.result for entry in cluster_sweep if entry.degree == 14]
+    cloud_3d, box_3d = PointCloud(_sobol_3d_points()), BoxDomain.symmetric(3)
+    sobol = GridSpec(sample_count=20_000)
+    cheb3d = fit(cloud_3d, box_3d, 6, kind="chebyshev", grid=sobol)
+    colds = [
+        solve(build_problem(PointCloud(cluster_point_array()), BoxDomain.symmetric(2), 14,
+                            grid=GridSpec(points_per_axis=201))),
+        solve(build_problem(cloud_3d, box_3d, 6, kind="chebyshev", grid=sobol)),
+    ]
+    for result, cold in zip([w2, cheb3d], colds):
+        assert cold.status == "optimal" and not cold.stats.start_basis
+        assert result.lp_stats.start_basis and not result.lp_stats.crash_rows
+        assert abs(result.objective - cold.objective) <= 1e-12 * abs(cold.objective)
+
+
+def test_each_coarse_level_writes_one_debug_line(caplog):
+    cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        result = fit(cloud, box, 10, grid=GridSpec(points_per_axis=41))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(("level ", "fit "))]
+    assert len(lines) == 2 and lines[1].startswith("fit degree 10 (optimal)")
+    level = re.fullmatch(
+        r"level 21x21 grid \(optimal\): (\d+) rows, (\d+) pivots, start basis not taken", lines[0])
+    assert level and int(level[1]) == 100 + 21**2 and int(level[2]) > 0
+    assert result.lp_stats.start_basis
+
+
+def test_a_coarse_level_that_is_not_optimal_leaves_the_next_to_the_crash(monkeypatch):
+    # a level that ends without an optimal basis hands none on: the fine
+    # solve runs the crash and is the cold solve, bit for bit
+    cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
+    spec = GridSpec(points_per_axis=41)
+    starts = []
+
+    def failed_level(problem, start=None):
+        starts.append(start)
+        solution = solve(problem, start=start)
+        if len(starts) > 1:
+            return solution
+        return dataclasses.replace(solution, status="unbounded", basis=None)
+
+    monkeypatch.setattr(fitting, "solve", failed_level)
+    result = fit(cloud, box, 10, grid=spec)
+    cold = solve(build_problem(cloud, box, 10, grid=spec))
+    assert starts == [None, None]
+    assert not result.lp_stats.start_basis and result.lp_stats.crash_basis == cold.stats.crash_basis
+    assert result.lp_iterations == cold.iterations
+    assert result.polynomial.coeffs.tobytes() == cold.v.tobytes()
 
 
 def test_every_fit_writes_one_debug_line(caplog):

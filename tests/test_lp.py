@@ -1036,3 +1036,70 @@ def test_monomial_tail_fails_no_new_degree_and_order():
                 assert sol.message
                 failing.add((degree, order))
     assert failing <= known
+
+
+# the start-basis tests' programs: a census line LP and a tensor-grid one
+START_CASES = {
+    "line": lambda: line_problem((-0.5, 0.0, 0.25), 12),
+    "tensor": lambda: cluster_problem(9),
+}
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_the_optimal_basis_is_k_distinct_rows_holding_the_duals(case):
+    problem = START_CASES[case]()
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    basis = sol.basis
+    assert basis.size == problem.num_cols == np.unique(basis).size
+    assert np.array_equal(basis, np.sort(basis)) and 0 <= basis[0] and basis[-1] < problem.num_rows
+    assert set(np.flatnonzero(sol.duals)) <= set(basis)
+    assert solve(unbounded_problem()).basis is None
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_a_start_at_the_optimal_basis_certifies_without_pivots(case):
+    problem = START_CASES[case]()
+    cold = solve(problem)
+    warm = solve(problem, start=cold.basis[::-1])  # any order
+    assert warm.status == "optimal", warm.message
+    assert warm.stats.start_basis and not cold.stats.start_basis
+    assert not warm.stats.crash_basis and warm.stats.crash_rows == []
+    assert warm.iterations == warm.stats.phase1_pivots == warm.stats.phase2_pivots == 0
+    assert abs(warm.objective - cold.objective) <= 1e-13 * abs(cold.objective)
+    assert np.array_equal(warm.basis, cold.basis)
+
+
+def _infeasible_start(problem, basis):
+    """k distinct real rows whose basis solve has a negative entry: the
+    optimal basis with its first row swapped for the first row that does it."""
+    for row in range(problem.num_rows):
+        if row in basis:
+            continue
+        rows = np.append(basis[1:], row)
+        with np.errstate(all="ignore"):
+            x = np.linalg.solve(problem.A[rows].T, problem.c)
+        if np.isfinite(x).all() and x.min() < -1e-6:
+            return rows
+    raise AssertionError("no infeasible swap")
+
+
+@pytest.mark.parametrize("start", ["short", "duplicate", "artificial", "infeasible"])
+@pytest.mark.parametrize("case", START_CASES)
+def test_a_start_that_is_no_feasible_basis_runs_the_crash(case, start):
+    problem = START_CASES[case]()
+    cold = solve(problem)
+    basis, m = cold.basis, problem.num_rows
+    rows = {
+        "short": lambda: basis[1:],
+        "duplicate": lambda: np.append(basis[1:], basis[-1]),
+        "artificial": lambda: np.append(basis[1:], m),
+        "infeasible": lambda: _infeasible_start(problem, basis),
+    }[start]()
+    assert rows.size == basis.size - (start == "short")
+    sol = solve(problem, start=rows)
+    assert not sol.stats.start_basis and sol.stats.crash_basis == cold.stats.crash_basis
+    assert sol.stats.crash_rows == cold.stats.crash_rows
+    assert sol.status == cold.status == "optimal"
+    assert sol.iterations == cold.iterations
+    assert sol.v.tobytes() == cold.v.tobytes() and sol.objective == cold.objective
