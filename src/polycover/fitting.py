@@ -10,14 +10,14 @@ U(p), which is what makes the objective a useful surrogate.
 Nonnegativity is only enforced at grid points, so a fitted polynomial can dip
 slightly negative between them; the verification module measures this.
 
-fit, degree_sweep and build_problem (and so export-mps) take the program
-of a degree from one builder, and the solver reads its rows through the
-program's row source only.  On a 1-D or Sobol grid the cloud and grid rows
-are assemble's dense A.  On a tensor grid in two or more dimensions no A is
-built for a fit: the solver prices the grid rows by contracting the
-coefficients with per-axis tables of the basis and builds only the rows it
-works with; build_problem's A is built from the same source, row for row
-and bit for bit, when it is first read.
+fit, degree_sweep and build_problem (and so export-mps) build the rows once,
+at the top degree asked for, and slice each degree's program from that one
+build: a degree's basis is a column prefix of every higher one's.  The
+solver reads the rows through the program's row source only.  On a 1-D or
+Sobol grid they are assemble's dense A.  On a tensor grid in two or more
+dimensions no A is built for a fit: the solver prices the grid rows by
+contracting the coefficients with per-axis tables of the basis and builds
+only the rows it works with; build_problem's A is built from them, bit for bit.
 """
 
 from __future__ import annotations
@@ -212,19 +212,18 @@ class _GridRows:
     grid, in tensor_grid's row-major order, less the nodes left out of the
     program: the grid rows that assemble would fill.
 
-    Each axis's table holds _basis_table's values, the factors that
-    eval_basis_many multiplies (or is given, say as columns of those); take
-    gathers each row's factors from the tables and multiplies them by the
-    same _axis_product, so it gives A's rows bit for bit by construction.
+    Each axis's table holds the factors that eval_basis_many multiplies,
+    sliced from the one build: _basis_table's first d + 1 rows (or some of
+    their columns).  take multiplies each row's factors by the same
+    _axis_product, so it gives A's rows bit for bit by construction.
     price contracts the dense coefficient array of each column of Y with
     the tables axis by axis, as eval_poly_grid does; no row is formed.
     """
 
-    def __init__(self, basis: PolyBasis, axes: list | None, kept: np.ndarray | None, tables=None):
+    def __init__(self, basis: PolyBasis, tables: list[np.ndarray], kept: np.ndarray | None):
         self.basis = basis
         self.kept = kept  # the node index of each row; None when no node is left out
-        self.tables = tables or [np.ascontiguousarray(_basis_table(basis, axis, x).T)
-                                 for axis, x in enumerate(axes)]
+        self.tables = tables
         self.abs_tables = [np.abs(table) for table in self.tables]
         nodes = math.prod(table.shape[1] for table in self.tables) if kept is None else len(kept)
         self.shape = (nodes, len(basis))
@@ -280,49 +279,48 @@ class _GridRows:
         return float(_axis_product(peaks, self.basis.exponent_array).max())
 
 
+def _basis(box: BoxDomain, kind: BasisKind, n: int, degree: int) -> tuple[PolyBasis, MomentVector]:
+    """A degree's basis and its moments over the box; ValueError if they overflow."""
+    basis = make_basis(n, degree, kind, box if kind == "chebyshev" else None)
+    return basis, moment_vector(basis, box)
+
+
 @dataclass(frozen=True)
 class _FitSetup:
-    """Checked inputs shared by every degree: the cloud, the inflated box, the
-    grid where p >= 0 is enforced, the basis kind and the coefficient bound.
-    For a tensor grid in two or more dimensions, axes holds the grid's axes
-    and kept the node index of each point of grid_points, or None when no
-    node was left out."""
+    """Checked inputs shared by every degree (cloud, inflated box, grid where
+    p >= 0 is enforced, basis kind, coefficient bound) and the rows of the
+    top degree, which each degree slices, or None: assemble's A, or on a
+    tensor grid in 2-D and up the cloud's rows, each axis's _basis_table in
+    tables, and kept: each grid point's node index (None if none is left out)."""
 
     cloud: PointCloud
     box: BoxDomain
     grid_points: np.ndarray
     kind: BasisKind
     coeff_bound: float | None
-    axes: list[np.ndarray] | None = None
-    kept: np.ndarray | None = None
-
-    def _basis(self, degree: int) -> tuple[PolyBasis, MomentVector]:
-        basis_box = self.box if self.kind == "chebyshev" else None
-        basis = make_basis(self.cloud.dimension, degree, self.kind, basis_box)
-        return basis, moment_vector(basis, self.box)
+    rows: np.ndarray | None
+    tables: list[np.ndarray] | None
+    kept: np.ndarray | None
 
     def program(self, degree: int) -> tuple[PolyBasis, LpProblem]:
         """The coefficient program of one degree: cloud rows, grid rows, then
         the rows +-v_i / bound >= -1 when a coefficient bound is set.  The
-        cloud and grid rows are assemble's dense A, or on a tensor grid in
-        two or more dimensions the cloud's dense rows over a _GridRows."""
-        basis, moments = self._basis(degree)
-        if self.axes is None:
-            problem = assemble(self.cloud, self.grid_points, basis, moments)
-            if self.coeff_bound is None:
-                return basis, problem
-            parts = [problem.rows]
-        else:
-            cloud = DenseRows(eval_basis_many(basis, self.cloud.points))
-            parts = [cloud, _GridRows(basis, self.axes, self.kept)]
-        bound_rows = 0
-        if self.coeff_bound is not None:
+        cloud and grid rows are the top degree's first len(basis) columns,
+        copied contiguous so that pricing keeps its bits, over a _GridRows of
+        the tables' first degree + 1 rows on a tensor grid."""
+        basis, moments = _basis(self.box, self.kind, self.cloud.dimension, degree)
+        rows = np.ascontiguousarray(self.rows[:, : len(basis)])  # no copy at the top degree
+        bound_rows = 0 if self.coeff_bound is None else 2 * len(basis)
+        b, kinds = _rhs_kinds(self.cloud.count, len(self.grid_points), bound_rows)
+        if self.tables is None and not bound_rows:
+            return basis, LpProblem(moments.values.copy(), A=rows, b=b, row_kinds=kinds)
+        parts = [DenseRows(rows)]
+        if self.tables is not None:
+            parts.append(_GridRows(basis, [table[: degree + 1] for table in self.tables], self.kept))
+        if bound_rows:
             eye = np.eye(len(basis)) / self.coeff_bound
             parts.append(DenseRows(np.vstack([eye, -eye])))
-            bound_rows = 2 * len(basis)
-        b, kinds = _rhs_kinds(self.cloud.count, len(self.grid_points), bound_rows)
-        rows = StackedRows(parts)
-        return basis, LpProblem(moments.values.copy(), b=b, row_kinds=kinds, rows=rows)
+        return basis, LpProblem(moments.values.copy(), b=b, row_kinds=kinds, rows=StackedRows(parts))
 
 
 def _prepare(
@@ -332,8 +330,9 @@ def _prepare(
     grid: GridSpec | None,
     inflate: float,
     coeff_bound: float | None,
+    degrees: list[int],
 ) -> _FitSetup:
-    """Check the inputs, inflate the box and build the grid, once for all degrees.
+    """Check the inputs, inflate the box, build the grid and the rows, once for all degrees.
 
     Grid nodes equal to a cloud point are left out: their rows would repeat
     that point's row with the smaller right-hand side 0.
@@ -357,12 +356,23 @@ def _prepare(
     point = np.dtype((np.void, grid_points.itemsize * cloud.dimension))  # compares bytes
     on_cloud = np.zeros(len(grid_points), dtype=bool)
     on_cloud[idx] = np.isin(grid_points[idx].view(point).ravel(), points.view(point).ravel())
-    axes = kept = None
-    if spec.points_per_axis is not None and cloud.dimension >= 2:
-        # in 1-D the one axis table is the grid's row block, and dense rows cost no more
-        axes = grid_axes(box_eff.lower, box_eff.upper, spec.points_per_axis)
-        kept = np.flatnonzero(~on_cloud) if on_cloud.any() else None
-    return _FitSetup(cloud, box_eff, grid_points[~on_cloud], kind, coeff_bound, axes, kept)
+    grid_points = grid_points[~on_cloud]  # before the rows: the full grid is not kept alive
+    # in 1-D the one axis table is the grid's row block, and dense rows cost no more
+    tensor = spec.points_per_axis is not None and cloud.dimension >= 2
+    kept = np.flatnonzero(~on_cloud) if tensor and on_cloud.any() else None
+    rows = tables = None
+    for degree in sorted(degrees, reverse=True):  # the top degree: the highest with finite moments
+        try:  # a degree whose moments overflow fails in program, as does every higher one
+            basis, moments = _basis(box_eff, kind, cloud.dimension, degree)
+        except ValueError:
+            continue
+        if tensor:
+            axes = grid_axes(box_eff.lower, box_eff.upper, spec.points_per_axis)
+            tables = [np.ascontiguousarray(_basis_table(basis, i, x).T) for i, x in enumerate(axes)]
+        rows = (eval_basis_many(basis, cloud.points) if tensor
+                else assemble(cloud, grid_points, basis, moments).rows.A)
+        break
+    return _FitSetup(cloud, box_eff, grid_points, kind, coeff_bound, rows, tables, kept)
 
 
 def build_problem(
@@ -376,7 +386,7 @@ def build_problem(
     coeff_bound: float | None = None,
 ) -> LpProblem:
     """The program that fit solves for the same arguments, left unsolved."""
-    return _prepare(cloud, box, kind, grid, inflate, coeff_bound).program(degree)[1]
+    return _prepare(cloud, box, kind, grid, inflate, coeff_bound, [degree]).program(degree)[1]
 
 
 @dataclass(frozen=True)
@@ -416,7 +426,7 @@ def _coarse_levels(setup: _FitSetup, problem: LpProblem):
     if k < 64 or setup.coeff_bound is not None or setup.cloud.dimension == 1:
         return
     steps = [2**j for j in range(30, 0, -1)]  # 2**30 exceeds any grid's point count
-    if setup.axes is None:
+    if setup.tables is None:
         for size in (problem.num_rows - cloud) // np.array(steps) ** 2:
             if size >= 4 * k:
                 rows, source = np.arange(cloud + size), DenseRows(problem.rows.A[: cloud + size])
@@ -435,17 +445,16 @@ def _coarse_levels(setup: _FitSetup, problem: LpProblem):
             nodes = grid.kept.searchsorted(nodes[kept])
         rows = np.concatenate([np.arange(cloud), cloud + nodes])
         tables = [np.ascontiguousarray(table[:, ::step]) for table in grid.tables]
-        source = StackedRows([cloud_rows, _GridRows(grid.basis, None, kept, tables)])
+        source = StackedRows([cloud_rows, _GridRows(grid.basis, tables, kept)])
         label = "x".join(str(table.shape[1]) for table in tables) + " grid"
         yield label, LpProblem(problem.c, b=problem.b[rows], rows=source), rows
 
 
 def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
-    """Build, solve and check one degree, after the coarse levels, each from
+    """Slice, solve and check one degree, after the coarse levels, each from
     the last one's optimal basis; writes one DEBUG line per level and one
-    with the row count and the seconds of each stage (build: setup.program,
-    which assembles A on a 1-D or Sobol grid and sets up the row source of a
-    tensor grid; solve: the levels too).  problem.A is never read."""
+    with the row count and each stage's seconds (build: setup.program's slice
+    of the one build; solve: the levels too).  problem.A is never read."""
     start = time.perf_counter()
     basis, problem = setup.program(degree)
     built = time.perf_counter()
@@ -520,7 +529,7 @@ def fit(
         ValueError: cloud outside the box, or invalid parameters.
         UnboundedFitError, SolverFailedError, ContainmentError.
     """
-    setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound)
+    setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound, [degree])
     return _fit_degree(setup, degree)
 
 
@@ -543,7 +552,7 @@ def degree_sweep(
     coeff_bound: float | None = None,
 ) -> list[SweepEntry]:
     """Fit every degree on one shared grid, in ascending order, each to the
-    contract that fit solves to.
+    contract that fit solves to, each degree's program sliced from one build.
 
     Because the degree-d basis is a prefix of the degree-d' basis for d < d'
     and the grid is shared, the optimal objective cannot increase with the
@@ -557,7 +566,7 @@ def degree_sweep(
         raise ValueError("degrees must be nonnegative")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly ascending")
-    setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound)
+    setup = _prepare(cloud, box, kind, grid, inflate, coeff_bound, degrees)
 
     entries: list[SweepEntry] = []
     last_w: float | None = None

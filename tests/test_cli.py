@@ -1,9 +1,11 @@
+import dataclasses
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,10 @@ from polycover import (
     eval_basis_many,
     eval_poly_many,
     poly_from_dict,
+    solve,
 )
 from polycover.basis import constant_poly, make_basis, poly_to_dict
-from polycover import cli, verification
+from polycover import cli, fitting, verification
 from polycover.cli import IngestError, ingest_points, main, parse_box
 from polycover.fitting import MAX_GRID_POINTS
 from polycover.domain import tensor_grid
@@ -320,16 +323,37 @@ def test_export_mps_poses_the_program_that_fit_solves(tmp_path, flags):
     assert len(row_names) == 3 + 49 + len(bound_rows)
 
 
-@pytest.mark.parametrize("verb", ["fit", "export-mps", "sweep"])
-def test_overflowing_moments_are_a_bad_input(tmp_path, capsys, verb):
-    # 1000**111 is beyond float64: the moments, not a verification, fail
+# (verb, dimension, grid flags): the line, a 2-D tensor grid and a 3-D Sobol grid
+OVERFLOW_CASES = {
+    "fit": ("fit", 1, ()),
+    "export-mps": ("export-mps", 1, ()),
+    "sweep": ("sweep", 1, ()),
+    "sweep-tensor-2d": ("sweep", 2, ("--grid", "21")),
+    "sweep-sobol-3d": ("sweep", 3, ("--grid-samples", "2000")),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_overflowing_moments_are_a_bad_input(tmp_path, capsys, recwarn, case):
+    # 1000**111 is beyond float64: the moments, not a verification, fail.  A
+    # sweep builds its rows at degree 2, the top degree whose moments are
+    # finite; a degree-110 A on the 3-D grid would take 3.7 GB
+    verb, n, grid = OVERFLOW_CASES[case]
     pts = tmp_path / "pts.csv"
-    write_points(pts, [(0.5,)])
+    write_points(pts, [(0.5,) * n])
     degrees = ["--degrees", "2,110"] if verb == "sweep" else ["--degree", "110"]
-    code = main([verb, "--points", str(pts), *degrees, "--box=-1000,1000",
-                 "--out", str(tmp_path / "out")])
-    message = "the moments up to degree 110 overflow on the box [-1000.0, 1000.0]"
+    tracemalloc.start()
+    try:
+        code = main([verb, "--points", str(pts), *degrees, *grid, "--box=" + ";".join(["-1000,1000"] * n),
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    box = " x ".join(["[-1000.0, 1000.0]"] * n)
+    message = f"the moments up to degree 110 overflow on the box {box}"
     err = capsys.readouterr().err.splitlines()
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+    assert peak < 64 * 2**20
     if verb == "sweep":  # degree 110 fails alone
         assert code == 0
         assert err == [f"degree 110: failed ({message})"]
@@ -620,6 +644,57 @@ def test_a_refused_allocation_exits_2(tmp_path, capsys, monkeypatch, error, mess
     code = main(["fit", "--points", str(pts), "--degree", "40", "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _line_points(tmp_path):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(-0.5,), (0.0,), (0.25,)])
+    return str(pts)
+
+
+def test_a_fit_that_misses_a_cloud_point_exits_4(tmp_path, capsys, monkeypatch):
+    # a solver whose optimal v comes back halved: p = 1/2 at the binding points
+    def halved(problem, start=None):
+        solution = solve(problem, start=start)
+        return dataclasses.replace(solution, v=solution.v / 2)
+
+    monkeypatch.setattr(fitting, "solve", halved)
+    out = tmp_path / "out"
+    code = main(["fit", "--points", _line_points(tmp_path), "--degree", "2", "--grid", "101",
+                 "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "containment error: fitted polynomial misses a cloud point by 5.000e-01\n"
+    assert not (out / "coeffs.json").exists()
+
+
+def test_a_trace_that_fails_its_cross_check_exits_4(tmp_path, capsys, monkeypatch):
+    def disagreeing(p, box):
+        raise ArithmeticError("trace routes disagree")
+
+    monkeypatch.setattr(verification, "trace_report", disagreeing)
+    out = tmp_path / "out"
+    code = main(["fit", "--points", _line_points(tmp_path), "--degree", "2", "--grid", "101",
+                 "--mc-samples", "2000", "--resolution", "64", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "verification error: trace routes disagree\n"
+    assert not (out / "report.json").exists()
+
+
+def test_a_sweep_whose_objective_rises_exits_3(tmp_path, capsys, monkeypatch):
+    # degree 4's objective comes back 1 above its optimum, which is below degree 2's
+    fit_degree = fitting._fit_degree
+
+    def raised(setup, degree):
+        result = fit_degree(setup, degree)
+        return dataclasses.replace(result, objective=result.objective + 1.0) if degree == 4 else result
+
+    monkeypatch.setattr(fitting, "_fit_degree", raised)
+    code = main(["sweep", "--points", _line_points(tmp_path), "--degrees", "2,4", "--grid", "101",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: objective rose from 1.6")
+    assert err.endswith(" at degree 4; expected a nonincreasing sweep on a shared grid\n")
 
 
 @pytest.mark.parametrize("verb", ["fit", "verify"])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import logging
@@ -287,7 +288,7 @@ def test_grid_nodes_left_out_are_those_equal_to_a_cloud_point_byte_for_byte(case
     row = np.dtype((np.void, grid.itemsize * 2))
     expected = np.isin(grid.view(row).ravel(), np.ascontiguousarray(cloud.points).view(row).ravel())
     assert np.count_nonzero(expected) == left_out
-    setup = _prepare(cloud, box, "monomial", spec, 1.0, None)
+    setup = _prepare(cloud, box, "monomial", spec, 1.0, None, [2])
     np.testing.assert_array_equal(setup.grid_points, grid[~expected])
     if left_out:
         np.testing.assert_array_equal(setup.kept, np.flatnonzero(~expected))
@@ -492,7 +493,9 @@ def test_grid_rows_take_is_eval_basis_many_bit_for_bit(kind, n, per_axis, degree
     nodes = tensor_grid(box.lower, box.upper, per_axis)
     rng = np.random.default_rng(n + 2 * left_out)
     kept = np.sort(rng.permutation(len(nodes))[: len(nodes) // 2]) if left_out else None
-    rows = fitting._GridRows(basis, grid_axes(box.lower, box.upper, per_axis), kept)
+    tables = [np.ascontiguousarray(fitting._basis_table(basis, axis, x).T)
+              for axis, x in enumerate(grid_axes(box.lower, box.upper, per_axis))]
+    rows = fitting._GridRows(basis, tables, kept)
     points = nodes if kept is None else nodes[kept]
     assert rows.shape == (len(points), len(basis))
     # more rows than one evaluation block, with repeats, in any order
@@ -570,7 +573,7 @@ def test_exported_program_is_the_one_the_tensor_grid_fit_solves():
         box = BoxDomain.symmetric(cloud.dimension)
         exported = build_problem(cloud, box, 6, kind=kind, grid=spec, coeff_bound=bound)
         c, A, b, _, _ = read_mps(export_mps(exported))
-        program = _prepare(cloud, box, kind, spec, 1.0, bound).program(6)[1]
+        program = _prepare(cloud, box, kind, spec, 1.0, bound, [6]).program(6)[1]
         np.testing.assert_array_equal(A, program.rows.take(np.arange(program.num_rows)))
         np.testing.assert_array_equal(b, program.b)
         np.testing.assert_array_equal(c, program.c)
@@ -671,7 +674,7 @@ LEVEL_CASES = {
 def test_coarse_levels_are_rows_of_the_program_bit_for_bit(case):
     points, kind, degree, spec, labels = LEVEL_CASES[case]
     cloud = PointCloud(points())
-    setup = _prepare(cloud, BoxDomain.symmetric(cloud.dimension), kind, spec, 1.0, None)
+    setup = _prepare(cloud, BoxDomain.symmetric(cloud.dimension), kind, spec, 1.0, None, [degree])
     problem = setup.program(degree)[1]
     levels = list(fitting._coarse_levels(setup, problem))
     assert [label for label, _, _ in levels] == labels
@@ -689,6 +692,71 @@ def test_coarse_levels_are_rows_of_the_program_bit_for_bit(case):
         assert problem.rows.parts[1].kept is not None
         assert levels[0][1].rows.parts[1].kept is not None
         assert (problem.num_rows, levels[0][1].num_rows) == (102 + 33**2 - 2, 102 + 17**2 - 1)
+
+
+# (points, box, grid, top degree): 88 degrees, so 352 programs in both bases,
+# with and without a coefficient bound
+SLICED_FORMS = {
+    "line": (lambda: np.array([-0.5, 0.0, 0.25]), BoxDomain.symmetric(1),
+             GridSpec(points_per_axis=201), 35),
+    "line-off-centre": (lambda: np.array([0.7, 1.5, 2.25]), BoxDomain((0.5,), (3.0,)),
+                        GridSpec(points_per_axis=201), 20),
+    "tensor-2d-on-node": (_on_node_cloud, BoxDomain.symmetric(2), GridSpec(points_per_axis=31), 14),
+    "tensor-3d": (_cloud_3d, BoxDomain.symmetric(3), GridSpec(points_per_axis=9), 6),
+    "sobol-3d": (_cloud_3d, BoxDomain.symmetric(3), GridSpec(sample_count=500, seed=3), 8),
+}
+
+
+@pytest.mark.parametrize("bound", [None, 30.0], ids=["free", "coeff_bound"])
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("form", SLICED_FORMS)
+def test_every_degree_is_sliced_from_the_one_build(form, kind, bound):
+    # a sweep's setup builds the rows once, at the top degree; each degree's
+    # program is the one build_problem builds at that degree alone, bit for bit
+    points, box, spec, top = SLICED_FORMS[form]
+    cloud = PointCloud(points())
+    setup = _prepare(cloud, box, kind, spec, 1.0, bound, list(range(top + 1)))
+    for degree in range(top + 1):
+        sliced = setup.program(degree)[1]
+        built = build_problem(cloud, box, degree, kind=kind, grid=spec, coeff_bound=bound)
+        assert type(sliced.rows) is type(built.rows)
+        assert sliced.A.shape == built.A.shape
+        assert sliced.A.tobytes() == built.A.tobytes()
+        assert sliced.b.tobytes() == built.b.tobytes()
+        assert sliced.c.tobytes() == built.c.tobytes()
+        assert sliced.row_kinds == built.row_kinds
+        y = np.random.default_rng(degree).normal(size=built.num_cols)
+        assert sliced.rows.price(y).tobytes() == built.rows.price(y).tobytes()
+        # dense rows are contiguous copies of the build's first columns, as built alone
+        parts = sliced.rows.parts if isinstance(sliced.rows, StackedRows) else [sliced.rows]
+        assert all(part.A.flags.c_contiguous for part in parts if isinstance(part, DenseRows))
+
+
+def test_a_sweep_evaluates_the_basis_rows_once(monkeypatch):
+    # a 4-degree sweep takes its rows and tables from one build at the top
+    # degree: no more evaluations than a fit at that degree
+    calls = collections.Counter()
+    for name in ("eval_basis_many", "_basis_table"):
+        def counted(*args, _name=name, _evaluate=getattr(fitting, name), **kwargs):
+            calls[_name] += 1
+            return _evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, name, counted)
+    # (points, grid, degrees, the evaluations of eval_basis_many and _basis_table)
+    sweeps = [
+        (np.array([-0.5, 0.0, 0.25]), GridSpec(points_per_axis=201), [2, 5, 8, 12], (1, 0)),
+        (cluster_point_array(), GridSpec(points_per_axis=21), [2, 3, 4, 5], (1, 2)),
+    ]
+    for points, spec, degrees, expected in sweeps:
+        cloud = PointCloud(points)
+        box = BoxDomain.symmetric(cloud.dimension)
+        calls.clear()
+        fit(cloud, box, degrees[-1], grid=spec)
+        assert (calls["eval_basis_many"], calls["_basis_table"]) == expected
+        calls.clear()
+        entries = degree_sweep(cloud, box, degrees, grid=spec)
+        assert all(entry.result is not None for entry in entries)
+        assert (calls["eval_basis_many"], calls["_basis_table"]) == expected
 
 
 def _sobol_3d_points() -> np.ndarray:
