@@ -230,8 +230,8 @@ class Polynomial:
 
 
 def eval_poly(p: Polynomial, x: np.ndarray) -> float:
-    """Value of the polynomial at one point."""
-    return float(eval_basis(p.basis, x) @ p.coeffs)
+    """Value of the polynomial at one point: eval_poly_many's, bit for bit."""
+    return float(eval_poly_many(p, np.reshape(x, (1, -1)))[0])  # more points fail its dimension check
 
 
 def _axis_map(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:

@@ -11,13 +11,14 @@ Nonnegativity is only enforced at grid points, so a fitted polynomial can dip
 slightly negative between them; the verification module measures this.
 
 fit, degree_sweep and build_problem (and so export-mps) build the rows once,
-at the top degree asked for, and slice each degree's program from that one
-build: a degree's basis is a column prefix of every higher one's.  The
-solver reads the rows through the program's row source only.  On a 1-D or
-Sobol grid they are assemble's dense A.  On a tensor grid in two or more
-dimensions no A is built for a fit: the solver prices the grid rows by
-contracting the coefficients with per-axis tables of the basis and builds
-only the rows it works with; build_problem's A is built from them, bit for bit.
+at the top degree asked for; _FitSetup.program slices every program from
+that one build, each degree's (its basis is a column prefix of every higher
+one's) and each coarse level's.  The solver reads the rows through the
+program's row source only.  On a 1-D or Sobol grid they are assemble's dense
+A.  On a tensor grid in two or more dimensions no A is built for a fit: the
+solver prices the grid rows by contracting the coefficients with per-axis
+tables of the basis and builds only the rows it works with; build_problem's
+A is built from them, bit for bit.
 """
 
 from __future__ import annotations
@@ -302,25 +303,39 @@ class _FitSetup:
     tables: list[np.ndarray] | None
     kept: np.ndarray | None
 
-    def program(self, degree: int) -> tuple[PolyBasis, LpProblem]:
-        """The coefficient program of one degree: cloud rows, grid rows, then
-        the rows +-v_i / bound >= -1 when a coefficient bound is set.  The
-        cloud and grid rows are the top degree's first len(basis) columns,
-        copied contiguous so that pricing keeps its bits, over a _GridRows of
-        the tables' first degree + 1 rows on a tensor grid."""
+    def program(self, degree: int, step: int = 1) -> tuple[PolyBasis, LpProblem, np.ndarray | None]:
+        """The coefficient program of one degree, or at step s > 1 its coarse
+        level, with the rows of the step-1 program that the level holds (None
+        at step 1): cloud rows, grid rows, then the rows +-v_i / bound >= -1
+        when a coefficient bound is set.  Dense rows are the top degree's
+        first len(basis) columns, copied contiguous so that pricing keeps its
+        bits; a tensor grid's are a _GridRows of the tables' first degree + 1
+        rows.  A level keeps a Sobol grid's first 1/s^2 of the points, or a
+        tensor grid's every s-th node per axis less those left out."""
         basis, moments = _basis(self.box, self.kind, self.cloud.dimension, degree)
-        rows = np.ascontiguousarray(self.rows[:, : len(basis)])  # no copy at the top degree
-        bound_rows = 0 if self.coeff_bound is None else 2 * len(basis)
-        b, kinds = _rhs_kinds(self.cloud.count, len(self.grid_points), bound_rows)
-        if self.tables is None and not bound_rows:
-            return basis, LpProblem(moments.values.copy(), A=rows, b=b, row_kinds=kinds)
-        parts = [DenseRows(rows)]
+        k, cloud, grid = len(basis), self.cloud.count, len(self.grid_points)
+        size, nodes, kept = grid // step**2, None, self.kept  # size: a Sobol level's grid points
+        parts = [DenseRows(np.ascontiguousarray(self.rows[: cloud + size, :k]))]  # all rows if tensor
         if self.tables is not None:
-            parts.append(_GridRows(basis, [table[: degree + 1] for table in self.tables], self.kept))
+            counts = [table.shape[1] for table in self.tables]
+            if step > 1:
+                nodes = np.ravel_multi_index(np.ix_(*(np.arange(0, c, step) for c in counts)), counts).ravel()
+                if kept is not None:  # the level's nodes left in the program, and their grid rows
+                    kept = np.flatnonzero(np.isin(nodes, self.kept))
+                    nodes = self.kept.searchsorted(nodes[kept])
+            tables = [np.ascontiguousarray(table[: degree + 1, ::step]) for table in self.tables]
+            parts.append(_GridRows(basis, tables, kept))
+            size = parts[1].shape[0]
+        bound_rows = 0 if self.coeff_bound is None else 2 * k
         if bound_rows:
-            eye = np.eye(len(basis)) / self.coeff_bound
+            eye = np.eye(k) / self.coeff_bound
             parts.append(DenseRows(np.vstack([eye, -eye])))
-        return basis, LpProblem(moments.values.copy(), b=b, row_kinds=kinds, rows=StackedRows(parts))
+        b, kinds = _rhs_kinds(cloud, size, bound_rows)
+        rows = None if step == 1 else np.concatenate([
+            np.arange(cloud), cloud + (np.arange(size) if nodes is None else nodes),
+            cloud + grid + np.arange(bound_rows)])
+        source = parts[0] if len(parts) == 1 else StackedRows(parts)
+        return basis, LpProblem(moments.values.copy(), b=b, row_kinds=kinds, rows=source), rows
 
 
 def _prepare(
@@ -412,54 +427,39 @@ class FitResult:
         return self.objective
 
 
-def _coarse_levels(setup: _FitSetup, problem: LpProblem):
-    """Yield grid continuation's coarse levels (Hettich and Kortanek, SIAM
-    Review 35, 1993), coarsest first, as (label, program, rows): the rows
-    `rows` of problem, bit for bit, each level's among the next's.  A level
-    keeps the cloud and 4k grid points or more: a Sobol grid's first
-    quarter, sixteenth, ... (a view of problem's A), or a tensor grid's
-    every s-th node per axis, s = 2, 4, ..., keeping max(d + 2, d^2 / 8)
-    intervals or more, since polynomials bounded at N equispaced nodes
-    grow like exp(c d^2 / N) between them (Coppersmith and Rivlin, 1992).
-    Fits in 1-D, with a coefficient bound or of k < 64 have no levels."""
-    k, cloud = problem.num_cols, setup.cloud.count
-    if k < 64 or setup.coeff_bound is not None or setup.cloud.dimension == 1:
+def _coarse_levels(setup: _FitSetup, degree: int, k: int):
+    """Yield grid continuation's coarse levels of a degree's k-column program
+    (Hettich and Kortanek, SIAM Review 35, 1993), coarsest first, as (label,
+    step) for setup.program, each level's rows among the next's.  A level
+    keeps 4k grid points or more: a Sobol grid's first quarter, sixteenth,
+    ..., or a tensor grid's every s-th node per axis, s = 2, 4, ..., keeping
+    max(d + 2, d^2 / 8) intervals or more, since polynomials bounded at N
+    equispaced nodes grow like exp(c d^2 / N) between them (Coppersmith and
+    Rivlin, 1992).  Fits in 1-D or of k < 64 have no levels."""
+    if k < 64 or setup.cloud.dimension == 1:
         return
-    steps = [2**j for j in range(30, 0, -1)]  # 2**30 exceeds any grid's point count
-    if setup.tables is None:
-        for size in (problem.num_rows - cloud) // np.array(steps) ** 2:
-            if size >= 4 * k:
-                rows, source = np.arange(cloud + size), DenseRows(problem.rows.A[: cloud + size])
-                yield f"{size} points", LpProblem(problem.c, b=problem.b[rows], rows=source), rows
-        return
-    cloud_rows, grid = problem.rows.parts
-    d, counts = grid.basis.degree, [table.shape[1] for table in grid.tables]
-    for step in steps:
-        spans = [(count - 1) / step for count in counts]
-        if (math.prod(span + 1 for span in spans) < 4 * k
-                or not all(span.is_integer() and span >= max(d + 2, d * d / 8) for span in spans)):
+    for step in (2**j for j in range(30, 0, -1)):  # 2**30 exceeds any grid's point count
+        if setup.tables is None:
+            if (size := len(setup.grid_points) // step**2) >= 4 * k:
+                yield f"{size} points", step
             continue
-        nodes = np.ravel_multi_index(np.ix_(*(np.arange(0, c, step) for c in counts)), counts).ravel()
-        kept = None if grid.kept is None else np.flatnonzero(np.isin(nodes, grid.kept))
-        if kept is not None:  # the level's nodes left in problem, and their grid rows
-            nodes = grid.kept.searchsorted(nodes[kept])
-        rows = np.concatenate([np.arange(cloud), cloud + nodes])
-        tables = [np.ascontiguousarray(table[:, ::step]) for table in grid.tables]
-        source = StackedRows([cloud_rows, _GridRows(grid.basis, tables, kept)])
-        label = "x".join(str(table.shape[1]) for table in tables) + " grid"
-        yield label, LpProblem(problem.c, b=problem.b[rows], rows=source), rows
+        spans = [(table.shape[1] - 1) / step for table in setup.tables]
+        if (math.prod(span + 1 for span in spans) >= 4 * k
+                and all(span.is_integer() and span >= max(degree + 2, degree**2 / 8) for span in spans)):
+            yield "x".join(str(int(span) + 1) for span in spans) + " grid", step
 
 
 def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
-    """Slice, solve and check one degree, after the coarse levels, each from
-    the last one's optimal basis; writes one DEBUG line per level and one
-    with the row count and each stage's seconds (build: setup.program's slice
-    of the one build; solve: the levels too).  problem.A is never read."""
+    """Solve and check one degree's program after its coarse levels, each
+    from the last one's optimal basis; writes one DEBUG line per level and
+    one with the row count and each stage's seconds (build: the program's
+    slice of the one build; solve: the levels too).  problem.A is never read."""
     start = time.perf_counter()
-    basis, problem = setup.program(degree)
+    basis, problem, _ = setup.program(degree)
     built = time.perf_counter()
     optimal = None  # the last coarse level's optimal basis, as rows of problem
-    for label, level, rows in _coarse_levels(setup, problem):
+    for label, step in _coarse_levels(setup, degree, len(basis)):
+        _, level, rows = setup.program(degree, step)
         solution = solve(level, start=None if optimal is None else rows.searchsorted(optimal))
         _log.debug("level %s (%s): %d rows, %d pivots, start basis %s", label, solution.status,
                    level.num_rows, solution.iterations, "taken" if solution.stats.start_basis else "not taken")

@@ -86,8 +86,8 @@ class LpProblem:
     The rows of A come as a row source, rows (see DenseRows), or as a dense
     A, which is checked for shape and finite entries and held as
     DenseRows(A).  problem.rows is the row source either way; problem.A is
-    the dense matrix, which for a row source is built on first access, each
-    of the source's blocks written straight into it.
+    the dense matrix: a DenseRows' own, else built on first access, each of
+    the source's blocks written straight into it.
 
     row_kinds tags each row with its provenance ("K", "grid", "bound", ...)
     for export naming and diagnostics; it has no effect on the solution.
@@ -116,7 +116,7 @@ class LpProblem:
         if len(kinds) != b.size:
             raise ValueError("row_kinds length does not match the row count")
         self.c, self.b, self.rows, self.row_kinds = c, b, rows, kinds
-        self._A = A
+        self._A = rows.A if isinstance(rows, DenseRows) else None
 
     @property
     def A(self) -> np.ndarray:

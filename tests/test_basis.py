@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
-from polycover import eval_poly_many, gram_to_poly, half_degree, make_basis
+from polycover import eval_poly, eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import _BLOCK_POINTS, _TILE_POINTS, basis_size, constant_poly
+from polycover.basis import _BLOCK_POINTS, _TILE_POINTS, PolyBasis, basis_size, constant_poly
 from polycover.basis import cell_enclosures, eval_poly_grid
 from polycover.domain import grid_axes, tensor_grid
 
@@ -249,6 +249,21 @@ def test_eval_poly_many_chunks_agree_with_direct_loop():
     sample = slice(0, None, 50_000)
     direct = [p(x) for x in points[sample]]
     np.testing.assert_allclose(values[sample], direct, rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("dimension, degree", [(1, 9), (2, 7), (3, 5)])
+def test_a_polynomial_at_one_point_is_eval_poly_many_bit_for_bit(dimension, degree, kind):
+    # one evaluator of p at scattered points: p(x) and eval_poly give
+    # eval_poly_many's value at every point, on a box off the origin
+    box = BoxDomain(lower=(0.5, -3.0, 1.0)[:dimension], upper=(2.5, -0.5, 4.0)[:dimension])
+    basis = make_basis(dimension, degree, kind, box)
+    rng = np.random.default_rng(10 * dimension + degree)
+    p = Polynomial(basis, rng.normal(size=len(basis)))
+    points = box.scale_unit(rng.random((200, dimension)))
+    values = eval_poly_many(p, points)
+    assert np.array([p(x) for x in points]).tobytes() == values.tobytes()
+    assert np.array([eval_poly(p, x) for x in points]).tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
@@ -502,3 +517,15 @@ def test_validation_errors():
     p = Polynomial(basis, np.zeros(6))
     with pytest.raises(ValueError):
         p(np.zeros(3))  # wrong point dimension
+
+
+def test_poly_basis_and_gram_to_poly_refuse_inconsistent_inputs():
+    indices = tuple(enumerate_indices(2, 2))
+    with pytest.raises(ValueError, match="unknown basis kind 'legendre'"):
+        PolyBasis(2, 2, "legendre", indices)
+    with pytest.raises(ValueError, match="basis box dimension mismatch"):
+        PolyBasis(2, 2, "chebyshev", indices, BoxDomain.symmetric(3))
+    with pytest.raises(ValueError, match="index list does not match the full basis"):
+        PolyBasis(2, 2, "monomial", indices[:-1])
+    with pytest.raises(ValueError, match="gram matrix must be 3x3 for this basis"):
+        gram_to_poly(np.eye(2), make_basis(2, 1))

@@ -428,6 +428,44 @@ def test_every_verb_rejects_bad_clouds(tmp_path, capsys, verb, rows, flags, mess
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "lines, argv, message",
+    [
+        pytest.param("0.1\nnan\n", ["fit", "--degree", "2"],
+                     "point cloud contains non-finite coordinates", id="nan_point"),
+        pytest.param("0.1\ninf\n", ["fit", "--degree", "2"],
+                     "point cloud contains non-finite coordinates", id="inf_point"),
+        pytest.param("0.1\n", ["sweep", "--degrees=-1,2"], "degrees must be nonnegative",
+                     id="negative_degree"),
+        pytest.param("0.1\n", ["fit", "--degree", "2", "--inflate", "0"],
+                     "inflation factor must be positive and finite", id="zero_inflate"),
+        pytest.param("0.1,0.2\n", ["fit", "--degree", "2", "--box=-inf,1;-1,1"],
+                     "invalid box: box bounds must be finite", id="infinite_box"),
+    ],
+)
+def test_non_finite_and_out_of_range_inputs_exit_2(tmp_path, capsys, lines, argv, message):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(lines)
+    out = tmp_path / "out"
+    assert main([argv[0], "--points", str(pts), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_verify_refuses_a_non_finite_coefficient(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    saved = poly_to_dict(constant_poly(make_basis(1, 1, "monomial"), 1.5))
+    coeffs.write_text(json.dumps({**saved, "coeffs": [1.5, math.nan]}))  # written as NaN
+    pts = tmp_path / "pts.csv"
+    write_points(pts, [(0.1,)])
+    out = tmp_path / "out"
+    assert main(["verify", "--coeffs", str(coeffs), "--points", str(pts), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load coeffs {coeffs}: ValueError('coefficients must be finite')\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_plotdata_default_resolution_is_the_component_count_default(tmp_path):
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps(poly_to_dict(constant_poly(make_basis(1, 0, "monomial"), 2.0))))
@@ -1116,3 +1154,15 @@ def test_traced_benchmark_names_resolve_in_the_package(monkeypatch, tmp_path):
     names = {span.name for span in tracer.spans}
     assert {"cli.main", "fitting.degree_sweep", "fitting.fit", "fitting.build_grid"} <= names
     assert tracing.layer_metrics(tracer.spans, (2, 5))["fitting.grid_points"] == 2 * 21**2
+
+    # fit_s and verify_s come from timers bound only in cli's namespace: a
+    # call that cli stops making through those names would read 0 s there
+    tracer = tracing.Tracer()
+    with tracing.untraced_timers(tracer):
+        assert cli.main(["sweep", "--degrees", "2,5", *common, "--out", str(tmp_path / "s2")]) == 0
+        assert cli.main(["fit", "--degree", "5", "--mc-samples", "1000", *common,
+                         "--out", str(tmp_path / "f2")]) == 0
+    timed = ("fitting.fit", "fitting.degree_sweep", "verification.run_report",
+             "verification.count_components")
+    assert {span.name for span in tracer.spans} == set(timed)
+    assert all(tracer.seconds(name) > 0.0 for name in timed)

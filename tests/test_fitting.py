@@ -644,11 +644,12 @@ def test_fit_solves_through_lp_solve_and_never_reads_A(monkeypatch, form, bound)
     ]
     assert isinstance(solved[0].rows, StackedRows) == (form == "tensor" or bound is not None)
     assert entries[1].result.objective == result.objective
-    # at k >= 64 the tensor and Sobol fits solve one coarse level first, through
-    # solve and without reading its A either; the line and bounded fits stay cold
+    # at k >= 64 the tensor and Sobol fits, bounded or not, solve one coarse
+    # level first, through solve and without reading its A either; the line
+    # fits stay cold
     solved.clear()
     continued = fit(cloud, box, CONTINUED_DEGREES[form], grid=spec, coeff_bound=bound)
-    levels = 0 if form == "line" or bound is not None else 1
+    levels = 0 if form == "line" else 1
     assert [problem.num_rows for problem in solved][levels:] == [continued.lp_rows]
     assert len(solved) == levels + 1 and continued.lp_stats.start_basis == (levels == 1)
 
@@ -660,38 +661,50 @@ def _node_cloud_33() -> np.ndarray:
     return np.vstack([cluster_point_array(), [[axis[4], axis[20]], [axis[15], axis[15]]]])
 
 
-# (points, kind, degree, grid, the labels of the levels, coarsest first)
+# (points, kind, degree, grid, coefficient bound, the labels of the levels, coarsest first)
 LEVEL_CASES = {
-    "2d_on_nodes": (_node_cloud_33, "monomial", 10, GridSpec(points_per_axis=33), ["17x17 grid"]),
-    "3d_tensor": (_cloud_3d, "chebyshev", 6, GridSpec(points_per_axis=33),
+    "2d_on_nodes": (_node_cloud_33, "monomial", 10, GridSpec(points_per_axis=33), None, ["17x17 grid"]),
+    "3d_tensor": (_cloud_3d, "chebyshev", 6, GridSpec(points_per_axis=33), None,
                   ["9x9x9 grid", "17x17x17 grid"]),
-    "sobol": (_cloud_3d, "chebyshev", 6, GridSpec(sample_count=8000, seed=1),
+    "sobol": (_cloud_3d, "chebyshev", 6, GridSpec(sample_count=8000, seed=1), None,
               ["500 points", "2000 points"]),
+    "2d_on_nodes_bounded": (_node_cloud_33, "monomial", 10, GridSpec(points_per_axis=33), 30.0,
+                            ["17x17 grid"]),
+    "sobol_bounded": (_cloud_3d, "chebyshev", 6, GridSpec(sample_count=8000, seed=1), 30.0,
+                      ["500 points", "2000 points"]),
 }
 
 
 @pytest.mark.parametrize("case", LEVEL_CASES)
 def test_coarse_levels_are_rows_of_the_program_bit_for_bit(case):
-    points, kind, degree, spec, labels = LEVEL_CASES[case]
+    points, kind, degree, spec, bound, labels = LEVEL_CASES[case]
     cloud = PointCloud(points())
-    setup = _prepare(cloud, BoxDomain.symmetric(cloud.dimension), kind, spec, 1.0, None, [degree])
-    problem = setup.program(degree)[1]
-    levels = list(fitting._coarse_levels(setup, problem))
-    assert [label for label, _, _ in levels] == labels
-    for _, level, rows in levels:
+    setup = _prepare(cloud, BoxDomain.symmetric(cloud.dimension), kind, spec, 1.0, bound, [degree])
+    basis, problem, top_rows = setup.program(degree)
+    assert top_rows is None  # no index arrays for the program itself
+    steps = list(fitting._coarse_levels(setup, degree, len(basis)))
+    assert [label for label, _ in steps] == labels
+    levels = [setup.program(degree, step)[1:] for _, step in steps]
+    bound_rows = 0 if bound is None else 2 * len(basis)
+    for level, rows in levels:
         assert np.all(np.diff(rows) > 0) and rows[-1] < problem.num_rows
         assert np.array_equal(rows[: cloud.count], np.arange(cloud.count))
+        # the bound rows join every level as the cloud rows do
+        bound_in_problem = np.arange(problem.num_rows - bound_rows, problem.num_rows)
+        assert np.array_equal(rows[len(rows) - bound_rows :], bound_in_problem)
         taken = level.rows.take(np.arange(level.num_rows))
         assert taken.tobytes() == problem.rows.take(rows).tobytes()
         assert level.b.tobytes() == problem.b[rows].tobytes()
         assert level.c.tobytes() == problem.c.tobytes()
-    for (_, _, coarse), (_, _, fine) in zip(levels, levels[1:]):
+        assert level.row_kinds == tuple(problem.row_kinds[i] for i in rows)
+    for (_, coarse), (_, fine) in zip(levels, levels[1:]):
         assert np.isin(coarse, fine).all()
-    if case == "2d_on_nodes":
+    if case.startswith("2d_on_nodes"):
         # the 17^2 level leaves out the one kept node on the cloud
         assert problem.rows.parts[1].kept is not None
-        assert levels[0][1].rows.parts[1].kept is not None
-        assert (problem.num_rows, levels[0][1].num_rows) == (102 + 33**2 - 2, 102 + 17**2 - 1)
+        assert levels[0][0].rows.parts[1].kept is not None
+        assert (problem.num_rows, levels[0][0].num_rows) == (
+            102 + 33**2 - 2 + bound_rows, 102 + 17**2 - 1 + bound_rows)
 
 
 # (points, box, grid, top degree): 88 degrees, so 352 programs in both bases,
@@ -784,6 +797,27 @@ def test_continued_fits_certify_the_cold_optimum(cluster_sweep):
         assert abs(result.objective - cold.objective) <= 1e-12 * abs(cold.objective)
 
 
+def test_bounded_fits_continue_through_every_level(monkeypatch):
+    # W2 at degree 14 with the bound rows +-v_i / 1e3 >= -1 on its 26^2,
+    # 51^2 and 101^2 levels: each level after the coarsest starts from the
+    # last one's basis, and the fit certifies the cold bounded optimum
+    cloud, box, spec = PointCloud(cluster_point_array()), BoxDomain.symmetric(2), GridSpec(points_per_axis=201)
+    solutions = []
+
+    def recorded(problem, start=None):
+        solutions.append(solve(problem, start=start))
+        return solutions[-1]
+
+    monkeypatch.setattr(fitting, "solve", recorded)
+    result = fit(cloud, box, 14, grid=spec, coeff_bound=1e3)
+    monkeypatch.undo()
+    cold = solve(build_problem(cloud, box, 14, grid=spec, coeff_bound=1e3))
+    assert [s.status for s in solutions] == ["optimal"] * 4
+    assert [s.stats.start_basis for s in solutions] == [False, True, True, True]
+    assert cold.status == "optimal" and not cold.stats.start_basis
+    assert abs(result.objective - cold.objective) <= 1e-12 * abs(cold.objective)
+
+
 def test_each_coarse_level_writes_one_debug_line(caplog):
     cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
     with caplog.at_level(logging.DEBUG, logger="polycover"):
@@ -869,3 +903,10 @@ def test_solver_iteration_cap_surfaces_as_fit_error(monkeypatch):
     cloud = PointCloud(np.array([-0.5, 0.0, 0.25]))
     with pytest.raises(SolverFailedError, match="iteration limit"):
         fit(cloud, BoxDomain.symmetric(1), 7, grid=GridSpec(points_per_axis=501))
+
+
+def test_assemble_refuses_another_basis_moments():
+    cloud, box = PointCloud(np.array([[0.0, 0.1]])), BoxDomain.symmetric(2)
+    grid = build_grid(box, GridSpec(points_per_axis=5))
+    with pytest.raises(ValueError, match="moment vector was computed for a different basis"):
+        assemble(cloud, grid, make_basis(2, 3), moment_vector(make_basis(2, 2), box))

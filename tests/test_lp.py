@@ -1103,3 +1103,8 @@ def test_a_start_that_is_no_feasible_basis_runs_the_crash(case, start):
     assert sol.status == cold.status == "optimal"
     assert sol.iterations == cold.iterations
     assert sol.v.tobytes() == cold.v.tobytes() and sol.objective == cold.objective
+
+
+def test_lp_problem_refuses_a_one_dimensional_A():
+    with pytest.raises(ValueError, match="constraint matrix must be two dimensional"):
+        LpProblem(c=[1.0, 2.0], A=[1.0, 2.0], b=[0.0])

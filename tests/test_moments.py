@@ -154,3 +154,14 @@ def test_unit_interval_demo_normalizes_linear_element():
     rows = unit_interval_orthonormal_demo()
     assert rows[1, 0] == pytest.approx(0.0, abs=1e-15)
     assert rows[1, 1] == pytest.approx(math.sqrt(6.0) / 2.0, abs=1e-12)
+
+
+def test_moments_refuse_a_multi_index_or_box_of_another_dimension():
+    box = BoxDomain.symmetric(2)
+    for moment in (box_monomial_moment, box_chebyshev_moment):
+        with pytest.raises(ValueError, match="multi-index dimension mismatch"):
+            moment(box, (1, 0, 2))
+    # a chebyshev basis's elements are defined through its own box
+    basis = make_basis(2, 3, "chebyshev", box)
+    with pytest.raises(ValueError, match="chebyshev moments require the basis box itself"):
+        moment_vector(basis, BoxDomain((-1.0, -1.0), (1.0, 2.0)))

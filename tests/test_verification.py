@@ -28,6 +28,7 @@ from polycover import (
 )
 from polycover import verification
 from polycover.basis import constant_poly
+from polycover.moments import MomentMatrix
 from polycover.domain import MAX_GRID_POINTS, tensor_grid
 
 from oracles import bfs_component_count, stratified_mc_points, stratified_mc_volume
@@ -758,3 +759,35 @@ def test_run_report_logs_its_stages_at_debug_level(caplog):
     caplog.clear()
     run_report(halfspace_poly(), square, mc_samples=10_000, resolution=64)  # silent by default
     assert not [r for r in caplog.records if r.name == "polycover"]
+
+
+def test_checks_refuse_a_box_or_moments_of_another_dimension():
+    p = constant_poly(make_basis(2, 2), 1.5)
+    box_3d = BoxDomain.symmetric(3)
+    checks = [
+        lambda: verification.cell_enclosures(p, box_3d, 4),
+        lambda: mc_volume(p, box_3d, samples=10_000),
+        lambda: count_components(p, box_3d, 64),
+        lambda: trace_report(p, box_3d),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="polynomial and box dimensions differ"):
+            check()
+    volume = mc_volume(p, BoxDomain.symmetric(2), samples=10_000)
+    other = moment_vector(make_basis(2, 3), BoxDomain.symmetric(2))
+    with pytest.raises(ValueError, match="moment vector was computed for a different basis"):
+        chebyshev_check(p, other, volume)
+
+
+def test_trace_report_raises_when_its_routes_disagree(monkeypatch):
+    # a moment matrix off by 1e-6 relative moves the trace route alone
+    def perturbed(*args, **kwargs):
+        mm = moment_matrix(*args, **kwargs)
+        return MomentMatrix(mm.basis, mm.box, mm.entries * (1.0 + 1e-6))
+
+    p = constant_poly(make_basis(2, 2), 1.5)
+    box = BoxDomain.symmetric(2)
+    assert trace_report(p, box).relative_gap <= 1e-12
+    monkeypatch.setattr(verification, "moment_matrix", perturbed)
+    with pytest.raises(ArithmeticError, match="trace route .* disagree"):
+        trace_report(p, box)
