@@ -138,7 +138,9 @@ def _basis_table(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
     """The 1-D factors of eval_basis_many's entries along one axis: the
     values phi_0..phi_d at the coordinates x, one row per coordinate.
     Monomials are ** powers, not _axis_table's running products: those move
-    the entries by up to 9e-16, which changes line-LP outcomes."""
+    the entries by up to 9e-16, and on the 492 line LPs (monomial degrees
+    0-35, Chebyshev 0-45, 6 cloud orders) they grow the monomial failures
+    at degrees 27-30 from 8 to 12, 8 of them at new degree and order pairs."""
     if basis.kind == "monomial":
         return x[:, None] ** np.arange(basis.degree + 1)
     return _axis_table(basis, axis, x, np.empty((basis.degree + 1, x.size))).T
@@ -513,62 +515,58 @@ def _require_monomial(basis: PolyBasis, what: str) -> None:
         raise ValueError(f"{what} is defined for monomial bases only")
 
 
+def _gram_pairs(basis_half: PolyBasis) -> tuple[PolyBasis, np.ndarray]:
+    """The monomial basis of degree 2 delta and the pair table of the
+    half-degree basis: the (s, s) array whose entry (i, j) is the position of
+    alpha_i + alpha_j in that basis.  Exponents are coded in radix 2 delta + 1,
+    so no axis carries and a pair's code is the sum of its two codes; one
+    sorted search finds every pair code among the full basis's codes."""
+    n, base = basis_half.dimension, 2 * basis_half.degree + 1
+    full = make_basis(n, base - 1, "monomial")
+    # Python integers where codes can pass int64 (3^40 does): wrapped codes could coincide
+    radix = np.array([base**k for k in reversed(range(n))],
+                     dtype=np.int64 if base**n < 2**63 else object)
+    half_codes, full_codes = basis_half.exponent_array @ radix, full.exponent_array @ radix
+    order = np.argsort(full_codes)
+    pair_codes = half_codes[:, None] + half_codes[None, :]
+    return full, order[np.searchsorted(full_codes, pair_codes, sorter=order)]
+
+
 def gram_to_poly(gram: np.ndarray, basis_half: PolyBasis) -> Polynomial:
     """Expand the quadratic form of a symmetric matrix over a half-degree basis.
 
     Given a symmetric matrix P and the monomial basis pi of degree delta,
-    returns pi^T P pi collected as a polynomial of degree 2*delta.
+    returns pi^T P pi collected as a polynomial of degree 2*delta: each
+    coefficient is the sum of the P[i, j] that _gram_pairs' table sends to
+    it, added in row-major order of (i, j) by one np.bincount.
     """
     _require_monomial(basis_half, "gram_to_poly")
     P = np.asarray(gram, dtype=float)
     s = len(basis_half)
     if P.shape != (s, s):
         raise ValueError(f"gram matrix must be {s}x{s} for this basis")
-    asym = float(np.max(np.abs(P - P.T))) if s else 0.0
-    if asym > GRAM_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(P))) if s else 1.0):
+    asym = float(np.max(np.abs(P - P.T)))
+    if asym > GRAM_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(P)))):
         raise ValueError(f"gram matrix is asymmetric (max deviation {asym:.3e})")
-
-    full = make_basis(basis_half.dimension, 2 * basis_half.degree, "monomial")
-    coeffs = np.zeros(len(full))
-    pos = full.index_position
-    idx = basis_half.indices
-    for i in range(s):
-        ai = idx[i]
-        for j in range(s):
-            gamma = tuple(a + b for a, b in zip(ai, idx[j]))
-            coeffs[pos[gamma]] += P[i, j]
-    return Polynomial(full, coeffs)
+    full, pairs = _gram_pairs(basis_half)
+    return Polynomial(full, np.bincount(pairs.ravel(), weights=P.ravel(), minlength=len(full)))
 
 
 def poly_to_gram(p: Polynomial) -> np.ndarray:
     """Canonical symmetric Gram representative of a monomial polynomial.
 
     Each coefficient of exponent gamma is split equally across all ordered
-    pairs (alpha, beta) of half-degree exponents with alpha + beta = gamma.
+    pairs (alpha, beta) of half-degree exponents with alpha + beta = gamma:
+    G[i, j] is the coefficient at entry (i, j) of _gram_pairs' table divided
+    by the number of table entries that hold its position.
     The result G satisfies gram_to_poly(G) == p up to zero padding.
     """
     _require_monomial(p.basis, "poly_to_gram")
-    delta = half_degree(p.degree)
-    basis_half = make_basis(p.dimension, delta, "monomial")
-    idx = basis_half.indices
-    s = len(basis_half)
-
-    pair_slots: dict[MultiIndex, list[tuple[int, int]]] = {}
-    for i in range(s):
-        for j in range(s):
-            gamma = tuple(a + b for a, b in zip(idx[i], idx[j]))
-            pair_slots.setdefault(gamma, []).append((i, j))
-
-    G = np.zeros((s, s))
-    pos = p.basis.index_position
-    for gamma, slots in pair_slots.items():
-        c = p.coeffs[pos[gamma]] if gamma in pos else 0.0
-        if c == 0.0:
-            continue
-        share = c / len(slots)
-        for i, j in slots:
-            G[i, j] += share
-    return G
+    full, pairs = _gram_pairs(make_basis(p.dimension, half_degree(p.degree), "monomial"))
+    coeffs = np.zeros(len(full))
+    coeffs[: len(p.basis)] = p.coeffs  # the degree-d basis is a prefix of full
+    counts = np.bincount(pairs.ravel(), minlength=len(full))
+    return coeffs[pairs] / counts[pairs] + 0.0  # + 0.0: a -0.0 coefficient gives +0.0
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,12 @@ from .basis import (
     poly_to_gram,
 )
 from .domain import BoxDomain, check_grid_size, grid_axes
-from .fitting import GridSpec, build_grid, default_grid_spec
+from .fitting import GridSpec, build_grid
 from .moments import MomentVector, moment_matrix, moment_vector
 
 TRACE_AGREEMENT_TOL = 1e-9
 MIN_MC_SAMPLES = 1000
+SCAN_BUDGET = 400_000  # points of the nonnegativity scan in 3-D and up
 # Monte Carlo points drawn and evaluated at a time; larger chunks raise the
 # peak RSS of a fit and run no faster
 MC_CHUNK_SAMPLES = 8192
@@ -183,25 +184,22 @@ class ScanResult:
 
 
 def _scan_spec(p: Polynomial) -> GridSpec:
-    """The default scan grid: four times denser per axis than the fitting
-    grid in 1-D and 2-D.  In 3-D and up, the tensor grid with the most
-    nodes per axis whose points fit in a quasi-random sample four times the
-    fitting grid's: 73 per axis in 3-D, 25 in 4-D, 2 from 12-D to 18-D.
+    """The default scan grid: 8001 nodes in 1-D and 801 per axis in 2-D.
+    In 3-D and up, the tensor grid with the most nodes per axis within
+    SCAN_BUDGET points: 73 per axis in 3-D, 25 in 4-D, 2 from 12-D to 18-D.
     eval_poly_grid contracts p's dense (d + 1)^n coefficients, so where
     they would not fit in an enclosure block, or the grid would have fewer
-    than 2 nodes per axis, the scan draws that sample itself, with another
-    seed than the fitting grid's so that it probes new locations."""
+    than 2 nodes per axis, the scan draws SCAN_BUDGET Sobol points itself,
+    with seed 1, not the fitting grid's default 0, to probe new locations."""
     n = p.dimension
-    base = default_grid_spec(n)
-    if base.points_per_axis is not None:
-        return GridSpec(points_per_axis=4 * (base.points_per_axis - 1) + 1)
-    budget = 4 * base.sample_count
+    if n <= 2:
+        return GridSpec(points_per_axis=8001 if n == 1 else 801)
     per_axis = 1
-    while (per_axis + 1) ** n <= budget:
+    while (per_axis + 1) ** n <= SCAN_BUDGET:
         per_axis += 1
     if per_axis >= 2 and (p.degree + 1) ** n <= _ENCLOSURE_BLOCK:
         return GridSpec(points_per_axis=per_axis)
-    return GridSpec(sample_count=budget, seed=1)
+    return GridSpec(sample_count=SCAN_BUDGET, seed=1)
 
 
 def nonnegativity_scan(

@@ -221,6 +221,39 @@ def horner_eval(coeffs_by_power, x: float) -> float:
     return acc
 
 
+def gram_to_coeffs_by_pairs(P, half_indices, full_indices) -> np.ndarray:
+    """pi^T P pi collected over the exponents full_indices: every ordered
+    pair (i, j) visited in row-major order, P[i, j] added at the position of
+    alpha_i + alpha_j."""
+    pos = {gamma: k for k, gamma in enumerate(full_indices)}
+    coeffs = np.zeros(len(full_indices))
+    for i, ai in enumerate(half_indices):
+        for j, aj in enumerate(half_indices):
+            coeffs[pos[tuple(a + b for a, b in zip(ai, aj))]] += P[i, j]
+    return coeffs
+
+
+def gram_by_pairs(coeffs, indices, half_indices) -> np.ndarray:
+    """The Gram matrix over half_indices that splits each coefficient of
+    exponent gamma (indices[k] for coeffs[k]) equally across the ordered
+    pairs (i, j) with alpha_i + alpha_j = gamma; pairs whose gamma has a
+    zero or no coefficient stay +0.0."""
+    slots: dict = {}
+    for i, ai in enumerate(half_indices):
+        for j, aj in enumerate(half_indices):
+            slots.setdefault(tuple(a + b for a, b in zip(ai, aj)), []).append((i, j))
+    pos = {alpha: k for k, alpha in enumerate(indices)}
+    G = np.zeros((len(half_indices), len(half_indices)))
+    for gamma, pairs in slots.items():
+        c = coeffs[pos[gamma]] if gamma in pos else 0.0
+        if c == 0.0:
+            continue
+        share = c / len(pairs)
+        for i, j in pairs:
+            G[i, j] += share
+    return G
+
+
 def mc_integral(values: np.ndarray, box_volume: float):
     """Sample-mean integral estimate with its standard error."""
     mean = float(np.mean(values))

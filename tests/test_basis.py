@@ -13,7 +13,7 @@ from polycover.basis import _BLOCK_POINTS, _TILE_POINTS, PolyBasis, basis_size, 
 from polycover.basis import cell_enclosures, eval_poly_grid
 from polycover.domain import grid_axes, tensor_grid
 
-from oracles import chebyshev_tensor_value, horner_eval
+from oracles import chebyshev_tensor_value, gram_by_pairs, gram_to_coeffs_by_pairs, horner_eval
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
@@ -457,6 +457,27 @@ def test_poly_to_gram_is_symmetric():
     np.testing.assert_array_equal(G, G.T)
 
 
+GRAM_CASES = [(n, d) for n in (1, 2, 3, 4) for d in range(11 if n < 4 else 9)] + [(40, 2)]
+
+
+@pytest.mark.parametrize("dimension, degree", GRAM_CASES)
+def test_gram_conversions_match_the_pair_loops_bit_for_bit(dimension, degree):
+    # 40-D: 5^40 passes int64, so _gram_pairs codes in Python integers
+    rng = np.random.default_rng(100 * dimension + degree)
+    basis = make_basis(dimension, degree)
+    half = make_basis(dimension, half_degree(degree))
+    full = make_basis(dimension, 2 * half.degree)
+    coeffs = rng.normal(size=len(basis))
+    coeffs[rng.random(len(basis)) < 0.2] = -0.0
+    G = poly_to_gram(Polynomial(basis, coeffs))
+    assert G.tobytes() == gram_by_pairs(coeffs, basis.indices, half.indices).tobytes()
+    raw = rng.normal(size=(len(half), len(half)))
+    P = raw + raw.T
+    p = gram_to_poly(P, half)
+    assert p.basis == full
+    assert p.coeffs.tobytes() == gram_to_coeffs_by_pairs(P, half.indices, full.indices).tobytes()
+
+
 def test_gram_rejects_asymmetric_input():
     half = make_basis(1, 1, "monomial")
     with pytest.raises(ValueError, match="asymmetric"):
@@ -517,6 +538,19 @@ def test_validation_errors():
     p = Polynomial(basis, np.zeros(6))
     with pytest.raises(ValueError):
         p(np.zeros(3))  # wrong point dimension
+
+
+def test_basis_evaluators_refuse_points_of_another_shape():
+    plane, line = make_basis(2, 2), make_basis(1, 3)
+    for points in (np.zeros((5, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match="^points have dimension 3, basis has 2$"):
+            eval_basis_many(plane, points)
+    # a 0-d point is a point of a 1-D basis, and of dimension 1 for any other
+    np.testing.assert_array_equal(eval_basis(line, np.float64(0.5)), [1.0, 0.5, 0.25, 0.125])
+    with pytest.raises(ValueError, match="^points have dimension 1, basis has 2$"):
+        eval_basis(plane, 0.5)
+    with pytest.raises(ValueError, match="^eval_basis expects a single point$"):
+        eval_basis(plane, np.zeros((1, 2)))
 
 
 def test_poly_basis_and_gram_to_poly_refuse_inconsistent_inputs():

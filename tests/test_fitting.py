@@ -312,6 +312,21 @@ def test_grid_spec_validation():
         GridSpec(sample_count=0)
 
 
+def test_box_and_cloud_refuse_malformed_input():
+    for lower, upper in [((), ()), ((0.0,), (1.0, 2.0))]:
+        with pytest.raises(ValueError, match="^lower and upper must have the same nonzero length$"):
+            BoxDomain(lower=lower, upper=upper)
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        BoxDomain.symmetric(0)
+    with pytest.raises(ValueError, match="^half_width must be positive$"):
+        BoxDomain.symmetric(2, 0.0)
+    with pytest.raises(ValueError, match="^points have dimension 3, box has 2$"):
+        BoxDomain.symmetric(2).contains_all(np.zeros((4, 3)))
+    for points in (np.zeros((0, 2)), np.zeros(0), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"^point cloud must be a nonempty \(N, n\) array$"):
+            PointCloud(points)
+
+
 def test_default_grid_spec_by_dimension():
     assert default_grid_spec(1).points_per_axis == 2001
     assert default_grid_spec(2).points_per_axis == 201

@@ -1108,3 +1108,80 @@ def test_a_start_that_is_no_feasible_basis_runs_the_crash(case, start):
 def test_lp_problem_refuses_a_one_dimensional_A():
     with pytest.raises(ValueError, match="constraint matrix must be two dimensional"):
         LpProblem(c=[1.0, 2.0], A=[1.0, 2.0], b=[0.0])
+
+
+def test_refinement_stops_on_a_non_finite_correction(monkeypatch):
+    # every refined solve's residual reads inf, so its correction B^-1 r is
+    # not finite: the refinement keeps the unrefined x at once
+    problem = cluster_problem(5)
+    reference = solve(problem)
+    solve_, calls = _DualSimplex._solve, []
+
+    def infinite_residuals(A, b, v):
+        calls.append(b.size)
+        return np.full(b.shape, math.inf)
+
+    def solve_with_infinite_residuals(self, rhs, trans, refine):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_residuals_ext", infinite_residuals)
+            return solve_(self, rhs, trans, refine)
+
+    monkeypatch.setattr(_DualSimplex, "_solve", solve_with_infinite_residuals)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    assert len(calls) == sol.stats.refined_solves > 0  # one residual each, then the stop
+    assert abs(sol.objective - reference.objective) <= lp.OPT_TOL * (1.0 + abs(reference.objective))
+
+
+def test_crash_declines_when_a_row_with_positive_gradient_does_not_enter(caplog, monkeypatch):
+    # the first triangular solve after a row enters at zero returns a
+    # non-positive last entry: the crash declines, and phase 1 starts from
+    # the artificials and reaches the crash's optimum
+    problem = cluster_problem(5)
+    reference = solve(problem)
+    assert reference.stats.crash_basis
+    crash = _DualSimplex._crash
+
+    def crash_with_one_bad_solve(self):
+        trtrs, calls = self.trtrs, []
+
+        def nonpositive_once(*args):
+            z, info = trtrs(*args)
+            if not calls:
+                z = z.copy()
+                z[-1] = -1.0
+            calls.append(z.size)
+            return z, info
+
+        self.trtrs = nonpositive_once
+        return crash(self)
+
+    monkeypatch.setattr(_DualSimplex, "_crash", crash_with_one_bad_solve)
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        sol = solve(problem)
+    lines = [r.getMessage() for r in caplog.records if r.name == "polycover"]
+    assert lines[0].startswith("crash declined (a row with positive gradient did not enter): ")
+    assert not sol.stats.crash_basis
+    assert sol.status == "optimal", sol.message
+    assert abs(sol.objective - reference.objective) <= lp.OPT_TOL * (1.0 + abs(reference.objective))
+
+
+def test_unbounded_phase_1_subproblem_fails_with_message(no_crash, monkeypatch):
+    # a ratio test that finds no leaving row in phase 1
+    ratio_test = _DualSimplex._ratio_test
+    monkeypatch.setattr(
+        _DualSimplex, "_ratio_test",
+        lambda self, d, x_basic, phase: -1 if phase == 1 else ratio_test(self, d, x_basic, phase),
+    )
+    sol = solve(simple_problem())
+    assert sol.status == "solver_failure"
+    assert sol.message == "phase-1 subproblem is unbounded"
+    assert sol.iterations == 0
+
+
+def test_extended_precision_solve_refuses_a_singular_matrix():
+    with pytest.raises(_EngineFailure, match="^singular basis matrix$"):
+        lp._gauss_solve_ext(np.zeros((3, 3)), np.ones(3))
+    # a nonsingular one solves
+    np.testing.assert_array_equal(lp._gauss_solve_ext(np.diag([2.0, 4.0]), np.array([1.0, 1.0])),
+                                  [0.5, 0.25])

@@ -461,6 +461,25 @@ def test_default_scan_draws_sobol_points_only_where_no_tensor_grid_fits(
         assert scan.points == per_axis**dimension
 
 
+def test_scan_grid_follows_its_own_rule_not_the_fitting_default(monkeypatch):
+    # 8001 nodes in 1-D, 801 per axis in 2-D, and in 3-D and up the most
+    # nodes per axis within 400,000 points while (d + 1)^n fits in an
+    # enclosure block of 2^17 coefficients, else 400,000 Sobol points
+    from polycover import fitting
+
+    monkeypatch.setattr(fitting, "default_grid_spec", lambda n: GridSpec(points_per_axis=46))
+    per_axis = {1: 8001, 2: 801, 3: 73, 4: 25, 5: 13, 6: 8}
+    max_tensor_degree = {1: 12, 2: 12, 3: 12, 4: 12, 5: 9, 6: 6}
+    for dimension in range(1, 7):
+        for degree in range(13):
+            spec = verification._scan_spec(Polynomial(make_basis(dimension, degree), np.ones(
+                math.comb(dimension + degree, degree))))
+            if degree <= max_tensor_degree[dimension]:
+                assert spec == GridSpec(points_per_axis=per_axis[dimension])
+            else:
+                assert spec == GridSpec(sample_count=400_000, seed=1)
+
+
 def test_sobol_scan_over_the_grid_cap_fails_before_allocating():
     p = Polynomial(make_basis(3, 6), np.random.default_rng(33).normal(size=84))
     tracemalloc.start()
