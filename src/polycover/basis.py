@@ -100,10 +100,6 @@ class PolyBasis:
         return len(self.indices)
 
     @cached_property
-    def index_position(self) -> dict[MultiIndex, int]:
-        return {alpha: i for i, alpha in enumerate(self.indices)}
-
-    @cached_property
     def exponent_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.int64)
 

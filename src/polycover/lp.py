@@ -17,9 +17,10 @@ left over at zero level are pinned there during phase 2.  Pricing uses Devex
 reference weights (Harris 1973) with smallest-index tie breaking; the weights
 are 1 when a phase starts and when a row joins the working set, and all
 return to 1 when one passes 1e6.
-Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0,
-every 64th zero-rhs row and the rows of its start basis); when it prices
-out, one pricing over every row adds the 4k most violated rows (k columns).
+Phase 1 prices every row.  Phase 2 prices a working set of rows (b != 0
+and the rows of its start basis, plus every 64th zero-rhs row unless the
+caller's start basis was taken); when it prices out, one pricing over
+every row adds the 4k most violated rows (k columns).
 A new primal row is a new dual column, so the basis stays feasible, and a
 row that never enters gets dual 0.  Rows are solved as given, in the
 caller's order.  The basis matrix is updated one column per pivot.  Solves
@@ -235,7 +236,9 @@ class SolveStats:
     crash_rows and work_rows list the size of the crash's candidate set and
     of phase 2's working set when each starts and after each growth
     (crash_rows is empty only when a start basis is taken or c = 0, as in
-    the feasibility probe, where no crash is tried); start_basis and
+    the feasibility probe, where no crash is tried; phase 2 starts on its
+    start basis and b != 0, plus every 64th zero-rhs row unless the caller's
+    start basis was taken); start_basis and
     crash_basis say whether the caller's start basis or the crash basis was
     taken, so that phase 1 did not run.  full_pricings counts passes over
     every row: one per phase-1 pivot and one per attempt to grow either set.
@@ -297,13 +300,14 @@ class _Outcome:
 class _DualSimplex:
     """Two-phase revised simplex on min f.lam s.t. sum lam_j row_j = rhs;
     phase 1 runs only when _crash finds no feasible basis, and
-    phase 2 prices a working set of rows, sorted by index, and grows it.
+    phase 2 prices a working set of rows, sorted by index, and grows it; a
+    start basis from the caller stands in for self.start's stride sample.
     Both phases price by Devex weights kept aligned with the working set.
     The rows come from a row source; a working set of fewer than every row
     keeps its rows dense, and the rows of the current such set are reused
     before any is taken from the source again."""
 
-    START_STRIDE = 64  # every 64th zero-cost row starts in the working set
+    START_STRIDE = 64  # every 64th zero-cost row starts the crash's and a cold phase 2's set
     GROWTH = 4  # one growth adds at most GROWTH * k rows
     DEVEX_CAP = 1e6  # a weight above it returns every weight to 1
     REFACTOR_EVERY = 64  # a fresh getrf at least every 64 pivots
@@ -330,7 +334,7 @@ class _DualSimplex:
         self.etas = 0  # eta updates folded into M since the last getrf; 0 means M = I
         self.y_rho = np.zeros((self.k, 2))  # [y, rho], rho = B^-T e_p of the last pivot
         self.pending = None  # (alpha_q, w_q, leaving row) of the last pivot
-        zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of phase 2
+        zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of a cold phase 2
         self.start = np.union1d(np.flatnonzero(f != 0.0), zero[:: self.START_STRIDE])
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
@@ -597,7 +601,8 @@ class _DualSimplex:
             work = np.arange(self.m)
         else:
             cost = np.concatenate([self.f, np.zeros(self.k)])
-            work = np.union1d(self.start, self.basis[self.basis < self.m])
+            rows = np.flatnonzero(self.f != 0.0) if self.stats.start_basis else self.start
+            work = np.union1d(rows, self.basis[self.basis < self.m])
             self.stats.work_rows.append(work.size)
         cost_real = cost[: self.m]
         self._set_work(work, cost_real)

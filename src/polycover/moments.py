@@ -121,9 +121,6 @@ class MomentMatrix:
     box: BoxDomain
     entries: np.ndarray
 
-    def __len__(self) -> int:
-        return self.entries.shape[0]
-
 
 def moment_matrix(basis: PolyBasis, box: BoxDomain, warn_threshold: float = CONDITION_WARN_THRESHOLD) -> MomentMatrix:
     """Matrix of integrals of pi_i * pi_j over the box.

@@ -134,7 +134,7 @@ def test_eval_basis_many_is_bitwise_the_per_point_evaluation(points, kind, degre
 def test_eval_basis_many_keeps_the_sign_of_zero():
     basis = make_basis(2, 3, "monomial")
     values = eval_basis_many(basis, np.array([[0.0, 2.0], [-0.0, 2.0]]))
-    linear = basis.index_position[(1, 0)], basis.index_position[(1, 2)]
+    linear = basis.indices.index((1, 0)), basis.indices.index((1, 2))
     assert all(math.copysign(1.0, values[0, j]) == 1.0 for j in linear)
     assert all(math.copysign(1.0, values[1, j]) == -1.0 for j in linear)
 
@@ -412,7 +412,7 @@ def test_eval_poly_grid_is_laid_out_row_major():
     basis = make_basis(3, 2, "monomial")
     for d in range(3):
         coeffs = np.zeros(len(basis))
-        coeffs[basis.index_position[tuple(int(e == d) for e in range(3))]] = 1.0
+        coeffs[basis.indices.index(tuple(int(e == d) for e in range(3)))] = 1.0
         values = eval_poly_grid(Polynomial(basis, coeffs), axes)
         assert values.shape == (4, 1, 3)
         assert np.array_equal(values.reshape(-1), points[:, d])

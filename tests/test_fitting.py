@@ -833,6 +833,29 @@ def test_bounded_fits_continue_through_every_level(monkeypatch):
     assert abs(result.objective - cold.objective) <= 1e-12 * abs(cold.objective)
 
 
+def test_a_continued_level_opens_on_its_start_basis_and_the_cloud_rows(monkeypatch):
+    # W2 at degree 14 on 201^2 and on 401^2: the fine solve takes the last
+    # level's basis, and its first working set is that basis plus the b != 0
+    # rows, the same size on both grids (every 64th grid row would add 632
+    # rows on 201^2 and 2513 on 401^2)
+    cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
+    first = []
+    for n in (201, 401):
+        solved = []
+
+        def recorded(problem, start=None):
+            solved.append((problem, start, solve(problem, start=start)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(fitting, "solve", recorded)
+        fit(cloud, box, 14, grid=GridSpec(points_per_axis=n))
+        problem, start, solution = solved[-1]
+        assert solution.status == "optimal" and solution.stats.start_basis
+        assert solution.stats.work_rows[0] == np.union1d(np.flatnonzero(problem.b), start).size
+        first.append(solution.stats.work_rows[0])
+    assert first[0] == first[1]
+
+
 def test_each_coarse_level_writes_one_debug_line(caplog):
     cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
     with caplog.at_level(logging.DEBUG, logger="polycover"):

@@ -1100,6 +1100,7 @@ def test_a_start_that_is_no_feasible_basis_runs_the_crash(case, start):
     sol = solve(problem, start=rows)
     assert not sol.stats.start_basis and sol.stats.crash_basis == cold.stats.crash_basis
     assert sol.stats.crash_rows == cold.stats.crash_rows
+    assert sol.stats.work_rows == cold.stats.work_rows  # the cold start set
     assert sol.status == cold.status == "optimal"
     assert sol.iterations == cold.iterations
     assert sol.v.tobytes() == cold.v.tobytes() and sol.objective == cold.objective

@@ -354,8 +354,8 @@ def test_nonnegativity_scan_argmin_is_a_grid_point(dimension, per_axis):
     coeffs = np.zeros(len(basis))
     for d in range(dimension):
         unit = tuple(int(e == d) for e in range(dimension))
-        coeffs[basis.index_position[tuple(2 * u for u in unit)]] = 1.0
-        coeffs[basis.index_position[unit]] = -2.0 * target[d]
+        coeffs[basis.indices.index(tuple(2 * u for u in unit))] = 1.0
+        coeffs[basis.indices.index(unit)] = -2.0 * target[d]
     coeffs[0] = float(target @ target)
     scan = nonnegativity_scan(Polynomial(basis, coeffs), box, spec)
     assert scan.points == grid.shape[0]
