@@ -300,7 +300,7 @@ def _prefix_layout(
     return runs, layout
 
 
-def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
+def eval_poly_many(p: Polynomial, points: np.ndarray, *, layout=None) -> np.ndarray:
     """Values at many points, evaluated in blocks of _BLOCK_POINTS points.
 
     The coefficients are grouped by the exponents of all axes but the last
@@ -311,6 +311,7 @@ def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
     row by row into buffers kept across blocks.  No intermediate exceeds
     (len(basis), block).  A block is padded to a multiple of _TILE_POINTS
     points, so a point's value does not depend on the block it is in.
+    A caller that evaluates p often passes _prefix_layout(p.basis, p.coeffs).
     """
     basis = p.basis
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -319,7 +320,7 @@ def eval_poly_many(p: Polynomial, points: np.ndarray) -> np.ndarray:
             f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
         )
     last = basis.dimension - 1
-    runs, layout = _prefix_layout(basis, p.coeffs)
+    runs, layout = _prefix_layout(basis, p.coeffs) if layout is None else layout
     count = pts.shape[0]
     out = np.empty(count + _TILE_POINTS)
     acc = tables = np.empty((0, 0))

@@ -13,7 +13,8 @@ slightly negative between them; the verification module measures this.
 fit, degree_sweep and build_problem (and so export-mps) build the rows once,
 at the top degree asked for; _FitSetup.program slices every program from
 that one build, each degree's (its basis is a column prefix of every higher
-one's) and each coarse level's.  The solver reads the rows through the
+one's) and each coarse level's, but the Chebyshev rows of a monomial fit's
+cold levels (see _fit_degree).  The solver reads the rows through the
 program's row source only.  On a 1-D or Sobol grid they are assemble's dense
 A.  On a tensor grid in two or more dimensions no A is built for a fit: the
 solver prices the grid rows by contracting the coefficients with per-axis
@@ -27,6 +28,7 @@ import functools
 import logging
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -280,7 +282,7 @@ class _GridRows:
         return float(_axis_product(peaks, self.basis.exponent_array).max())
 
 
-def _basis(box: BoxDomain, kind: BasisKind, n: int, degree: int) -> tuple[PolyBasis, MomentVector]:
+def _basis(box: BoxDomain, n: int, kind: BasisKind, degree: int) -> tuple[PolyBasis, MomentVector]:
     """A degree's basis and its moments over the box; ValueError if they overflow."""
     basis = make_basis(n, degree, kind, box if kind == "chebyshev" else None)
     return basis, moment_vector(basis, box)
@@ -292,7 +294,8 @@ class _FitSetup:
     p >= 0 is enforced, basis kind, coefficient bound) and the rows of the
     top degree, which each degree slices, or None: assemble's A, or on a
     tensor grid in 2-D and up the cloud's rows, each axis's _basis_table in
-    tables, and kept: each grid point's node index (None if none is left out)."""
+    tables, and kept: each grid point's node index (None if none is left out);
+    bases(kind, degree) is _basis on the box, built once per request."""
 
     cloud: PointCloud
     box: BoxDomain
@@ -302,8 +305,10 @@ class _FitSetup:
     rows: np.ndarray | None
     tables: list[np.ndarray] | None
     kept: np.ndarray | None
+    bases: Callable[[BasisKind, int], tuple[PolyBasis, MomentVector]]
 
-    def program(self, degree: int, step: int = 1) -> tuple[PolyBasis, LpProblem, np.ndarray | None]:
+    def program(self, degree: int, step: int = 1, kind: BasisKind | None = None
+                ) -> tuple[PolyBasis, LpProblem, np.ndarray | None]:
         """The coefficient program of one degree, or at step s > 1 its coarse
         level, with the rows of the step-1 program that the level holds (None
         at step 1): cloud rows, grid rows, then the rows +-v_i / bound >= -1
@@ -311,21 +316,27 @@ class _FitSetup:
         first len(basis) columns, copied contiguous so that pricing keeps its
         bits; a tensor grid's are a _GridRows of the tables' first degree + 1
         rows.  A level keeps a Sobol grid's first 1/s^2 of the points, or a
-        tensor grid's every s-th node per axis less those left out."""
-        basis, moments = _basis(self.box, self.kind, self.cloud.dimension, degree)
+        tensor grid's every s-th node per axis less those left out; in another
+        kind (a cold level's Chebyshev rows), their dense rows built for it."""
+        kind = kind or self.kind
+        basis, moments = self.bases(kind, degree)
         k, cloud, grid = len(basis), self.cloud.count, len(self.grid_points)
-        size, nodes, kept = grid // step**2, None, self.kept  # size: a Sobol level's grid points
-        parts = [DenseRows(np.ascontiguousarray(self.rows[: cloud + size, :k]))]  # all rows if tensor
-        if self.tables is not None:
+        size, nodes, kept = grid // step**2, None, self.kept  # size: the level's grid rows
+        if self.tables is not None and step > 1:
             counts = [table.shape[1] for table in self.tables]
-            if step > 1:
-                nodes = np.ravel_multi_index(np.ix_(*(np.arange(0, c, step) for c in counts)), counts).ravel()
-                if kept is not None:  # the level's nodes left in the program, and their grid rows
-                    kept = np.flatnonzero(np.isin(nodes, self.kept))
-                    nodes = self.kept.searchsorted(nodes[kept])
-            tables = [np.ascontiguousarray(table[: degree + 1, ::step]) for table in self.tables]
-            parts.append(_GridRows(basis, tables, kept))
-            size = parts[1].shape[0]
+            nodes = np.ravel_multi_index(np.ix_(*(np.arange(0, c, step) for c in counts)), counts).ravel()
+            if kept is not None:  # the level's nodes left in the program, and their grid rows
+                kept = np.flatnonzero(np.isin(nodes, self.kept))
+                nodes = self.kept.searchsorted(nodes[kept])
+            size = nodes.size
+        if kind != self.kind:
+            points = self.grid_points[:size] if nodes is None else self.grid_points[nodes]
+            parts = [DenseRows(eval_basis_many(basis, np.vstack([self.cloud.points, points])))]
+        else:
+            parts = [DenseRows(np.ascontiguousarray(self.rows[: cloud + size, :k]))]  # all rows if tensor
+            if self.tables is not None:
+                tables = [np.ascontiguousarray(table[: degree + 1, ::step]) for table in self.tables]
+                parts.append(_GridRows(basis, tables, kept))
         bound_rows = 0 if self.coeff_bound is None else 2 * k
         if bound_rows:
             eye = np.eye(k) / self.coeff_bound
@@ -376,9 +387,10 @@ def _prepare(
     tensor = spec.points_per_axis is not None and cloud.dimension >= 2
     kept = np.flatnonzero(~on_cloud) if tensor and on_cloud.any() else None
     rows = tables = None
+    bases = functools.cache(functools.partial(_basis, box_eff, cloud.dimension))
     for degree in sorted(degrees, reverse=True):  # the top degree: the highest with finite moments
         try:  # a degree whose moments overflow fails in program, as does every higher one
-            basis, moments = _basis(box_eff, kind, cloud.dimension, degree)
+            basis, moments = bases(kind, degree)
         except ValueError:
             continue
         if tensor:
@@ -387,7 +399,7 @@ def _prepare(
         rows = (eval_basis_many(basis, cloud.points) if tensor
                 else assemble(cloud, grid_points, basis, moments).rows.A)
         break
-    return _FitSetup(cloud, box_eff, grid_points, kind, coeff_bound, rows, tables, kept)
+    return _FitSetup(cloud, box_eff, grid_points, kind, coeff_bound, rows, tables, kept, bases)
 
 
 def build_problem(
@@ -453,16 +465,21 @@ def _fit_degree(setup: _FitSetup, degree: int) -> FitResult:
     """Solve and check one degree's program after its coarse levels, each
     from the last one's optimal basis; writes one DEBUG line per level and
     one with the row count and each stage's seconds (build: the program's
-    slice of the one build; solve: the levels too).  problem.A is never read."""
+    slice of the one build; solve: the levels too).  problem.A is never read.
+    Without a coefficient bound (axis-aligned in the fit's coordinates) a
+    level with no start basis is solved in Chebyshev ones, where the crash
+    is better conditioned; its optimal basis is optimal in any (see lp)."""
     start = time.perf_counter()
     basis, problem, _ = setup.program(degree)
     built = time.perf_counter()
     optimal = None  # the last coarse level's optimal basis, as rows of problem
     for label, step in _coarse_levels(setup, degree, len(basis)):
-        _, level, rows = setup.program(degree, step)
+        kind = "chebyshev" if optimal is None and setup.coeff_bound is None else setup.kind
+        _, level, rows = setup.program(degree, step, kind)
         solution = solve(level, start=None if optimal is None else rows.searchsorted(optimal))
-        _log.debug("level %s (%s): %d rows, %d pivots, start basis %s", label, solution.status,
-                   level.num_rows, solution.iterations, "taken" if solution.stats.start_basis else "not taken")
+        _log.debug("level %s (%s, %s basis): %d rows, %d pivots, %d crash steps, start basis %s",
+                   label, solution.status, kind, level.num_rows, solution.iterations,
+                   solution.stats.crash_steps, "taken" if solution.stats.start_basis else "not taken")
         optimal = None if solution.basis is None else rows[solution.basis]
     level = solution = rows = None  # drop the last coarse program before the fine solve
     solution = solve(problem, start=optimal)

@@ -33,7 +33,8 @@ and B^-T e_p; the basic values and multipliers are solved after a getrf and
 else follow from those two.  Extended-precision refinement runs when a
 phase is about to finish; a phase ends only when a pricing over every row
 at the refined multipliers finds no entering row.  A run fails when it
-reaches MAX_ITERS pivots.
+reaches MAX_ITERS pivots.  Only the crash sees coordinates: v = T u keeps x_B,
+reduced costs, Devex ratios, B^-1 a_q and so every optimal basis (a row set).
 
 The engine sees the rows through a row source (DenseRows, StackedRows, or
 any object with their methods): dense rows by index, products of every row
@@ -135,8 +136,10 @@ class LpProblem:
 
 
 def _product(rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """rows @ Y for a (k, 2) Y, in blocks of 4096 rows: BLAS is slow on
-    tall (n, 2) products."""
+    """rows @ Y for a (k, 2) Y, in blocks of 4096 rows past 4096 rows: BLAS
+    is slow on tall (n, 2) products.  Each block is one matmul, bits and all."""
+    if rows.shape[0] <= 4096:
+        return rows @ Y
     out = np.empty((rows.shape[0], Y.shape[1]))
     for i in range(0, rows.shape[0], 4096):
         np.matmul(rows[i : i + 4096], Y, out=out[i : i + 4096])
@@ -238,10 +241,11 @@ class SolveStats:
     (crash_rows is empty only when a start basis is taken or c = 0, as in
     the feasibility probe, where no crash is tried; phase 2 starts on its
     start basis and b != 0, plus every 64th zero-rhs row unless the caller's
-    start basis was taken); start_basis and
-    crash_basis say whether the caller's start basis or the crash basis was
-    taken, so that phase 1 did not run.  full_pricings counts passes over
-    every row: one per phase-1 pivot and one per attempt to grow either set.
+    start basis was taken); start_basis and crash_basis say whether the
+    caller's start basis or the crash basis was taken, so that phase 1 did
+    not run.  crash_steps counts the crash's QR inserts and deletes.
+    full_pricings counts passes over every row: one per phase-1 pivot and
+    one per attempt to grow either set.
     pricing_s is the time spent pricing, factorizations the LU
     factorizations of a basis matrix, factor_updates the pivots folded into
     the eta product instead, basis_solves the solves with LU factors,
@@ -264,6 +268,7 @@ class SolveStats:
     devex_resets: int = 0
     vertex_ext: bool = False
     crash_rows: list[int] = field(default_factory=list)
+    crash_steps: int = 0
     crash_basis: bool = False
     start_basis: bool = False
     rows_built: int = 0
@@ -322,6 +327,7 @@ class _DualSimplex:
         self.m, self.k = self.source.shape
         self.sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.k)
+        self.artificials = self.k  # basic artificial columns
         self.iterations = 0
         self.phase1_tol = FEAS_TOL * (1.0 + float(np.sum(np.abs(rhs))))
         self.unit = np.eye(self.k)  # e_p for the pivot rows of the Devex update
@@ -333,7 +339,7 @@ class _DualSimplex:
         self.eta = np.empty((self.k, self.k), order="F")
         self.etas = 0  # eta updates folded into M since the last getrf; 0 means M = I
         self.y_rho = np.zeros((self.k, 2))  # [y, rho], rho = B^-T e_p of the last pivot
-        self.pending = None  # (alpha_q, w_q, leaving row) of the last pivot
+        self.pending = None  # (alpha_q, w_q, leaving row's working-set position) of the last pivot
         zero = np.flatnonzero(f == 0.0)  # the start rows of the crash and of a cold phase 2
         self.start = np.union1d(np.flatnonzero(f != 0.0), zero[:: self.START_STRIDE])
 
@@ -436,8 +442,8 @@ class _DualSimplex:
 
     def _price(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float) -> int:
         """Devex pricing over the working set, grown when it prices out: the
-        row of least r |r| / w among those with reduced cost r < -price_tol,
-        or -1.  The same pass over the set gives the last pivot's pivot row."""
+        set position of the row of largest r^2 / w with reduced cost r <
+        -price_tol, or -1.  The same pass gives the last pivot's pivot row."""
         start = time.perf_counter()
         whole = self.work.size == self.m
         if whole:
@@ -449,35 +455,33 @@ class _DualSimplex:
             self._update_weights(product[:, 1])
         reduced[self.work_basic] = math.inf
         candidates = (reduced < -price_tol).nonzero()[0]
-        entering = -1
+        pos = -1
         if candidates.size:
-            r = reduced[candidates]
-            score = r * np.abs(r) / self.weights[candidates]
-            entering = int(self.work[candidates[score.argmin()]])
+            score = reduced[candidates] ** 2 / self.weights[candidates]
+            pos = int(candidates[score.argmax()])
         elif not whole:
-            entering = self._grow(cost_real, y, price_tol, self.stats.work_rows)
+            pos = self._grow(cost_real, y, price_tol, self.stats.work_rows)
         self.stats.pricing_s += time.perf_counter() - start
-        return entering
+        return pos
 
     def _update_weights(self, alpha: np.ndarray) -> None:
         """Devex update from alpha, the pivot row of the last pivot."""
-        alpha_q, w_q, leaving = self.pending
+        alpha_q, w_q, leaving = self.pending  # leaving: -1 for an artificial
         self.pending = None
         ratio = alpha / alpha_q
         ratio *= ratio
         ratio *= w_q
         np.maximum(self.weights, ratio, out=self.weights)
-        if leaving < self.m:
-            w_leaving = min(max(w_q / alpha_q**2, 1.0), self.DEVEX_CAP)
-            self.weights[self.work.searchsorted(leaving)] = w_leaving
+        if leaving >= 0:
+            self.weights[leaving] = min(max(w_q / alpha_q**2, 1.0), self.DEVEX_CAP)
         if self.weights.max() > self.DEVEX_CAP:
             self.weights[:] = 1.0
             self.stats.devex_resets += 1
 
     def _grow(self, cost_real: np.ndarray, y: np.ndarray, price_tol: float, sizes: list) -> int:
         """Price every row; add the GROWTH * k most violated rows outside the
-        working set to it, append its size to sizes and return the entering
-        row among the new rows, or -1."""
+        working set to it, append its size to sizes and return the position
+        in the set of the entering row among the new rows, or -1."""
         self.stats.full_pricings += 1
         reduced = self.source.price(y)
         np.subtract(cost_real, reduced, out=reduced)
@@ -494,12 +498,16 @@ class _DualSimplex:
         self._set_work(np.union1d(self.work, new), cost_real)
         self.weights[self.work.searchsorted(old)] = weights
         sizes.append(self.work.size)
-        return entering
+        return int(self.work.searchsorted(entering))
 
     def _ratio_test(self, d: np.ndarray, x_basic: np.ndarray, phase: int) -> int:
-        """Position of the leaving basic variable, or -1 if d has no positive entry."""
-        piv_tol = 1e-10 * max(1.0, float(np.abs(d).max()))
-        if phase == 2 and self.basis.max() >= self.m:
+        """Position of the leaving basic variable, or -1 if d has no positive
+        entry; a non-finite d, from a singular basis matrix, fails the run."""
+        peak = float(np.abs(d).max())
+        if not math.isfinite(peak):
+            raise _EngineFailure("singular basis matrix")
+        piv_tol = 1e-10 * max(1.0, peak)
+        if phase == 2 and self.artificials:
             # An artificial must never leave zero; pivot it out first.
             art = np.flatnonzero((self.basis >= self.m) & (np.abs(d) > piv_tol))
             if art.size:
@@ -509,7 +517,7 @@ class _DualSimplex:
             return -1
         ratios = np.maximum(x_basic[positive], 0.0) / d[positive]
         tie = positive[ratios <= float(ratios.min()) * (1.0 + 1e-9) + 1e-300]
-        return int(tie[self.basis[tie].argmin()])
+        return int(tie[0] if tie.size == 1 else tie[self.basis[tie].argmin()])
 
     def _take(self, rows: np.ndarray) -> str:
         """Make the rows, sorted, the basis if B x = rhs gives x >=
@@ -520,7 +528,7 @@ class _DualSimplex:
         x = self._apply(self.rhs, 0)
         if not np.all(x >= -self.phase1_tol):
             return f"basis solve gives x_min {float(np.min(x)):.3e}"
-        self.basis = basis
+        self.basis, self.artificials = basis, 0
         return ""
 
     def _crash(self) -> bool:
@@ -561,6 +569,7 @@ class _DualSimplex:
                     for j in np.flatnonzero(x <= 0.0)[::-1]:
                         Q, R = scipy.linalg.qr_delete(Q, R, j, 1, "col", check_finite=False)
                         passive.pop(j)
+                        self.stats.crash_steps += 1
                     x = x[x > 0.0]
                     continue
                 x = z
@@ -576,6 +585,7 @@ class _DualSimplex:
                 column = self._work_row(pos)
                 Q, R = scipy.linalg.qr_insert(Q, R, column, p, "col", check_finite=False)
                 passive.append(row)
+                self.stats.crash_steps += 1
                 x = np.append(x, 0.0)
             elif self._grow(zero, r, tol, self.stats.crash_rows) >= 0:
                 growths += 1
@@ -620,10 +630,10 @@ class _DualSimplex:
                 x_basic = self._solve(self.rhs, 0, refine)
                 y = self._solve(cost[self.basis], 1, refine)
 
-            entering = -1
+            pos = -1  # the entering row's position in the working set
             if phase == 2 or float(cost[self.basis] @ x_basic) > self.phase1_tol:
-                entering = self._price(cost_real, y, price_tol)
-            if entering < 0:
+                pos = self._price(cost_real, y, price_tol)
+            if pos < 0:
                 if refine:
                     _log.debug(
                         "phase %d ended: %d pivots, %d working rows, %d full pricings, "
@@ -644,9 +654,8 @@ class _DualSimplex:
                 continue
             refine = False
 
-            pos = self.work.searchsorted(entering)
-            row = self._work_row(pos)
-            d = self._solve(row, 0, False)
+            entering, row = int(self.work[pos]), self._work_row(pos)
+            d = self._apply(row, 0)  # _ratio_test checks that it is finite
             leave_pos = self._ratio_test(d, x_basic, phase)
             if leave_pos < 0:
                 if phase == 1:
@@ -656,10 +665,12 @@ class _DualSimplex:
             leaving = self.basis[leave_pos]
             # rho = B^-T e_p = B0^-T M^T e_p, and M^T e_p is row p of M
             self.y_rho[:, 1] = self._apply((self.eta if self.etas else self.unit)[leave_pos], 1)
-            w_q = self.weights[pos]
-            self.pending = (d[leave_pos], w_q, leaving)
+            leave_work = -1  # the leaving row's position in the working set
             if leaving < self.m:
-                self.work_basic[self.work.searchsorted(leaving)] = False
+                leave_work = int(self.work.searchsorted(leaving))
+                self.work_basic[leave_work] = False
+            self.artificials -= int(leaving >= self.m)
+            self.pending = (d[leave_pos], self.weights[pos], leave_work)
             self.basis[leave_pos] = entering
             self.work_basic[pos] = True
             self.B[:, leave_pos] = row

@@ -35,6 +35,7 @@ from numpy.polynomial import chebyshev
 from .basis import (
     _ENCLOSURE_BLOCK,
     Polynomial,
+    _prefix_layout,
     cell_enclosures,
     eval_basis_many,
     eval_poly_grid,
@@ -134,14 +135,14 @@ def mc_volume(
     pick = int(undecided > 1)
     drawn = -(-samples * undecided // total)
     rng = np.random.Generator(np.random.Philox(seed))
-    hits = 0
+    hits, layout = 0, _prefix_layout(p.basis, p.coeffs)
     for start in range(0, drawn, MC_CHUNK_SAMPLES):
         draws = rng.random((min(MC_CHUNK_SAMPLES, drawn - start), n + pick))
         unit = draws[:, pick:]
         # cells is a power of two, so dividing by it is exact
         unit += corners[(draws[:, 0] * undecided).astype(np.intp)] if pick else corners[0]
         unit /= cells
-        hits += int(np.count_nonzero(eval_poly_many(p, box.scale_unit(unit)) >= 1.0))
+        hits += int(np.count_nonzero(eval_poly_many(p, box.scale_unit(unit), layout=layout) >= 1.0))
     q = hits / max(drawn, 1)
     volume = box.volume
     return VolumeEstimate(

@@ -812,6 +812,76 @@ def test_continued_fits_certify_the_cold_optimum(cluster_sweep):
         assert abs(result.objective - cold.objective) <= 1e-12 * abs(cold.objective)
 
 
+# (points, box, degree, grid) of the cold levels solved in Chebyshev
+# coordinates: W2's 26^2 level and a 3-D monomial degree-6 fit's 1250 points
+COLD_LEVEL_CASES = {
+    "w2": (cluster_point_array, 2, 14, GridSpec(points_per_axis=201)),
+    "sobol_3d": (_sobol_3d_points, 3, 6, GridSpec(sample_count=20_000)),
+}
+
+
+@pytest.mark.parametrize("case", COLD_LEVEL_CASES)
+def test_the_chebyshev_cold_level_basis_is_optimal_in_monomial_coordinates(case):
+    # the Chebyshev and monomial programs of the coldest level are one LP
+    # with the same rows in the same order, so the Chebyshev optimal basis
+    # certifies the monomial program with no pivot; its crash takes under
+    # half the QR steps of the monomial crash on W2 (178 against 610)
+    points, n, degree, spec = COLD_LEVEL_CASES[case]
+    setup = _prepare(PointCloud(points()), BoxDomain.symmetric(n), "monomial", spec, 1.0, None, [degree])
+    k = len(setup.program(degree)[0])
+    _, step = next(fitting._coarse_levels(setup, degree, k))
+    chebyshev = solve(setup.program(degree, step, "chebyshev")[1])
+    level = setup.program(degree, step)[1]
+    warm = solve(level, start=chebyshev.basis)
+    assert chebyshev.status == warm.status == "optimal"
+    assert warm.stats.start_basis and warm.iterations == 0
+    assert abs(warm.objective - chebyshev.objective) <= 1e-12 * abs(chebyshev.objective)
+    if case == "w2":
+        monomial = solve(level)
+        assert 0 < 2 * chebyshev.stats.crash_steps < monomial.stats.crash_steps
+        assert np.array_equal(monomial.basis, chebyshev.basis)
+
+
+def test_the_degree_20_monomial_cluster_fit_continues_through_every_level(monkeypatch):
+    # the 51^2 level in Chebyshev coordinates, then 101^2 and 201^2 from
+    # each last basis; solved cold in monomial coordinates, the 51^2 level
+    # ran into the phase-2 iteration limit
+    cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
+    solutions = []
+
+    def recorded(problem, start=None):
+        solutions.append(solve(problem, start=start))
+        return solutions[-1]
+
+    monkeypatch.setattr(fitting, "solve", recorded)
+    result = fit(cloud, box, 20, grid=GridSpec(points_per_axis=201))
+    assert [s.status for s in solutions] == ["optimal"] * 3
+    assert [s.stats.start_basis for s in solutions] == [False, True, True]
+    assert result.lp_stats is solutions[-1].stats and result.containment_margin >= -1e-6
+
+
+def test_a_request_builds_each_basis_and_its_moments_once(monkeypatch):
+    # a sweep whose degree-10 fit has a 21^2 level in Chebyshev coordinates
+    bases, moments = collections.Counter(), collections.Counter()
+    make_basis_, moment_vector_ = fitting.make_basis, fitting.moment_vector
+
+    def counted_basis(n, degree, kind, box):
+        bases[kind, degree] += 1
+        return make_basis_(n, degree, kind, box)
+
+    def counted_moments(basis, box):
+        moments[basis.kind, basis.degree] += 1
+        return moment_vector_(basis, box)
+
+    monkeypatch.setattr(fitting, "make_basis", counted_basis)
+    monkeypatch.setattr(fitting, "moment_vector", counted_moments)
+    entries = degree_sweep(PointCloud(cluster_point_array()), BoxDomain.symmetric(2), [2, 5, 10],
+                           grid=GridSpec(points_per_axis=41))
+    assert all(entry.result is not None for entry in entries)
+    assert bases == moments == {("monomial", 2): 1, ("monomial", 5): 1, ("monomial", 10): 1,
+                                ("chebyshev", 10): 1}
+
+
 def test_bounded_fits_continue_through_every_level(monkeypatch):
     # W2 at degree 14 with the bound rows +-v_i / 1e3 >= -1 on its 26^2,
     # 51^2 and 101^2 levels: each level after the coarsest starts from the
@@ -862,9 +932,11 @@ def test_each_coarse_level_writes_one_debug_line(caplog):
         result = fit(cloud, box, 10, grid=GridSpec(points_per_axis=41))
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(("level ", "fit "))]
     assert len(lines) == 2 and lines[1].startswith("fit degree 10 (optimal)")
+    # the coldest level is solved in Chebyshev coordinates, from the crash
     level = re.fullmatch(
-        r"level 21x21 grid \(optimal\): (\d+) rows, (\d+) pivots, start basis not taken", lines[0])
-    assert level and int(level[1]) == 100 + 21**2 and int(level[2]) > 0
+        r"level 21x21 grid \(optimal, chebyshev basis\): (\d+) rows, (\d+) pivots, "
+        r"(\d+) crash steps, start basis not taken", lines[0])
+    assert level and int(level[1]) == 100 + 21**2 and int(level[2]) > 0 and int(level[3]) > 0
     assert result.lp_stats.start_basis
 
 
@@ -889,6 +961,31 @@ def test_a_coarse_level_that_is_not_optimal_leaves_the_next_to_the_crash(monkeyp
     assert not result.lp_stats.start_basis and result.lp_stats.crash_basis == cold.stats.crash_basis
     assert result.lp_iterations == cold.iterations
     assert result.polynomial.coeffs.tobytes() == cold.v.tobytes()
+
+
+def test_a_level_after_one_that_is_not_optimal_runs_its_crash_in_chebyshev_coordinates(monkeypatch, caplog):
+    # degree 10 on 81^2: 21^2 and 41^2 levels; the first hands no basis on,
+    # so the second starts from the crash, in Chebyshev coordinates, and the
+    # fine solve takes its basis
+    cloud, box = PointCloud(cluster_point_array()), BoxDomain.symmetric(2)
+    spec = GridSpec(points_per_axis=81)
+    solutions = []
+
+    def failed_first_level(problem, start=None):
+        solutions.append(solve(problem, start=start))
+        if len(solutions) > 1:
+            return solutions[-1]
+        return dataclasses.replace(solutions[-1], status="unbounded", basis=None)
+
+    monkeypatch.setattr(fitting, "solve", failed_first_level)
+    with caplog.at_level(logging.DEBUG, logger="polycover"):
+        result = fit(cloud, box, 10, grid=spec)
+    levels = [re.match(r"level (\S+) grid \((\w+), (\w+) basis\)", r.getMessage()).groups()
+              for r in caplog.records if r.getMessage().startswith("level ")]
+    assert levels == [("21x21", "unbounded", "chebyshev"), ("41x41", "optimal", "chebyshev")]
+    assert [s.stats.start_basis for s in solutions] == [False, False, True]
+    cold = solve(build_problem(cloud, box, 10, grid=spec))
+    assert abs(result.objective - cold.objective) <= 1e-12 * abs(cold.objective)
 
 
 def test_every_fit_writes_one_debug_line(caplog):

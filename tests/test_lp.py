@@ -982,6 +982,9 @@ def test_crash_nnls_matches_scipy_nnls(caplog):
             )
         else:
             assert engine.stats.crash_basis
+            # inserts less deletes leave k rows: k + 2 deletes steps in all
+            steps = engine.stats.crash_steps
+            assert steps >= k and (steps - k) % 2 == 0
             x = np.zeros(m)
             x[engine.basis] = np.linalg.solve(rows[engine.basis].T, c)
             np.testing.assert_allclose(x, ref, atol=1e-12)
@@ -1165,6 +1168,38 @@ def test_crash_declines_when_a_row_with_positive_gradient_does_not_enter(caplog,
     assert not sol.stats.crash_basis
     assert sol.status == "optimal", sol.message
     assert abs(sol.objective - reference.objective) <= lp.OPT_TOL * (1.0 + abs(reference.objective))
+
+
+def test_ratio_test_picks_the_least_ratio_and_pivots_artificials_out_first():
+    m, k = 10, 4
+    engine = _DualSimplex(DenseRows(np.eye(m, k)), np.ones(k), np.ones(m), SolveStats())
+    engine.basis, engine.artificials = np.array([7, 3, 5, 9]), 0
+    one = np.ones(k)
+    # no d above 1e-10 max(1, |d|_inf): unbounded along the column
+    assert engine._ratio_test(np.array([-1.0, 0.0, -2.0, 1e-12]), one, 2) == -1
+    # the least ratio, with x_B clipped at 0
+    assert engine._ratio_test(one, np.array([3.0, 1.0, 2.0, 5.0]), 2) == 1
+    assert engine._ratio_test(one, np.array([3.0, 1.0, -1e-12, 5.0]), 2) == 2
+    # ratios within a relative 1e-9 of the least tie, and the smallest basis
+    # index among them leaves; row 3 at 1 + 1e-5 is no tie
+    x = np.array([1.0, 1.0 + 1e-5, 1.0, 1.0 + 1e-10])
+    assert engine._ratio_test(one, x, 2) == 2
+    engine.basis = np.array([7, 3, 9, 5])
+    assert engine._ratio_test(one, x, 2) == 3
+    # a non-finite d comes from a singular basis matrix
+    for bad in (math.nan, math.inf, -math.inf):
+        for phase in (1, 2):
+            with pytest.raises(_EngineFailure, match="^singular basis matrix$"):
+                engine._ratio_test(np.array([1.0, bad, 2.0, 3.0]), one, phase)
+    # in phase 2 a basic artificial with |d| above the pivot tolerance leaves
+    # first, the smallest index m before m + 1; phase 1 runs the plain test
+    engine.basis, engine.artificials = np.array([7, m + 1, 3, m]), 2
+    d, x = np.array([5.0, 2.0, 1.0, -1e-3]), np.array([1.0, 0.0, 1.0, 0.0])
+    assert engine._ratio_test(d, x, 2) == 3
+    d[3] = 1e-12
+    assert engine._ratio_test(d, x, 2) == 1
+    assert engine._ratio_test(d, x, 1) == 1
+    assert engine._ratio_test(d, np.array([1.0, 1.0, 1.0, 0.0]), 1) == 0
 
 
 def test_unbounded_phase_1_subproblem_fails_with_message(no_crash, monkeypatch):
