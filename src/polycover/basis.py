@@ -9,9 +9,10 @@ prefix of every higher-degree basis, which the fitting layer relies on.
 Chebyshev basis elements are evaluated through the affine map of the attached
 box onto [-1, 1]^n, so a Chebyshev basis always carries its box.
 
-Every value comes from per-axis tables of the 1-D basis functions; one
-kernel, _axis_product, multiplies their factors at the basis exponents for
-the basis matrix, the fitting layer's tensor-grid rows and the bounds.
+Every value comes from row-major per-axis tables of the 1-D basis functions,
+one row per degree, which the basis matrix and both evaluators read; one
+kernel, _axis_product, multiplies their rows at the basis exponents for the
+basis matrix, the fitting layer's tensor-grid rows and the bounds.
 """
 
 from __future__ import annotations
@@ -117,52 +118,42 @@ def make_basis(
     return PolyBasis(dimension=dimension, degree=degree, kind=kind, indices=indices, box=box)
 
 
-# Points per block of eval_basis_many and eval_poly_many.  Blocks this small
-# keep the intermediates in cache: in eval_poly_many, 1M 2-D degree-9 points
-# take 0.05 s, against 0.11 s with 262144-point blocks; 1M 3-D degree-6
-# Chebyshev points take 0.13-0.15 s (2-core Xeon, one BLAS thread).
-_BLOCK_POINTS = 4096
-# eval_poly_many pads a block to a multiple of this many points with copies
-# of its last point.  Its product with the last axis's table runs through
-# BLAS, whose last few columns, when their count is no multiple of the
-# kernel's width, and a lone column, take other code paths with other bits;
-# so a point's value would depend on its block.
-_TILE_POINTS = 64
+# Entries of the largest array of a block, 2**17 float64 (1 MiB): the (k, B)
+# products of eval_basis_many and _GridRows.take, and cell_enclosures' q.
+_BLOCK_ENTRIES = 2**17
 
 
 def _basis_table(basis: PolyBasis, axis: int, x: np.ndarray) -> np.ndarray:
     """The 1-D factors of eval_basis_many's entries along one axis: the
-    values phi_0..phi_d at the coordinates x, one row per coordinate.
-    Monomials are ** powers, not _axis_table's running products: those move
-    the entries by up to 9e-16, and on the 492 line LPs (monomial degrees
-    0-35, Chebyshev 0-45, 6 cloud orders) they grow the monomial failures
-    at degrees 27-30 from 8 to 12, 8 of them at new degree and order pairs."""
+    values phi_0..phi_d at the coordinates x, one row per degree and one
+    column per coordinate.  Monomials are ** powers: _axis_table's running
+    products move the entries by up to 9e-16 and grow the monomial failures
+    of the 492 line LPs at degrees 27-30 from 8 to 12.  They are taken
+    points-major and copied: numpy takes x ** 2 as x * x, off its pow at 2%
+    of points, where one exponent meets a long run of coordinates."""
     if basis.kind == "monomial":
-        return x[:, None] ** np.arange(basis.degree + 1)
-    return _axis_table(basis, axis, x, np.empty((basis.degree + 1, x.size))).T
+        return (x[:, None] ** np.arange(basis.degree + 1)).T.copy()
+    return _axis_table(basis, axis, x, np.empty((basis.degree + 1, x.size)))
 
 
-def _axis_product(
-    factors: list[np.ndarray], exps: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The product over axes i of factors[i][..., exps[:, i]], multiplied in
-    axis order, into out when it is given: the one such product, so arrays
-    built from the same factors have the same bits."""
-    # mode="clip" lets take write straight into out; no index is out of range
-    product = np.take(factors[0], exps[:, 0], axis=-1, out=out, mode="clip")
+def _axis_product(factors: list[np.ndarray], exps: np.ndarray) -> np.ndarray:
+    """The product over axes i of the rows factors[i][exps[:, i]], multiplied
+    in axis order: one row per basis element.  It is the one such product,
+    so arrays built from the same factors have the same bits."""
+    product = factors[0][exps[:, 0]]
     for axis in range(1, len(factors)):
-        product *= factors[axis][..., exps[:, axis]]
+        product *= factors[axis][exps[:, axis]]
     return product
 
 
 def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
     """Evaluate every basis element at every point.
 
-    The result is filled in blocks of _BLOCK_POINTS rows: tabulate each
-    axis's 1-D values at the block's coordinates (powers by ``**``, or
-    _axis_table's Chebyshev recurrence) and multiply them by _axis_product.
-    Every entry is the product of float64 factors computed point by point,
-    so the values do not depend on the block a point is in.
+    The result is filled in blocks of _BLOCK_ENTRIES // len(basis) rows:
+    tabulate each axis's 1-D values at the block's coordinates (_basis_table),
+    multiply them by _axis_product and write the product transposed.  Every
+    entry is the product of float64 factors computed point by point, so the
+    values do not depend on the block a point is in.
 
     Args:
         basis: the basis to evaluate.
@@ -180,10 +171,11 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray) -> np.ndarray:
             f"points have dimension {pts.shape[-1]}, basis has {basis.dimension}"
         )
     values = np.empty((pts.shape[0], len(basis)))
-    for start in range(0, pts.shape[0], _BLOCK_POINTS):
-        block = pts[start : start + _BLOCK_POINTS]
+    step = max(1, _BLOCK_ENTRIES // len(basis))
+    for start in range(0, pts.shape[0], step):
+        block = pts[start : start + step]
         factors = [_basis_table(basis, axis, block[:, axis]) for axis in range(basis.dimension)]
-        _axis_product(factors, basis.exponent_array, out=values[start : start + _BLOCK_POINTS])
+        values[start : start + step] = _axis_product(factors, basis.exponent_array).T
     return values[0] if single else values
 
 
@@ -266,6 +258,19 @@ def _axis_table(basis: PolyBasis, axis: int, x: np.ndarray, out: np.ndarray) -> 
         out[1] = v  # 1.0 * x is x, bit for bit
     factor = 2.0 * v if basis.kind == "chebyshev" else v
     return _recurrence(basis.kind, out, lambda row, dst: np.multiply(factor, row, out=dst))
+
+
+# Points per block of eval_poly_many.  Blocks this small keep the
+# intermediates in cache: 1M 2-D degree-9 points take 0.05 s, against
+# 0.11 s with 262144-point blocks; 1M 3-D degree-6 Chebyshev points take
+# 0.13-0.15 s (2-core Xeon, one BLAS thread).
+_BLOCK_POINTS = 4096
+# eval_poly_many pads a block to a multiple of this many points with copies
+# of its last point.  Its product with the last axis's table runs through
+# BLAS, whose last few columns, when their count is no multiple of the
+# kernel's width, and a lone column, take other code paths with other bits;
+# so a point's value would depend on its block.
+_TILE_POINTS = 64
 
 
 def _prefix_layout(
@@ -393,11 +398,6 @@ def _shift_table(kind: BasisKind, degree: int, a: np.ndarray, b: np.ndarray) -> 
     return _recurrence(kind, out, times)
 
 
-# Entries of the largest array that cell_enclosures builds per block of
-# cells: 2**17 float64, 1 MiB, about a third of its working memory.
-_ENCLOSURE_BLOCK = 2**17
-
-
 def cell_enclosures(
     p: Polynomial, box: BoxDomain, cells: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -416,7 +416,7 @@ def cell_enclosures(
     p = sum_beta q_beta s^beta on the cell, hence the centred form
     q_0 - sum_{beta != 0} |q_beta| <= p <= q_0 + sum_{beta != 0} |q_beta|
     (Ratschek and Rokne, Computer Methods for the Range of Functions, 1984).
-    The cells are enclosed in blocks of at most _ENCLOSURE_BLOCK entries.
+    The cells are enclosed in blocks of at most _BLOCK_ENTRIES entries.
 
     The margin bounds rounding, with u = 2^-53.  Let z_i bound |v| on every
     cell and at every such point (for Chebyshev, max(1, |a_k|) + b_k, [-1, 1]
@@ -476,7 +476,7 @@ def cell_enclosures(
     margin = 2.0 * unit * depth * float(np.sum(bound)) if depth * unit <= 2.0**-20 else math.inf
 
     total = cells**n
-    per_block = 1 << max(0, (_ENCLOSURE_BLOCK // (d + 1) ** n).bit_length() - 1)
+    per_block = 1 << max(0, (_BLOCK_ENTRIES // (d + 1) ** n).bit_length() - 1)
     per_block = min(per_block, total)
     lower, upper = np.empty(total), np.empty(total)
     grid, powers = (cells,) * n, tuple(range(1, 2 * n, 2))

@@ -36,7 +36,7 @@ import numpy as np
 import scipy
 
 from .basis import (
-    _BLOCK_POINTS, BasisKind, PolyBasis, Polynomial, _axis_product, _basis_table, _contract,
+    _BLOCK_ENTRIES, BasisKind, PolyBasis, Polynomial, _axis_product, _basis_table, _contract,
     _dense_coeffs, eval_basis_many, make_basis,
 )
 from .domain import MAX_GRID_POINTS, BoxDomain, grid_axes, tensor_grid
@@ -217,7 +217,7 @@ class _GridRows:
 
     Each axis's table holds the factors that eval_basis_many multiplies,
     sliced from the one build: _basis_table's first d + 1 rows (or some of
-    their columns).  take multiplies each row's factors by the same
+    their columns).  take multiplies each row's factors by eval_basis_many's
     _axis_product, so it gives A's rows bit for bit by construction.
     price contracts the dense coefficient array of each column of Y with
     the tables axis by axis, as eval_poly_grid does; no row is formed.
@@ -234,12 +234,12 @@ class _GridRows:
     def take(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         nodes = idx if self.kept is None else self.kept[idx]
         counts = [table.shape[1] for table in self.tables]
-        exps = self.basis.exponent_array
         values = np.empty((len(nodes), len(self.basis))) if out is None else out
-        for start in range(0, len(nodes), _BLOCK_POINTS):
-            per_axis = np.unravel_index(nodes[start : start + _BLOCK_POINTS], counts)
-            factors = [table.T[i] for table, i in zip(self.tables, per_axis)]
-            _axis_product(factors, exps, out=values[start : start + _BLOCK_POINTS])
+        step = max(1, _BLOCK_ENTRIES // len(self.basis))
+        for start in range(0, len(nodes), step):
+            per_axis = np.unravel_index(nodes[start : start + step], counts)
+            factors = [table[:, i] for table, i in zip(self.tables, per_axis)]
+            values[start : start + step] = _axis_product(factors, self.basis.exponent_array).T
         return values
 
     def _values(self, Y: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
@@ -293,9 +293,9 @@ class _FitSetup:
     """Checked inputs shared by every degree (cloud, inflated box, grid where
     p >= 0 is enforced, basis kind, coefficient bound) and the rows of the
     top degree, which each degree slices, or None: assemble's A, or on a
-    tensor grid in 2-D and up the cloud's rows, each axis's _basis_table in
-    tables, and kept: each grid point's node index (None if none is left out);
-    bases(kind, degree) is _basis on the box, built once per request."""
+    tensor grid in 2-D and up the cloud's rows, each axis's _basis_table as
+    built in tables, and kept: each grid point's node index (None if none is
+    left out); bases(kind, degree) is _basis on the box, built once per request."""
 
     cloud: PointCloud
     box: BoxDomain
@@ -395,7 +395,7 @@ def _prepare(
             continue
         if tensor:
             axes = grid_axes(box_eff.lower, box_eff.upper, spec.points_per_axis)
-            tables = [np.ascontiguousarray(_basis_table(basis, i, x).T) for i, x in enumerate(axes)]
+            tables = [_basis_table(basis, i, x) for i, x in enumerate(axes)]
         rows = (eval_basis_many(basis, cloud.points) if tensor
                 else assemble(cloud, grid_points, basis, moments).rows.A)
         break

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .basis import (
-    _ENCLOSURE_BLOCK,
+    _BLOCK_ENTRIES,
     Polynomial,
     _prefix_layout,
     cell_enclosures,
@@ -98,7 +98,7 @@ def _screen(p: Polynomial, box: BoxDomain, samples: int) -> tuple[int, np.ndarra
     cells = 1
     if d == 0:
         low = high = p.coeffs[:1]
-    elif (d + 1) ** n > _ENCLOSURE_BLOCK:
+    elif (d + 1) ** n > _BLOCK_ENTRIES:
         low, high = np.array([-math.inf]), np.array([math.inf])
     else:
         budget = min(4096, 2 * samples * math.comb(n + d, d) // (d + 1) ** (n + 1))
@@ -198,7 +198,7 @@ def _scan_spec(p: Polynomial) -> GridSpec:
     per_axis = 1
     while (per_axis + 1) ** n <= SCAN_BUDGET:
         per_axis += 1
-    if per_axis >= 2 and (p.degree + 1) ** n <= _ENCLOSURE_BLOCK:
+    if per_axis >= 2 and (p.degree + 1) ** n <= _BLOCK_ENTRIES:
         return GridSpec(points_per_axis=per_axis)
     return GridSpec(sample_count=SCAN_BUDGET, seed=1)
 

@@ -44,6 +44,39 @@ def chebyshev_tensor_value(alpha, point, box_lower, box_upper) -> float:
     return value
 
 
+def chebyshev_columns(t, max_degree) -> np.ndarray:
+    """T_0 .. T_max_degree at the coordinates t, one row per coordinate,
+    by the three-term recurrence run column by column."""
+    out = np.empty((t.shape[0], max_degree + 1))
+    out[:, 0] = 1.0
+    if max_degree >= 1:
+        out[:, 1] = t
+    for k in range(2, max_degree + 1):
+        out[:, k] = 2.0 * t * out[:, k - 1] - out[:, k - 2]
+    return out
+
+
+def points_major_basis_rows(basis, points) -> np.ndarray:
+    """The basis matrix built points-major, one row per point: every
+    point's own ** powers or Chebyshev recurrence, on its own map of each
+    axis onto [-1, 1], then the product of the gathered columns over the
+    axes in axis order."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if basis.kind == "chebyshev":
+        lower, upper = basis.box.lower_array, basis.box.upper_array
+        pts = (2.0 * pts - (lower + upper)) / (upper - lower)
+    exps = basis.exponent_array
+    tables = [
+        pts[:, d, None] ** np.arange(basis.degree + 1) if basis.kind == "monomial"
+        else chebyshev_columns(pts[:, d], basis.degree)
+        for d in range(basis.dimension)
+    ]
+    values = tables[0][:, exps[:, 0]]
+    for d in range(1, basis.dimension):
+        values *= tables[d][:, exps[:, d]]
+    return values
+
+
 def quad_monomial_moment(lower, upper, alpha) -> float:
     """Adaptive quadrature of the monomial x^alpha over the box, axis by axis.
 

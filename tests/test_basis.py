@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from polycover import BoxDomain, Polynomial, enumerate_indices, eval_basis, eval_basis_many
 from polycover import eval_poly, eval_poly_many, gram_to_poly, half_degree, make_basis
 from polycover import poly_from_dict, poly_to_dict, poly_to_gram
-from polycover.basis import _BLOCK_POINTS, _TILE_POINTS, PolyBasis, basis_size, constant_poly
-from polycover.basis import cell_enclosures, eval_poly_grid
+from polycover.basis import _BLOCK_ENTRIES, _BLOCK_POINTS, _TILE_POINTS, PolyBasis, basis_size
+from polycover.basis import cell_enclosures, constant_poly, eval_poly_grid
 from polycover.domain import grid_axes, tensor_grid
 
-from oracles import chebyshev_tensor_value, gram_by_pairs, gram_to_coeffs_by_pairs, horner_eval
+from oracles import chebyshev_columns, chebyshev_tensor_value, gram_by_pairs
+from oracles import gram_to_coeffs_by_pairs, horner_eval, points_major_basis_rows
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
@@ -77,30 +78,11 @@ def test_eval_basis_single_point_matches_many():
     np.testing.assert_array_equal(eval_basis(basis, x), eval_basis_many(basis, x[None, :])[0])
 
 
-def _eval_basis_per_point(basis, points):
-    # the evaluation before distinct-coordinate tables: every point's own
-    # ** powers or Chebyshev recurrence, on its own map of each axis onto
-    # [-1, 1], then the product over the axes
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if basis.kind == "chebyshev":
-        lower, upper = basis.box.lower_array, basis.box.upper_array
-        pts = (2.0 * pts - (lower + upper)) / (upper - lower)
-    exps = basis.exponent_array
-    tables = [
-        pts[:, d, None] ** np.arange(basis.degree + 1) if basis.kind == "monomial"
-        else _chebyshev_columns(pts[:, d], basis.degree)
-        for d in range(basis.dimension)
-    ]
-    values = tables[0][:, exps[:, 0]]
-    for d in range(1, basis.dimension):
-        values *= tables[d][:, exps[:, d]]
-    return values
-
-
 @st.composite
 def _points_with_repeats(draw):
     # coordinates drawn from a few values, -0.0 and 0.0 among them, so that
     # points share coordinates along every axis; 5000 points span two blocks
+    # of eval_basis_many once the basis has more than 26 elements
     dimension = draw(st.integers(1, 3))
     values = np.array(draw(st.lists(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0),
@@ -123,12 +105,25 @@ def test_eval_basis_many_is_bitwise_the_per_point_evaluation(points, kind, degre
     # bounds would change the values
     box = BoxDomain(lower=(-1.0, -0.5, -2.0)[:dimension], upper=(1.5, 0.75, 0.25)[:dimension])
     basis = make_basis(dimension, degree, kind, box)
-    got, want = eval_basis_many(basis, points), _eval_basis_per_point(basis, points)
+    got, want = eval_basis_many(basis, points), points_major_basis_rows(basis, points)
     assert got.shape == want.shape == (points.shape[0], len(basis))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     if points.shape[0]:  # the single-point path
         one = eval_basis_many(basis, points[-1])
         assert np.array_equal(one.view(np.int64), want[-1].view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("n, degree", [(1, 14), (2, 14), (3, 8), (4, 6)])
+def test_eval_basis_many_is_the_points_major_build_bit_for_bit(kind, n, degree):
+    # off-centre boxes; point counts on both sides of a block's edge
+    box = BoxDomain(lower=(-1.3, -0.2, -2.0, 0.5)[:n], upper=(0.7, 1.9, 1.0, 3.0)[:n])
+    basis = make_basis(n, degree, kind, box)
+    points = box.lower_array + box.widths * np.random.default_rng(n).random((20_000, n))
+    want = points_major_basis_rows(basis, points)
+    step = max(1, _BLOCK_ENTRIES // len(basis))
+    for count in (1, step - 1, step, step + 1, 20_000):
+        assert eval_basis_many(basis, points[:count]).tobytes() == want[:count].tobytes()
 
 
 def test_eval_basis_many_keeps_the_sign_of_zero():
@@ -153,18 +148,6 @@ def test_univariate_polynomial_is_horner(coeffs, x):
     assert p(np.array([x])) == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
-def _chebyshev_columns(t, max_degree):
-    # the column-by-column recurrence the kernel used before its tables
-    # went row-major
-    out = np.empty((t.shape[0], max_degree + 1))
-    out[:, 0] = 1.0
-    if max_degree >= 1:
-        out[:, 1] = t
-    for k in range(2, max_degree + 1):
-        out[:, k] = 2.0 * t * out[:, k - 1] - out[:, k - 2]
-    return out
-
-
 def _eval_poly_gathered(p, points):
     # the block loop before row-major tables and in-place runs: a fresh
     # (d + 1, block) table per axis, the rows of the other axes' tables
@@ -176,7 +159,7 @@ def _eval_poly_gathered(p, points):
         if basis.kind == "chebyshev":
             lo, up = basis.box.lower[axis], basis.box.upper[axis]
             t = (2.0 * x - (lo + up)) / (up - lo)
-            return np.ascontiguousarray(_chebyshev_columns(t, basis.degree).T)
+            return np.ascontiguousarray(chebyshev_columns(t, basis.degree).T)
         table = np.empty((basis.degree + 1, x.shape[0]))
         table[0] = 1.0
         for k in range(1, basis.degree + 1):
